@@ -3,6 +3,9 @@
 Exit codes: 0 on success, 1 when a `verify` run finds a counterexample,
 2 on usage or input errors.  All numeric output is exact (fraction strings
 or integers); nothing is ever printed as a float.
+
+Each command imports the library modules it uses when it runs, so a
+process pays only for those.
 """
 
 from __future__ import annotations
@@ -12,19 +15,9 @@ import itertools
 import json
 import sys
 
-from . import chains, render
-from .eulerian import embed_nd, eulerian_row, slice_volumes, worpitzky
-from .expr import ExpressionError, evaluate_expression, parse
-from .forms import closed_sum, closed_sum_shifted, combination, evaluate, evaluate_orth, star_product
-from .ring import (
-    RepresentationError,
-    element_to_json,
-    embed2,
-    embed3,
-    series_partial_sum,
-    to_orth,
-)
-from .witnesses import _is_prime, composite_witness, factor_report, factors_from_witness
+# Inputs past these limits exit 2: both scans are O(z^2) per integer.
+FACTOR_LIMIT = 10_000
+COMPOSITE_LIMIT = 1_000
 
 
 def _parse_range(text: str):
@@ -48,6 +41,9 @@ def _grid(lo, hi, arity, cap=600_000):
 
 
 def _check_closed2(lo, hi):
+    from .forms import closed_sum, evaluate
+    from .ring import embed2
+
     for n, k, l in _grid(lo, hi, 3):
         if evaluate(closed_sum((n, k, l), 2)) != embed2(n + k + l):
             return f"(n,k,l)=({n},{k},{l})"
@@ -55,6 +51,9 @@ def _check_closed2(lo, hi):
 
 
 def _check_closed2_shift(lo, hi):
+    from .forms import closed_sum_shifted, evaluate
+    from .ring import embed2
+
     for n, k, l, t in _grid(lo, hi, 4):
         if evaluate(closed_sum_shifted(n, k, l, t)) != embed2(n + k + l + t):
             return f"(n,k,l,t)=({n},{k},{l},{t})"
@@ -62,6 +61,9 @@ def _check_closed2_shift(lo, hi):
 
 
 def _check_closed3(lo, hi):
+    from .forms import closed_sum, evaluate
+    from .ring import embed3
+
     for values in _grid(lo, hi, 4):
         if evaluate(closed_sum(values, 3)) != embed3(sum(values)):
             return f"values={values}"
@@ -69,6 +71,9 @@ def _check_closed3(lo, hi):
 
 
 def _check_closed_nd(lo, hi, m=4):
+    from .eulerian import embed_nd
+    from .forms import closed_sum, evaluate_orth
+
     for values in _grid(lo, hi, m + 1):
         if evaluate_orth(closed_sum(values, m)) != embed_nd(sum(values), m):
             return f"m={m} values={values}"
@@ -76,6 +81,8 @@ def _check_closed_nd(lo, hi, m=4):
 
 
 def _check_mirror(lo, hi):
+    from .forms import combination, evaluate
+
     for t in range(lo, hi + 1):
         left = evaluate(combination(2, False, [(3, t), (1, -3 * t)]))
         right = evaluate(combination(2, False, [(3, -t), (1, 3 * t)]))
@@ -85,6 +92,9 @@ def _check_mirror(lo, hi):
 
 
 def _check_star(lo, hi):
+    from .forms import evaluate, star_product
+    from .ring import embed2
+
     for n in range(max(lo, 3), hi + 1):
         for m in range(lo, hi + 1):
             if evaluate(star_product(n, m)) != embed2(n * m):
@@ -93,6 +103,8 @@ def _check_star(lo, hi):
 
 
 def _check_worpitzky(lo, hi):
+    from .eulerian import worpitzky
+
     for n in range(lo, hi + 1):
         for m in range(1, 9):
             if worpitzky(n, m) != n ** m:
@@ -101,6 +113,10 @@ def _check_worpitzky(lo, hi):
 
 
 def _check_composite(lo, hi):
+    from .witnesses import _is_prime, composite_witness, factors_from_witness
+
+    if hi > COMPOSITE_LIMIT:
+        raise ValueError(f"composite checks stop at z = {COMPOSITE_LIMIT}; got {lo}..{hi}")
     for z in range(max(lo, 2), hi + 1):
         w = composite_witness(z)
         if (w is not None) != (not _is_prime(z)):
@@ -124,14 +140,15 @@ IDENTITIES = {
 }
 
 
+# plan name -> (builder in `chains`, the options it takes)
 PLANS = {
-    "triangle": (chains.closed_triangle_plan, ("n",)),
-    "difference": (chains.difference_plan, ("n", "k")),
-    "partition": (chains.partition_plan, ("n", "k", "l")),
-    "parallelogram": (chains.parallelogram_plan, ("n", "k")),
-    "hexagon": (chains.hexagon_plan, ("n", "k", "l", "t")),
-    "segment": (chains.segment_sum_plan, ("n",)),
-    "open-segment": (chains.open_segment_plan_units, ("n",)),
+    "triangle": ("closed_triangle_plan", ("n",)),
+    "difference": ("difference_plan", ("n", "k")),
+    "partition": ("partition_plan", ("n", "k", "l")),
+    "parallelogram": ("parallelogram_plan", ("n", "k")),
+    "hexagon": ("hexagon_plan", ("n", "k", "l", "t")),
+    "segment": ("segment_sum_plan", ("n",)),
+    "open-segment": ("open_segment_plan_units", ("n",)),
 }
 
 
@@ -154,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4, help="dimension for closed-nd")
 
     p = sub.add_parser("factor", help="witness and factor pair for an integer")
-    p.add_argument("z", type=int)
+    p.add_argument("z", type=int, help=f"2 <= z <= {FACTOR_LIMIT}")
 
     p = sub.add_parser("eulerian", help="print the Eulerian triangle")
     p.add_argument("--m", type=int, required=True)
@@ -184,6 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
+    from .expr import ExpressionError, evaluate_expression, parse
+    from .ring import RepresentationError, element_to_json
+
     try:
         tree = parse(args.expression, args.dim)
         value = evaluate_expression(tree, args.dim, args.extended)
@@ -213,14 +233,21 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    from .witnesses import factor_report
+
     if args.z < 2:
         print("error: z must be at least 2", file=sys.stderr)
+        return 2
+    if args.z > FACTOR_LIMIT:
+        print(f"error: z must be at most {FACTOR_LIMIT}", file=sys.stderr)
         return 2
     print(json.dumps(factor_report(args.z)))
     return 0
 
 
 def _cmd_eulerian(args) -> int:
+    from .eulerian import eulerian_row, slice_volumes
+
     if args.m < 1:
         print("error: m must be >= 1", file=sys.stderr)
         return 2
@@ -240,6 +267,8 @@ def _cmd_eulerian(args) -> int:
 
 
 def _cmd_worpitzky(args) -> int:
+    from .eulerian import worpitzky
+
     if args.m < 1:
         print("error: m must be >= 1", file=sys.stderr)
         return 2
@@ -255,6 +284,8 @@ def _cmd_worpitzky(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import chains, render
+
     builder, wanted = PLANS[args.plan]
     params = []
     for name in wanted:
@@ -264,20 +295,26 @@ def _cmd_render(args) -> int:
             return 2
         params.append(value)
     try:
-        plan = builder(*params)
+        plan = getattr(chains, builder)(*params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render.to_svg(plan)
     if args.out == "-":
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
 def _cmd_series(args) -> int:
+    from .ring import element_to_json, series_partial_sum
+
     try:
         element = series_partial_sum(args.terms)
     except ValueError as exc:
@@ -294,6 +331,9 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_slabs(args) -> int:
+    from . import chains
+    from .eulerian import eulerian_row
+
     try:
         counts = chains.tetrahedron_slabs(args.n)
     except ValueError as exc:

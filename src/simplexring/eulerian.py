@@ -62,7 +62,8 @@ def binomial(a: int, m: int) -> int:
     """(a choose m) via the falling factorial; a may be any integer."""
     num = falling_factorial(a, m)
     den = factorial(m)
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"{m}! does not divide the falling factorial of {a}")
     return num // den
 
 
@@ -71,7 +72,7 @@ def worpitzky(n: int, m: int) -> int:
 
     Form one sums A(m,k) * C(n+k, m) over k = 0..m-1; form two re-indexes
     through the row symmetry as sum of A(m,k-1) * (n+m-k)_falling(m) / m!.
-    Both must agree (asserted) and the common value is returned.
+    Both must agree, else ArithmeticError, and the common value is returned.
     """
     row = eulerian_row(m)
     first = sum(row[k] * binomial(n + k, m) for k in range(m))
@@ -79,9 +80,11 @@ def worpitzky(n: int, m: int) -> int:
     second = 0
     for k in range(1, m + 1):
         num = falling_factorial(n + m - k, m)
-        assert num % fact == 0
+        if num % fact:
+            raise ArithmeticError(f"{m}! does not divide the falling factorial of {n + m - k}")
         second += row[k - 1] * (num // fact)
-    assert first == second, f"the two summation forms disagree at n={n}, m={m}"
+    if first != second:
+        raise ArithmeticError(f"the two summation forms disagree at n={n}, m={m}")
     return first
 
 

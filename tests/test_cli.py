@@ -100,6 +100,20 @@ def test_factor_domain(capsys):
     assert code == 2 and err != ""
 
 
+def test_factor_cap(capsys):
+    code, out, _ = _run(capsys, "factor", "10000")
+    assert code == 0 and json.loads(out)["factors"] == [100, 100]
+    code, out, err = _run(capsys, "factor", "10001")
+    assert code == 2 and out == "" and "10000" in err
+
+
+def test_verify_composite_cap(capsys):
+    code, out, _ = _run(capsys, "verify", "--identity", "composite", "--range=1000..1000")
+    assert code == 0 and out.startswith("PASS composite")
+    code, out, err = _run(capsys, "verify", "--identity", "composite", "--range=2..1001")
+    assert code == 2 and out == "" and "1000" in err
+
+
 def test_eulerian_text(capsys):
     code, out, _ = _run(capsys, "eulerian", "--m", "4")
     assert code == 0
@@ -129,6 +143,13 @@ def test_render_to_file(tmp_path, capsys):
     text = out_file.read_text()
     assert text.startswith('<?xml version="1.0"')
     assert text.rstrip().endswith("</svg>")
+
+
+def test_render_to_directory_exits_2(tmp_path, capsys):
+    code, out, err = _run(capsys, "render", "--plan", "triangle", "--n", "3",
+                          "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_render_to_stdout(capsys):

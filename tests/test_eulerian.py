@@ -1,10 +1,15 @@
 """Eulerian numbers, power identities and the slice bases."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import simplexring
 from simplexring.eulerian import (
     SliceBasisVector,
     apply_basis_matrix,
@@ -171,3 +176,28 @@ def test_embed_nd_multiplicative():
 def test_slice_basis_vector_validation():
     with pytest.raises(ValueError):
         SliceBasisVector(3, (1, 2))
+
+
+def test_two_route_checks_survive_optimize_flag():
+    """A wrong Eulerian row or falling factorial raises even under `python -O`."""
+    src = str(Path(simplexring.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = (
+        "import importlib\n"
+        "E = importlib.import_module('simplexring.eulerian')\n"
+        "E.eulerian_row = lambda m: (1,) + (0,) * (m - 1)\n"
+        "try:\n"
+        "    E.worpitzky(3, 3)\n"
+        "except ArithmeticError:\n"
+        "    print('worpitzky')\n"
+        "E.falling_factorial = lambda x, m: 1\n"
+        "try:\n"
+        "    E.binomial(5, 3)\n"
+        "except ArithmeticError:\n"
+        "    print('binomial')\n"
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["worpitzky", "binomial"]
