@@ -37,7 +37,8 @@ class Chain:
     """Finitely supported integer multiplicities on lattice cells.
 
     Immutable once built; zero entries are dropped so equality is equality
-    of supports with multiplicities.
+    of supports with multiplicities.  A multiplicity that is not an int
+    (a float, a Fraction, a bool) raises TypeError.
     """
 
     __slots__ = ("dim", "_cells")
@@ -51,8 +52,10 @@ class Chain:
         for cell, mult in dict(cells or {}).items():
             if cell[0] not in tags:
                 raise ValueError(f"cell {cell!r} does not live in dimension {dim}")
+            if type(mult) is not int:
+                raise TypeError(f"multiplicity of {cell!r} must be an integer, got {mult!r}")
             if mult:
-                store[cell] = int(mult)
+                store[cell] = mult
         self._cells = store
 
     def multiplicity(self, cell) -> int:
@@ -426,20 +429,6 @@ def chain_face_total(chain: Chain) -> int:
     return sum(m for cell, m in chain.cells().items() if cell[0] == "face")
 
 
-def plan_side_difference(plan: PlacementPlan) -> int:
-    """Signed sum of triangle sides (down counts negative).
-
-    For the face-only builder plans this equals the A_1 coordinate, the
-    difference in lengths of the two parallel boundary sides.
-    """
-    total = 0
-    for piece in plan.pieces:
-        if piece.kind in ("triangle", "closed_triangle", "open_triangle"):
-            side = piece.size if piece.orientation == UP else -piece.size
-            total += piece.sign * piece.multiplicity * side
-    return total
-
-
 def tetrahedron_slabs(n: int) -> tuple:
     """Slab piece counts of the side-n tetrahedron; (1,4,1)-weighted sum n^3."""
     if n < 1:
@@ -550,35 +539,3 @@ def tiling_search(
     if result is None:
         return None
     return PlacementPlan(2, tuple(result))
-
-
-# ---------------------------------------------------------------------------
-# JSON views
-
-
-def chain_to_json(chain: Chain) -> dict:
-    return {
-        "dim": chain.dim,
-        "cells": [{"cell": _cell_json(cell), "mult": m} for cell, m in chain.sorted_items()],
-    }
-
-
-def _cell_json(cell):
-    return [list(part) if isinstance(part, tuple) else part for part in cell]
-
-
-def plan_to_json(plan: PlacementPlan) -> dict:
-    return {
-        "dim": plan.dim,
-        "pieces": [
-            {
-                "kind": p.kind,
-                "position": list(p.position) if isinstance(p.position, tuple) else p.position,
-                "size": p.size,
-                "orientation": p.orientation,
-                "sign": p.sign,
-                "multiplicity": p.multiplicity,
-            }
-            for p in plan.pieces
-        ],
-    }

@@ -18,6 +18,9 @@ import sys
 # Inputs past these limits exit 2: both scans are O(z^2) per integer.
 FACTOR_LIMIT = 10_000
 COMPOSITE_LIMIT = 1_000
+# closed_sum builds 2^(m+1) - 2 terms per tuple, so closed-nd doubles its time
+# per step of m; at the limit one tuple takes about a quarter of a second.
+CLOSED_ND_M_LIMIT = 10
 
 
 def _parse_range(text: str):
@@ -74,6 +77,8 @@ def _check_closed_nd(lo, hi, m=4):
     from .eulerian import embed_nd
     from .forms import closed_sum, evaluate_orth
 
+    if not 1 <= m <= CLOSED_ND_M_LIMIT:
+        raise ValueError(f"closed-nd needs 1 <= m <= {CLOSED_ND_M_LIMIT}; got m = {m}")
     for values in _grid(lo, hi, m + 1):
         if evaluate_orth(closed_sum(values, m)) != embed_nd(sum(values), m):
             return f"m={m} values={values}"
@@ -168,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check an identity over a range")
     p.add_argument("--identity", required=True, choices=sorted(IDENTITIES))
     p.add_argument("--range", dest="span", default="-6..6", metavar="A..B")
-    p.add_argument("--m", type=int, default=4, help="dimension for closed-nd")
+    p.add_argument("--m", type=int, default=4,
+                   help=f"dimension for closed-nd, 1 <= m <= {CLOSED_ND_M_LIMIT}")
 
     p = sub.add_parser("factor", help="witness and factor pair for an integer")
     p.add_argument("z", type=int, help=f"2 <= z <= {FACTOR_LIMIT}")

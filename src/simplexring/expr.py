@@ -10,7 +10,8 @@ Grammar (whitespace allowed between tokens):
 A minus immediately before '<' (no space) is part of the literal and flags
 the negated piece -<k>, which is different from the negative-scale literal
 <-k>.  Everything else about '-' is the binary operator.  Syntax errors
-carry the byte offset of the offending character.
+carry the byte offset of the offending character.  Parentheses nest at
+most MAX_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -21,6 +22,12 @@ from typing import Optional, Union
 
 from .ring import GeomElement2, GeomElement3, OrthElement, SimplexLiteral, embed_literal
 from .forms import star_product, evaluate
+
+
+# Parentheses may nest this deep.  Parsing, evaluating, printing and
+# comparing a tree all recurse per level; comparing or repr() of a tree 90
+# deep already exceeds Python's default recursion limit.
+MAX_DEPTH = 32
 
 
 class ExpressionError(ValueError):
@@ -98,6 +105,7 @@ class _Parser:
         self.dim = dim
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index] if self.index < len(self.tokens) else None
@@ -158,8 +166,12 @@ class _Parser:
             self.next(("sym", ")"), what="')'")
             return Star(n, m)
         if kind == "sym" and value == "(":
+            if self.depth == MAX_DEPTH:
+                raise ExpressionError(f"parentheses nest deeper than {MAX_DEPTH}", pos)
             self.index += 1
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.next(("sym", ")"), what="')'")
             return Group(inner)
         raise ExpressionError(f"expected a literal, star(...) or '(', found {value!r}", pos)

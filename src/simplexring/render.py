@@ -12,14 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import (
-    Chain,
-    PlacementPlan,
-    covered_cells,
-    face_vertices,
-    piece_cells,
-    realize,
-)
+from .chains import Chain, PlacementPlan, face_vertices, piece_cells
 
 SQRT3 = 3 ** 0.5
 
@@ -39,63 +32,96 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _vertex_xy(v, side):
-    r, c = v
-    return (c + r / 2.0) * side, r * side * SQRT3 / 2.0
+# draw order: faces, then edges and intervals, then vertices and points
+_RANK = {"face": 0, "edge": 1, "interval": 1, "vertex": 2, "point": 2}
 
 
 class _Canvas:
+    """The elements of one SVG and the memos that live as long as it.
+
+    A drawn position is a tuple (x, y, "x", "y") of canvas coordinates and
+    their formatted text.  Lattice vertices are converted and formatted once
+    and kept in `vertices`, and each face's points text is joined once; the
+    bounding box is taken in render() from those vertices plus the few drawn
+    points that are not lattice vertices and the labels.
+    """
+
     def __init__(self, options: RenderOptions):
         self.options = options
         self.body = []
         self.labels = []
-        self.min_x = self.min_y = float("inf")
-        self.max_x = self.max_y = float("-inf")
+        self.vertices = {}      # (r, c) -> drawn position
+        self.faces = {}         # face cell -> (drawn corners, points text)
+        self.extra = []         # drawn positions off the lattice vertices
+        self.styles = {}        # polygon style -> attribute text
+        self.keys = {}          # cell -> draw-order sort key
 
-    def _track(self, x, y):
-        self.min_x = min(self.min_x, x)
-        self.max_x = max(self.max_x, x)
-        self.min_y = min(self.min_y, y)
-        self.max_y = max(self.max_y, y)
+    def vertex(self, v):
+        point = self.vertices.get(v)
+        if point is None:
+            r, c = v
+            side = self.options.side
+            x, y = (c + r / 2.0) * side, r * side * SQRT3 / 2.0
+            point = self.vertices[v] = (x, y, _fmt(x), _fmt(y))
+        return point
 
-    def polygon(self, points, fill, stroke, width=1.0, opacity=None):
-        for x, y in points:
-            self._track(x, y)
-        attrs = f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"'
-        if opacity is not None:
-            attrs += f' fill-opacity="{_fmt(opacity)}"'
-        text = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-        self.body.append(f'<polygon points="{text}" {attrs} />')
+    def face(self, cell):
+        hit = self.faces.get(cell)
+        if hit is None:
+            pts = [self.vertex(v) for v in face_vertices(cell)]
+            hit = self.faces[cell] = (pts, " ".join([f"{p[2]},{p[3]}" for p in pts]))
+        return hit
+
+    def point(self, x, y):
+        point = (x, y, _fmt(x), _fmt(y))
+        self.extra.append(point)
+        return point
+
+    def sort_key(self, cell):
+        key = self.keys.get(cell)
+        if key is None:
+            key = self.keys[cell] = (_RANK[cell[0]], repr(cell))
+        return key
+
+    def polygon(self, text, fill, stroke, width=1.0, opacity=None):
+        style = (fill, stroke, width, opacity)
+        attrs = self.styles.get(style)
+        if attrs is None:
+            attrs = f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"'
+            if opacity is not None:
+                attrs += f' fill-opacity="{_fmt(opacity)}"'
+            attrs = self.styles[style] = f'" {attrs} />'
+        self.body.append('<polygon points="' + text + attrs)
 
     def line(self, p1, p2, stroke, width):
-        self._track(*p1)
-        self._track(*p2)
         self.body.append(
-            f'<line x1="{_fmt(p1[0])}" y1="{_fmt(p1[1])}" '
-            f'x2="{_fmt(p2[0])}" y2="{_fmt(p2[1])}" '
+            f'<line x1="{p1[2]}" y1="{p1[3]}" x2="{p2[2]}" y2="{p2[3]}" '
             f'stroke="{stroke}" stroke-width="{_fmt(width)}" stroke-linecap="round" />'
         )
 
     def circle(self, p, radius, fill):
-        self._track(*p)
         self.body.append(
-            f'<circle cx="{_fmt(p[0])}" cy="{_fmt(p[1])}" r="{_fmt(radius)}" fill="{fill}" />'
+            f'<circle cx="{p[2]}" cy="{p[3]}" r="{_fmt(radius)}" fill="{fill}" />'
         )
 
-    def label(self, p, text, color):
-        self._track(*p)
-        self.labels.append((p[0], p[1], text, color))
+    def label(self, x, y, text, color):
+        self.labels.append((x, y, text, color))
 
     def render(self) -> str:
         if not self.body and not self.labels:
-            self.min_x = self.min_y = 0.0
-            self.max_x = self.max_y = 1.0
+            min_x = min_y = 0.0
+            max_x = max_y = 1.0
+        else:
+            points = [*self.vertices.values(), *self.extra, *self.labels]
+            xs = [p[0] for p in points]
+            ys = [p[1] for p in points]
+            min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
         m = self.options.margin
-        w = self.max_x - self.min_x + 2 * m
-        h = self.max_y - self.min_y + 2 * m
+        w = max_x - min_x + 2 * m
+        h = max_y - min_y + 2 * m
         # flip y inside a group so larger lattice rows sit higher on the canvas
-        shift_x = m - self.min_x
-        shift_y = self.max_y + m
+        shift_x = m - min_x
+        shift_y = max_y + m
         header = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -127,48 +153,41 @@ def _color(options: RenderOptions, mult: int, covered: bool) -> str:
     return options.cancelled if covered else "none"
 
 
-def _cell_sort_key(cell):
-    kind = cell[0]
-    rank = {"face": 0, "edge": 1, "interval": 1, "vertex": 2, "point": 2}[kind]
-    return (rank, repr(cell))
-
-
 def _draw_cell(canvas: _Canvas, cell, mult: int, covered: bool, open_face: bool = False):
     opt = canvas.options
     color = _color(opt, mult, covered)
     if color == "none":
         return
     kind = cell[0]
+    labelled = opt.annotate and abs(mult) > 1
     if kind == "face":
-        pts = [_vertex_xy(v, opt.side) for v in face_vertices(cell)]
+        pts, text = canvas.face(cell)
         if mult == 0:
-            canvas.polygon(pts, "none", opt.cancelled, width=2.0)
+            canvas.polygon(text, "none", opt.cancelled, width=2.0)
         else:
             fill = opt.positive_open if (open_face and mult > 0) else color
-            canvas.polygon(pts, fill, "#222222", width=0.5,
+            canvas.polygon(text, fill, "#222222", width=0.5,
                            opacity=0.85 if open_face else None)
-        if opt.annotate and abs(mult) > 1:
+        if labelled:
             cx = sum(p[0] for p in pts) / 3
             cy = sum(p[1] for p in pts) / 3
-            canvas.label((cx, cy), str(abs(mult)), "#ffffff")
+            canvas.label(cx, cy, str(abs(mult)), "#ffffff")
     elif kind == "edge":
-        p1 = _vertex_xy(cell[1], opt.side)
-        p2 = _vertex_xy(cell[2], opt.side)
-        canvas.line(p1, p2, color, 2.0 if mult else 2.5)
+        canvas.line(canvas.vertex(cell[1]), canvas.vertex(cell[2]), color, 2.0 if mult else 2.5)
     elif kind == "vertex":
-        p = _vertex_xy(cell[1:], opt.side)
+        p = canvas.vertex(cell[1:])
         canvas.circle(p, 3.5, color)
-        if opt.annotate and abs(mult) > 1:
-            canvas.label((p[0] + 5, p[1] + 5), str(abs(mult)), color)
+        if labelled:
+            canvas.label(p[0] + 5, p[1] + 5, str(abs(mult)), color)
     elif kind == "interval":
         i = cell[1]
-        y = 0.0
-        canvas.line((i * opt.side + 3, y), ((i + 1) * opt.side - 3, y), color, 5.0)
+        canvas.line(canvas.point(i * opt.side + 3, 0.0),
+                    canvas.point((i + 1) * opt.side - 3, 0.0), color, 5.0)
     elif kind == "point":
-        p = (cell[1] * opt.side, 0.0)
+        p = canvas.point(cell[1] * opt.side, 0.0)
         canvas.circle(p, 4.0, color)
-        if opt.annotate and abs(mult) > 1:
-            canvas.label((p[0] + 5, p[1] + 8), str(abs(mult)), color)
+        if labelled:
+            canvas.label(p[0] + 5, p[1] + 8, str(abs(mult)), color)
 
 
 def chain_svg(chain: Chain, options: RenderOptions = None, covered=frozenset()) -> str:
@@ -177,9 +196,9 @@ def chain_svg(chain: Chain, options: RenderOptions = None, covered=frozenset()) 
     canvas = _Canvas(opt)
     cells = chain.cells()
     zeros = [cell for cell in covered if cell not in cells]
-    for cell in sorted(cells, key=_cell_sort_key):
+    for cell in sorted(cells, key=canvas.sort_key):
         _draw_cell(canvas, cell, cells[cell], False)
-    for cell in sorted(zeros, key=_cell_sort_key):
+    for cell in sorted(zeros, key=canvas.sort_key):
         _draw_cell(canvas, cell, 0, True)
     return canvas.render()
 
@@ -189,20 +208,23 @@ def plan_svg(plan: PlacementPlan, options: RenderOptions = None) -> str:
 
     Closed pieces draw with their boundary, open pieces lighter; point and
     vertex pieces become dots with multiplicity annotations.  Cells touched
-    by pieces whose total multiplicity is zero get the green marker.
+    by pieces whose total multiplicity is zero get the green marker.  Each
+    piece's cells are computed once and summed here, as realize() would.
     """
     opt = options or RenderOptions()
     canvas = _Canvas(opt)
+    total = {}
     for piece in plan.pieces:
         weight = piece.sign * piece.multiplicity
         open_face = piece.kind in ("open_triangle", "open_segment")
-        for cell, mult in sorted(piece_cells(piece).items(), key=lambda kv: _cell_sort_key(kv[0])):
-            _draw_cell(canvas, cell, weight * mult, False, open_face=open_face)
-    chain = realize(plan)
-    cells = chain.cells()
-    for cell in sorted(covered_cells(plan), key=_cell_sort_key):
-        if cell not in cells:
-            _draw_cell(canvas, cell, 0, True)
+        cells = piece_cells(piece)
+        for cell in sorted(cells, key=canvas.sort_key):
+            mult = weight * cells[cell]
+            _draw_cell(canvas, cell, mult, False, open_face=open_face)
+            total[cell] = total.get(cell, 0) + mult
+    cancelled = [cell for cell, mult in total.items() if not mult]
+    for cell in sorted(cancelled, key=canvas.sort_key):
+        _draw_cell(canvas, cell, 0, True)
     return canvas.render()
 
 

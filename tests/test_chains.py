@@ -214,6 +214,16 @@ def test_chain_algebra():
     assert -a == Chain(2, {}) - a
 
 
+def test_chain_rejects_non_integer_multiplicities():
+    face = ("face", 0, 0, UP)
+    for bad in (0.5, 1.0, True):
+        with pytest.raises(TypeError):
+            Chain(2, {face: bad})
+    with pytest.raises(TypeError):
+        Chain(2, {face: 1}) * 0.5
+    assert Chain(2, {face: 2}) * 3 == Chain(2, {face: 6})
+
+
 def test_chain_rejects_mixed_dims():
     with pytest.raises(ValueError):
         Chain(2, {("point", 0): 1})

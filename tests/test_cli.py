@@ -114,6 +114,20 @@ def test_verify_composite_cap(capsys):
     assert code == 2 and out == "" and "1000" in err
 
 
+def test_verify_closed_nd_m_cap(capsys):
+    limit = str(cli.CLOSED_ND_M_LIMIT)
+    code, out, _ = _run(capsys, "verify", "--identity", "closed-nd", "--m", limit, "--range=1..1")
+    assert code == 0 and out.startswith("PASS closed-nd")
+    past = str(cli.CLOSED_ND_M_LIMIT + 1)
+    code, out, err = _run(capsys, "verify", "--identity", "closed-nd", "--m", past, "--range=1..1")
+    assert code == 2 and out == "" and err.startswith("error:") and limit in err
+
+
+def test_eval_deep_nesting_exits_2(capsys):
+    code, out, err = _run(capsys, "eval", "(" * 2000 + "<1>" + ")" * 2000)
+    assert code == 2 and out == "" and err.startswith("error:") and "nest" in err
+
+
 def test_eulerian_text(capsys):
     code, out, _ = _run(capsys, "eulerian", "--m", "4")
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 
 from simplexring.expr import (
     Expr,
+    MAX_DEPTH,
     ExpressionError,
     Group,
     Lit,
@@ -107,6 +108,17 @@ def test_unclosed_bracket():
         parse("<12", 2)
     with pytest.raises(ExpressionError):
         parse("(<1> + <2>", 2)
+
+
+def test_nesting_depth_limit():
+    deepest = "(" * MAX_DEPTH + "<2>" + ")" * MAX_DEPTH
+    assert _ev2(deepest) == embed2(2)
+    assert parse(unparse(parse(deepest, 2)), 2) == parse(deepest, 2)
+    with pytest.raises(ExpressionError) as info:
+        parse("(" * (MAX_DEPTH + 1) + "<2>" + ")" * (MAX_DEPTH + 1), 2)
+    assert info.value.position == MAX_DEPTH
+    with pytest.raises(ExpressionError):
+        parse("(" * 2000 + "<1>" + ")" * 2000, 2)
 
 
 def test_trailing_garbage():

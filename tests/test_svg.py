@@ -1,6 +1,9 @@
 """Rendering: deterministic bytes, stable structure, no floats beyond 2 decimals."""
 
+import hashlib
 import re
+
+import pytest
 
 from simplexring.chains import (
     Chain,
@@ -8,8 +11,10 @@ from simplexring.chains import (
     UP,
     closed_triangle_chain,
     closed_triangle_plan,
+    covered_cells,
     difference_plan,
     hexagon_plan,
+    open_segment_plan_open_units,
     open_segment_plan_units,
     parallelogram_plan,
     partition_plan,
@@ -110,3 +115,64 @@ def test_to_svg_dispatch():
     assert to_svg(triangle_chain(2)) == chain_svg(triangle_chain(2))
     plan = closed_triangle_plan(2)
     assert to_svg(plan) == plan_svg(plan)
+
+
+# sha256 of the SVG bytes, recorded before the renderer's internals were
+# rewritten for speed; any changed byte in any of these cases fails here.
+_COLOURS = RenderOptions(positive="#010203", positive_open="#040506",
+                         negative="#070809", cancelled="#0a0b0c")
+_SCALED = RenderOptions(side=25.5, margin=7.0)
+_DIFF = difference_plan(3, 1)
+GOLDEN = {
+    "segment_sum_plan(3)": lambda: plan_svg(segment_sum_plan(3)),
+    "open_segment_plan_units(2)": lambda: plan_svg(open_segment_plan_units(2)),
+    "open_segment_plan_open_units(3)": lambda: plan_svg(open_segment_plan_open_units(3)),
+    "closed_triangle_plan(3)": lambda: plan_svg(closed_triangle_plan(3)),
+    "closed_triangle_plan(5)": lambda: plan_svg(closed_triangle_plan(5)),
+    "difference_plan(4,2)": lambda: plan_svg(difference_plan(4, 2)),
+    "partition_plan(2,1,3)": lambda: plan_svg(partition_plan(2, 1, 3)),
+    "parallelogram_plan(2,3)": lambda: plan_svg(parallelogram_plan(2, 3)),
+    "hexagon_plan(1,2,1,2)": lambda: plan_svg(hexagon_plan(1, 2, 1, 2)),
+    "chain_svg covered": lambda: chain_svg(realize(_DIFF), covered=covered_cells(_DIFF)),
+    "chain_svg 1-d covered": lambda: chain_svg(
+        realize(segment_sum_plan(2)) - Chain(1, {("point", 1): 1}),
+        covered=covered_cells(segment_sum_plan(2))),
+    "chain_svg labels": lambda: chain_svg(Chain(2, {
+        ("face", 0, 0, UP): 3, ("face", 0, 0, DOWN): -2, ("edge", (0, 1), (1, 0)): -1,
+        ("vertex", 1, 1): 4, ("vertex", 0, 0): -5})),
+    "chain_svg 1-d labels": lambda: chain_svg(Chain(1, {
+        ("point", 0): 3, ("point", 2): -2, ("interval", 0): -1, ("interval", 1): 2})),
+    "chain_svg empty": lambda: chain_svg(Chain(2)),
+    "annotate=False": lambda: plan_svg(closed_triangle_plan(3), RenderOptions(annotate=False)),
+    "custom colours plan": lambda: plan_svg(_DIFF, _COLOURS),
+    "custom colours closed": lambda: plan_svg(closed_triangle_plan(2), _COLOURS),
+    "custom colours 1-d": lambda: plan_svg(open_segment_plan_units(2), _COLOURS),
+    "side and margin": lambda: plan_svg(partition_plan(1, 2, 1), _SCALED),
+}
+GOLDEN_SHA256 = {
+    "annotate=False": "dc613e6b817838a12ee777bde2167de7c2bf8c82915ca6d64f197bf8d81f1342",
+    "chain_svg 1-d covered": "438fb3d44d9865e8ca138ec3d97be70d22dbdb49d516136fca60bab662e56002",
+    "chain_svg 1-d labels": "227a8bb0794c2d294db3e4458cb061ef55da952eae4337d15c40aadad90eae6b",
+    "chain_svg covered": "00dda47d05af4ce7538bde2c7e525ef159a57fe286588c83df057fc36a6b36cb",
+    "chain_svg empty": "b71677f81772419554619d27125aa34dd1b2b6906b76085dde9b4a26a06a46b7",
+    "chain_svg labels": "28ce08d57959753a13404e84c0da517067aae08efb7a03acf2ce4c5517d6fcbf",
+    "closed_triangle_plan(3)": "2d3d0193dea35bc75225dd807f920a6b285b2d4817a949d42bfd7975804efa6b",
+    "closed_triangle_plan(5)": "bcc04ff3cbc8192b46d9725acf5d91a8a3327106131aecee3a38d10b8624f0a4",
+    "custom colours 1-d": "44486920606bf94a474a6d8b41ef71a1df97abf16d750d1c4da52b65ad2d6907",
+    "custom colours closed": "ba0b1982d74f372c8095fc57ca4ca4f054fe8845281d70600187a69a130dce3d",
+    "custom colours plan": "2775674af444fdd69483c6e8fb9aa5a3a663a145a698072d11c58583c2749a7e",
+    "difference_plan(4,2)": "78378d0cbc8d3df8f22d69b8b12348b0fae1451bda7b178c85cb9b0983ca45a8",
+    "hexagon_plan(1,2,1,2)": "9d6d3f59b7103f66d5f27cb272ca6745beaba08832fc4e33737db998c2473b69",
+    "open_segment_plan_open_units(3)": "1674c21beff2d1c07c20dbb32567f73a267e2dfeef0109d649ca56b55426630c",
+    "open_segment_plan_units(2)": "32fe589f95bc549b35e7a6478b35a67fb5463e64a19ebf5a604a4d7ca3fcb694",
+    "parallelogram_plan(2,3)": "3f93221ea90b2333cadd46c8389364b3562c999ef5856524a7f9bffdbc88a0ec",
+    "partition_plan(2,1,3)": "0b7e5499d0f00186886452b7c2aee810ade066fb7d53c97d1ac92ede6c006f4b",
+    "segment_sum_plan(3)": "a99413b97ea82022e70a7c9b768fc592f2758d42a8ca6bd5bb85029156fdd723",
+    "side and margin": "dedad10a19423175c8d7a22eed2f7636d737d17d0983082b4e9997f697585551",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_bytes(case):
+    digest = hashlib.sha256(GOLDEN[case]().encode()).hexdigest()
+    assert digest == GOLDEN_SHA256[case]
