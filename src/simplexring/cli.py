@@ -21,6 +21,11 @@ COMPOSITE_LIMIT = 1_000
 # closed_sum builds 2^(m+1) - 2 terms per tuple, so closed-nd doubles its time
 # per step of m; at the limit one tuple takes about a quarter of a second.
 CLOSED_ND_M_LIMIT = 10
+# Tuples times terms per tuple; at the limit closed-nd runs a few seconds.
+CLOSED_ND_TERM_LIMIT = 100_000
+# `eulerian` prints every row up to m, and row m has entries near m! that
+# are slow to build and, past about m = 1600, too long for str().
+EULERIAN_M_LIMIT = 100
 
 
 def _parse_range(text: str):
@@ -79,6 +84,12 @@ def _check_closed_nd(lo, hi, m=4):
 
     if not 1 <= m <= CLOSED_ND_M_LIMIT:
         raise ValueError(f"closed-nd needs 1 <= m <= {CLOSED_ND_M_LIMIT}; got m = {m}")
+    terms = (hi - lo + 1) ** (m + 1) * (2 ** (m + 1) - 2)
+    if terms > CLOSED_ND_TERM_LIMIT:
+        raise ValueError(
+            f"closed-nd at m = {m} over {lo}..{hi} builds {terms} terms, more than "
+            f"{CLOSED_ND_TERM_LIMIT}; narrow the range or lower m"
+        )
     for values in _grid(lo, hi, m + 1):
         if evaluate_orth(closed_sum(values, m)) != embed_nd(sum(values), m):
             return f"m={m} values={values}"
@@ -180,14 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("z", type=int, help=f"2 <= z <= {FACTOR_LIMIT}")
 
     p = sub.add_parser("eulerian", help="print the Eulerian triangle")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help=f"1 <= m <= {EULERIAN_M_LIMIT}")
     p.add_argument("--json", action="store_true")
     p.add_argument("--volumes", action="store_true",
                    help="also print the slice volumes of row m")
 
     p = sub.add_parser("worpitzky", help="both power-sum forms for n^m")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help=f"1 <= m <= {EULERIAN_M_LIMIT}")
 
     p = sub.add_parser("render", help="write an SVG for a placement plan")
     p.add_argument("--plan", required=True, choices=sorted(PLANS))
@@ -254,8 +265,8 @@ def _cmd_factor(args) -> int:
 def _cmd_eulerian(args) -> int:
     from .eulerian import eulerian_row, slice_volumes
 
-    if args.m < 1:
-        print("error: m must be >= 1", file=sys.stderr)
+    if not 1 <= args.m <= EULERIAN_M_LIMIT:
+        print(f"error: m must be between 1 and {EULERIAN_M_LIMIT}", file=sys.stderr)
         return 2
     if args.json:
         payload = {"rows": {str(m): list(eulerian_row(m)) for m in range(1, args.m + 1)}}
@@ -275,8 +286,8 @@ def _cmd_eulerian(args) -> int:
 def _cmd_worpitzky(args) -> int:
     from .eulerian import worpitzky
 
-    if args.m < 1:
-        print("error: m must be >= 1", file=sys.stderr)
+    if not 1 <= args.m <= EULERIAN_M_LIMIT:
+        print(f"error: m must be between 1 and {EULERIAN_M_LIMIT}", file=sys.stderr)
         return 2
     value = worpitzky(args.n, args.m)
     print(json.dumps({

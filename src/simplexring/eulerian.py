@@ -21,14 +21,11 @@ def eulerian_row(m: int) -> tuple:
     """Row m of the Eulerian triangle, entries A(m, 0) .. A(m, m-1)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m == 1:
-        return (1,)
-    prev = eulerian_row(m - 1)
-
-    def at(k):
-        return prev[k] if 0 <= k < m - 1 else 0
-
-    return tuple((m - k) * at(k - 1) + (k + 1) * at(k) for k in range(m))
+    row = (1,)
+    for size in range(2, m + 1):
+        padded = (0, *row, 0)
+        row = tuple((size - k) * padded[k] + (k + 1) * padded[k + 1] for k in range(size))
+    return row
 
 
 def eulerian(m: int, k: int, method: str = "recurrence") -> int:

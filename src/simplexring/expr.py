@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .ring import GeomElement2, GeomElement3, OrthElement, SimplexLiteral, embed_literal
+from .ring import SimplexLiteral, embed_literal, representation
 from .forms import star_product, evaluate
 
 
@@ -229,14 +229,6 @@ def unparse(node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _zero(dim: int, extended: bool):
-    if dim == 2 and not extended:
-        return GeomElement2(0, 0)
-    if dim == 3 and not extended:
-        return GeomElement3(0, 0, 0)
-    return OrthElement.zero(dim, extended)
-
-
 def _eval_atom(atom: Atom, dim: int, extended: bool):
     if isinstance(atom, Lit):
         if atom.suffix == "10":
@@ -263,4 +255,4 @@ def evaluate_expression(expr: Expr, dim: int = 2, extended: bool = False):
         value = term.coeff * _eval_atom(term.atom, dim, extended)
         value = -value if sign < 0 else value
         total = value if total is None else total + value
-    return total if total is not None else _zero(dim, extended)
+    return total if total is not None else representation(dim, extended)[0]

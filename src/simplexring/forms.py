@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import (
-    GeomElement2,
-    GeomElement3,
     OrthElement,
     SimplexLiteral,
+    _int_scale,
     embed_literal,
     literal_orth,
+    representation,
 )
 
 
@@ -39,7 +39,7 @@ class FormalCombination:
     terms: tuple
 
     def __post_init__(self):
-        terms = tuple((int(c), lit) for c, lit in self.terms)
+        terms = tuple((_int_scale(c), lit) for c, lit in self.terms)
         for coeff, lit in terms:
             if not isinstance(lit, SimplexLiteral):
                 raise TypeError(f"term {lit!r} is not a literal")
@@ -79,12 +79,7 @@ def combination(dim, extended, coeff_scale_pairs) -> FormalCombination:
 
 def evaluate(comb: FormalCombination):
     """Ring value of a combination in the family's natural representation."""
-    if comb.dim == 2 and not comb.extended:
-        total = GeomElement2(0, 0)
-    elif comb.dim == 3 and not comb.extended:
-        total = GeomElement3(0, 0, 0)
-    else:
-        total = OrthElement.zero(comb.dim, comb.extended)
+    total = representation(comb.dim, comb.extended)[0]
     for coeff, lit in comb.terms:
         total = total + coeff * embed_literal(lit)
     return total
@@ -111,7 +106,7 @@ def closed_sum(values, dim: int, extended: bool = False) -> FormalCombination:
     the constant coordinate work out.  The result's ring value equals the
     embedding of sum(values).
     """
-    values = [int(v) for v in values]
+    values = [_int_scale(v) for v in values]
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if len(values) != dim + 1:
@@ -132,6 +127,7 @@ def closed_sum_shifted(n, k, l, t, extended: bool = False) -> FormalCombination:
     Every subset sum of {n, k, l} is shifted by t and the bare <t> term
     closes the telescope; works for the plain and the extended family.
     """
+    n, k, l, t = map(_int_scale, (n, k, l, t))
     pairs = [
         (1, n + k + t), (1, n + l + t), (1, k + l + t),
         (-1, n + t), (-1, k + t), (-1, l + t),
@@ -142,7 +138,7 @@ def closed_sum_shifted(n, k, l, t, extended: bool = False) -> FormalCombination:
 
 def pairwise_sum(values) -> FormalCombination:
     """<sum(values)> from all pairwise sums minus (len-2) times each single."""
-    values = [int(v) for v in values]
+    values = [_int_scale(v) for v in values]
     count = len(values)
     if count < 3:
         raise ValueError("need at least three values")
@@ -154,8 +150,8 @@ def pairwise_sum(values) -> FormalCombination:
 
 def star_product(n: int, m: int) -> FormalCombination:
     """The star form of <n*m>: (n(n-1)/2)<2m> - n(n-2)<m>, defined for n > 2."""
-    n = int(n)
-    m = int(m)
+    n = _int_scale(n)
+    m = _int_scale(m)
     if n <= 2:
         raise StarDomainError(f"star_product needs n > 2, got {n}")
     return combination(2, False, [(n * (n - 1) // 2, 2 * m), (-n * (n - 2), m)])
@@ -168,7 +164,7 @@ def arithmetic_form(n: int, dim: int) -> FormalCombination:
     dim 3: the Lagrange weights on scales 3, 2, 1 (the <0> node drops out
     of the plain family), with the middle term negative.
     """
-    n = int(n)
+    n = _int_scale(n)
     if dim == 2:
         return combination(2, False, [(n * (n - 1) // 2, 2), (-n * (n - 2), 1)])
     if dim == 3:
@@ -186,8 +182,8 @@ def three_term_form(n: int, k: int) -> FormalCombination:
     Coefficients are the quadratic interpolation weights on the nodes
     k-1, k, k+1 evaluated at n.
     """
-    n = int(n)
-    k = int(k)
+    n = _int_scale(n)
+    k = _int_scale(k)
     d = n - k
     return combination(2, True, [
         (d * (d + 1) // 2, k + 1),
@@ -198,6 +194,6 @@ def three_term_form(n: int, k: int) -> FormalCombination:
 
 def segment_form(n: int, k: int) -> FormalCombination:
     """Segment family <n>_10 over the window <k+1>_10, <k>_10."""
-    n = int(n)
-    k = int(k)
+    n = _int_scale(n)
+    k = _int_scale(k)
     return combination(1, True, [(n - k, k + 1), (-(n - k - 1), k)])

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-Scalar = Union[int, Fraction]
+from operator import add, mul, neg, sub
 
 
 class RepresentationError(ValueError):
@@ -32,22 +30,105 @@ def _frac(value) -> Fraction:
 
 
 def _int_scale(n) -> int:
-    """Enforce an integer scale at API boundaries (denominator-one check)."""
+    """Enforce an integer (scale, coefficient) at API boundaries (denominator-one check)."""
     if isinstance(n, bool):
-        raise TypeError("scale must be an integer, not bool")
+        raise TypeError("expected an integer, not bool")
     if isinstance(n, int):
         return n
     if isinstance(n, Fraction) and n.denominator == 1:
         return n.numerator
-    raise TypeError(f"scale must be an integer, got {n!r}")
+    raise TypeError(f"expected an integer, got {n!r}")
 
 
-def _is_scalar(value) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+class Element:
+    """Coefficient vector over the unit pieces of one small commutative ring.
+
+    A subclass fixes its basis as data: `_table[i][j]` lists the (k, c)
+    pairs with b_i * b_j = sum of c * b_k, and a table of None is the
+    componentwise product of an orthogonal idempotent basis.  `_family`
+    holds what two operands must share besides their class, and `basis`
+    names the JSON form (None: the class has none).  Elements are immutable.
+    """
+
+    __slots__ = ("_coeffs", "_family")
+    _table = None
+    _scalars = (int, Fraction)
+    _coerce = staticmethod(_frac)
+    basis = None
+
+    def __init__(self, coeffs, family=()):
+        self._coeffs = tuple(map(self._coerce, coeffs))
+        self._family = family
+
+    @property
+    def coeffs(self) -> tuple:
+        return self._coeffs
+
+    def _new(self, coeffs):
+        # trusted coefficients of an operation on this element
+        out = object.__new__(self.__class__)
+        out._coeffs = coeffs
+        out._family = self._family
+        return out
+
+    def _check(self, other):
+        if other.__class__ is not self.__class__ or other._family != self._family:
+            if isinstance(other, float):
+                raise TypeError("floating point operands are not allowed")
+            raise RepresentationError(f"cannot combine {_kind(self)} with {_kind(other)}")
+
+    def __add__(self, other):
+        self._check(other)
+        return self._new(tuple(map(add, self._coeffs, other._coeffs)))
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._new(tuple(map(sub, self._coeffs, other._coeffs)))
+
+    def __neg__(self):
+        return self._new(tuple(map(neg, self._coeffs)))
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars) and not isinstance(other, bool):
+            return self._new(tuple(c * other for c in self._coeffs))
+        self._check(other)
+        table = self._table
+        if table is None:
+            return self._new(tuple(map(mul, self._coeffs, other._coeffs)))
+        acc = [None] * len(self._coeffs)  # None until a product lands there
+        for i, p in enumerate(self._coeffs):
+            if not p:
+                continue
+            for j, q in enumerate(other._coeffs):
+                if q:
+                    pq = p * q
+                    for k, c in table[i][j]:
+                        term = pq if c == 1 else c * pq
+                        acc[k] = term if acc[k] is None else acc[k] + term
+        return self._new(tuple(self._coerce(0) if t is None else t for t in acc))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._family == other._family and self._coeffs == other._coeffs
+
+    def __hash__(self):
+        return hash((self._family, self._coeffs))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(str, self._family + self._coeffs))})"
+
+    def is_zero(self) -> bool:
+        return not any(self._coeffs)
 
 
-@dataclass(frozen=True)
-class GeomElement2:
+def _kind(value) -> str:
+    return type(value).__name__ + str(getattr(value, "_family", "") or "")
+
+
+class GeomElement2(Element):
     """x copies of the unit up-triangle plus y copies of the unit down-triangle.
 
     The scaled triangle of side n is (n(n+1)/2, n(n-1)/2); negative sides
@@ -56,46 +137,20 @@ class GeomElement2:
     side-n embedding is multiplicative: embed2(n) * embed2(m) = embed2(n*m).
     """
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ()
+    basis, dim, has_a0 = "geom2", 2, False
+    _table = (
+        (((0, 1),), ((1, 1),)),
+        (((1, 1),), ((0, 1),)),
+    )
+    x = property(lambda self: self._coeffs[0])
+    y = property(lambda self: self._coeffs[1])
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _frac(self.x))
-        object.__setattr__(self, "y", _frac(self.y))
-
-    def __add__(self, other):
-        self._check(other)
-        return GeomElement2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        self._check(other)
-        return GeomElement2(self.x - other.x, self.y - other.y)
-
-    def __neg__(self):
-        return GeomElement2(-self.x, -self.y)
-
-    def __mul__(self, other):
-        if _is_scalar(other):
-            return GeomElement2(self.x * other, self.y * other)
-        self._check(other)
-        return mul2(self, other)
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if isinstance(other, float):
-            raise TypeError("floating point operands are not allowed")
-        if not isinstance(other, GeomElement2):
-            raise RepresentationError(
-                f"expected a 2-d geometric element, got {type(other).__name__}"
-            )
-
-    def is_zero(self) -> bool:
-        return not self.x and not self.y
+    def __init__(self, x, y):
+        super().__init__((x, y))
 
 
-@dataclass(frozen=True)
-class GeomElement3:
+class GeomElement3(Element):
     """Tetrahedron-ring element over the basis (<1>, <D1>, <e1>).
 
     <1> is the unit tetrahedron, <D1> the middle slab piece, <e1> the
@@ -103,48 +158,22 @@ class GeomElement3:
     <e1><D1> = <D1>, <D1>^2 = 4<1> + 2<D1> + 4<e1>.
     """
 
-    x: Fraction
-    y: Fraction
-    z: Fraction
+    __slots__ = ()
+    basis, dim, has_a0 = "geom3", 3, False
+    _table = (
+        (((0, 1),), ((1, 1),), ((2, 1),)),
+        (((1, 1),), ((0, 4), (1, 2), (2, 4)), ((1, 1),)),
+        (((2, 1),), ((1, 1),), ((0, 1),)),
+    )
+    x = property(lambda self: self._coeffs[0])
+    y = property(lambda self: self._coeffs[1])
+    z = property(lambda self: self._coeffs[2])
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _frac(self.x))
-        object.__setattr__(self, "y", _frac(self.y))
-        object.__setattr__(self, "z", _frac(self.z))
-
-    def __add__(self, other):
-        self._check(other)
-        return GeomElement3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other):
-        self._check(other)
-        return GeomElement3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self):
-        return GeomElement3(-self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        if _is_scalar(other):
-            return GeomElement3(self.x * other, self.y * other, self.z * other)
-        self._check(other)
-        return mul3(self, other)
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if isinstance(other, float):
-            raise TypeError("floating point operands are not allowed")
-        if not isinstance(other, GeomElement3):
-            raise RepresentationError(
-                f"expected a 3-d geometric element, got {type(other).__name__}"
-            )
-
-    def is_zero(self) -> bool:
-        return not (self.x or self.y or self.z)
+    def __init__(self, x, y, z):
+        super().__init__((x, y, z))
 
 
-@dataclass(frozen=True)
-class OrthElement:
+class OrthElement(Element):
     """Element in the orthogonal idempotent basis A_dim, ..., A_1 (, A_0).
 
     coeffs are ordered from A_dim down to A_1, with the A_0 coefficient
@@ -152,90 +181,30 @@ class OrthElement:
     componentwise; the side-n shape has coefficients (n^dim, ..., n (, 1)).
     """
 
-    dim: int
-    has_a0: bool
-    coeffs: tuple
+    __slots__ = ()
+    basis = "orth"
+    dim = property(lambda self: self._family[0])
+    has_a0 = property(lambda self: self._family[1])
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, has_a0: bool, coeffs):
+        if dim < 1:
             raise ValueError("dim must be >= 1")
-        coeffs = tuple(_frac(c) for c in self.coeffs)
-        if len(coeffs) != self.dim + (1 if self.has_a0 else 0):
-            raise ValueError(
-                f"expected {self.dim + (1 if self.has_a0 else 0)} coefficients, "
-                f"got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def _check(self, other):
-        if isinstance(other, float):
-            raise TypeError("floating point operands are not allowed")
-        if not isinstance(other, OrthElement):
-            raise RepresentationError(
-                f"expected an orthogonal element, got {type(other).__name__}"
-            )
-        if other.dim != self.dim or other.has_a0 != self.has_a0:
-            raise RepresentationError(
-                f"orthogonal elements disagree: dim {self.dim} vs {other.dim}, "
-                f"A_0 {self.has_a0} vs {other.has_a0}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return OrthElement(
-            self.dim, self.has_a0,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return OrthElement(
-            self.dim, self.has_a0,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self):
-        return OrthElement(self.dim, self.has_a0, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if _is_scalar(other):
-            return OrthElement(
-                self.dim, self.has_a0, tuple(c * other for c in self.coeffs)
-            )
-        self._check(other)
-        return orth_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        super().__init__(coeffs, (dim, has_a0))
+        size = dim + (1 if has_a0 else 0)
+        if len(self._coeffs) != size:
+            raise ValueError(f"expected {size} coefficients, got {len(self._coeffs)}")
 
     @staticmethod
     def zero(dim: int, has_a0: bool = False) -> "OrthElement":
         return OrthElement(dim, has_a0, (0,) * (dim + (1 if has_a0 else 0)))
 
 
-def mul2(a: GeomElement2, b: GeomElement2) -> GeomElement2:
-    """Closed product on 2-d geometric pairs."""
-    return GeomElement2(a.x * b.x + a.y * b.y, a.x * b.y + b.x * a.y)
-
-
-def mul3(a: GeomElement3, b: GeomElement3) -> GeomElement3:
-    """Bilinear extension of the tetrahedron product table."""
-    yy = a.y * b.y
-    return GeomElement3(
-        a.x * b.x + 4 * yy + a.z * b.z,
-        a.x * b.y + b.x * a.y + a.y * b.z + b.y * a.z + 2 * yy,
-        a.x * b.z + b.x * a.z + 4 * yy,
-    )
-
-
-def orth_mul(a: OrthElement, b: OrthElement) -> OrthElement:
-    """Componentwise product; dim and A_0 flag must agree."""
-    a._check(b)
-    return OrthElement(
-        a.dim, a.has_a0, tuple(p * q for p, q in zip(a.coeffs, b.coeffs))
-    )
+def _powers(dim: int, extended: bool, n: int) -> OrthElement:
+    """Side-n shape in the orthogonal basis: (n^dim, ..., n (, 1))."""
+    powers = [n ** i for i in range(dim, 0, -1)]
+    if extended:
+        powers.append(1)
+    return OrthElement(dim, extended, powers)
 
 
 def embed2(n) -> GeomElement2:
@@ -246,8 +215,7 @@ def embed2(n) -> GeomElement2:
 
 def embed20(n) -> OrthElement:
     """Side-n triangle carrying its boundary: (n^2, n, 1) over A_2, A_1, A_0."""
-    n = _int_scale(n)
-    return OrthElement(2, True, (n * n, n, 1))
+    return _powers(2, True, _int_scale(n))
 
 
 def embed3(n) -> GeomElement3:
@@ -332,31 +300,33 @@ class SimplexLiteral:
         object.__setattr__(self, "scale", _int_scale(self.scale))
 
 
-def embed_literal(lit: SimplexLiteral):
-    """Ring value of a literal in its natural representation.
+_ZERO2 = GeomElement2(0, 0)
+_ZERO3 = GeomElement3(0, 0, 0)
 
-    Plain 2-d and 3-d literals land in the geometric bases; everything else
-    (extended families, segments, higher dimensions) lands in the
-    orthogonal basis with coefficients (n^m, ..., n (, 1)).
+
+def representation(dim: int, extended: bool):
+    """(zero, embed) of the ring a (dim, extended) literal family lives in.
+
+    Plain 2-d and 3-d literals use the geometric bases; every other family
+    (the extended ones, segments, higher dimensions) uses the orthogonal
+    basis, where embed(n) has coefficients (n^dim, ..., n (, 1)).
     """
-    n = lit.scale
-    if lit.dim == 2 and not lit.extended:
-        value = embed2(n)
-    elif lit.dim == 3 and not lit.extended:
-        value = embed3(n)
-    elif lit.dim == 2 and lit.extended:
-        value = embed20(n)
-    else:
-        value = literal_orth(lit, signed=False)
+    if not extended and dim == 2:
+        return _ZERO2, embed2
+    if not extended and dim == 3:
+        return _ZERO3, embed3
+    return OrthElement.zero(dim, extended), lambda n: _powers(dim, extended, n)
+
+
+def embed_literal(lit: SimplexLiteral):
+    """Ring value of a literal in the representation of its family."""
+    value = representation(lit.dim, lit.extended)[1](lit.scale)
     return -value if lit.sign < 0 else value
 
 
 def literal_orth(lit: SimplexLiteral, signed: bool = True) -> OrthElement:
     """Orthogonal-basis value of a literal: powers of the scale."""
-    powers = [lit.scale ** i for i in range(lit.dim, 0, -1)]
-    if lit.extended:
-        powers.append(1)
-    value = OrthElement(lit.dim, lit.extended, tuple(powers))
+    value = _powers(lit.dim, lit.extended, lit.scale)
     return -value if signed and lit.sign < 0 else value
 
 
@@ -379,44 +349,25 @@ def series_partial_sum(terms: int) -> OrthElement:
     return OrthElement(2, False, (a2, a1))
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
-
-
 def element_to_json(elem) -> dict:
     """JSON-ready dict for any ring element; fractions become "p/q" strings."""
-    if isinstance(elem, GeomElement2):
-        return {
-            "basis": "geom2",
-            "dim": 2,
-            "a0": False,
-            "coeffs": [_frac_str(elem.x), _frac_str(elem.y)],
-        }
-    if isinstance(elem, GeomElement3):
-        return {
-            "basis": "geom3",
-            "dim": 3,
-            "a0": False,
-            "coeffs": [_frac_str(elem.x), _frac_str(elem.y), _frac_str(elem.z)],
-        }
-    if isinstance(elem, OrthElement):
-        return {
-            "basis": "orth",
-            "dim": elem.dim,
-            "a0": elem.has_a0,
-            "coeffs": [_frac_str(c) for c in elem.coeffs],
-        }
-    raise TypeError(f"not a ring element: {type(elem).__name__}")
+    if not isinstance(elem, Element) or elem.basis is None:
+        raise TypeError(f"not a ring element: {type(elem).__name__}")
+    return {
+        "basis": elem.basis,
+        "dim": elem.dim,
+        "a0": elem.has_a0,
+        "coeffs": [str(c) for c in elem.coeffs],
+    }
 
 
 def element_from_json(data: dict):
     """Inverse of element_to_json."""
     basis = data["basis"]
     coeffs = [Fraction(c) for c in data["coeffs"]]
-    if basis == "geom2":
-        return GeomElement2(*coeffs)
-    if basis == "geom3":
-        return GeomElement3(*coeffs)
-    if basis == "orth":
-        return OrthElement(data["dim"], bool(data.get("a0", False)), tuple(coeffs))
+    if basis == OrthElement.basis:
+        return OrthElement(data["dim"], bool(data.get("a0", False)), coeffs)
+    for cls in (GeomElement2, GeomElement3):
+        if basis == cls.basis:
+            return cls(*coeffs)
     raise ValueError(f"unknown basis {basis!r}")

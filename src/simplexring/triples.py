@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import GeomElement2, OrthElement, _frac, embed2
+from .ring import Element, GeomElement2, OrthElement, _frac, _int_scale, embed2
 
 
 def _coercible(value) -> bool:
@@ -84,49 +84,33 @@ def _coerce(value) -> QSqrt3:
     raise TypeError(f"cannot coerce {value!r} into the sqrt(3) field")
 
 
-# Structure constants over the ordered basis (1, e, i, j):
-# e^2 = 1, i^2 = j^2 = -1, ij = -e, ei = j, ej = i; everything commutes.
 _BASIS = ("1", "e", "i", "j")
-_TABLE = (
-    ((0, 1), (1, 1), (2, 1), (3, 1)),
-    ((1, 1), (0, 1), (3, 1), (2, 1)),
-    ((2, 1), (3, 1), (0, -1), (1, -1)),
-    ((3, 1), (2, 1), (1, -1), (0, -1)),
-)
 
 
-@dataclass(frozen=True)
-class TElement:
+class TElement(Element):
     """Element of the commutative hypercomplex algebra T over (1, e, i, j)."""
 
-    parts: tuple  # four QSqrt3 coefficients in basis order
+    __slots__ = ()
+    # Structure constants over the ordered basis (1, e, i, j):
+    # e^2 = 1, i^2 = j^2 = -1, ij = -e, ei = j, ej = i; everything commutes.
+    _table = (
+        (((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),)),
+        (((1, 1),), ((0, 1),), ((3, 1),), ((2, 1),)),
+        (((2, 1),), ((3, 1),), ((0, -1),), ((1, -1),)),
+        (((3, 1),), ((2, 1),), ((1, -1),), ((0, -1),)),
+    )
+    _scalars = (int, Fraction, QSqrt3)
+    _coerce = staticmethod(_coerce)
+    parts = Element.coeffs  # four QSqrt3 coefficients in basis order
 
-    def __post_init__(self):
-        parts = tuple(_coerce(p) for p in self.parts)
-        if len(parts) != 4:
+    def __init__(self, parts):
+        super().__init__(parts)
+        if len(self._coeffs) != 4:
             raise ValueError("a T element has exactly four coefficients")
-        object.__setattr__(self, "parts", parts)
-
-    def __add__(self, other):
-        return TElement(tuple(p + q for p, q in zip(self.parts, other.parts)))
-
-    def __sub__(self, other):
-        return TElement(tuple(p - q for p, q in zip(self.parts, other.parts)))
-
-    def __neg__(self):
-        return TElement(tuple(-p for p in self.parts))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt3)) and not isinstance(other, bool):
-            w = _coerce(other)
-            return TElement(tuple(p * w for p in self.parts))
-        return t_mul(self, other)
-
-    __rmul__ = __mul__
 
     def __str__(self):
         bits = []
-        for coeff, name in zip(self.parts, _BASIS):
+        for coeff, name in zip(self._coeffs, _BASIS):
             if not coeff:
                 continue
             text = f"({coeff})" if name == "1" else f"({coeff}){name}"
@@ -135,7 +119,7 @@ class TElement:
 
 
 def t_element(unit=0, e=0, i=0, j=0) -> TElement:
-    return TElement((_coerce(unit), _coerce(e), _coerce(i), _coerce(j)))
+    return TElement((unit, e, i, j))
 
 
 T_ZERO = t_element()
@@ -146,18 +130,8 @@ T_J = t_element(j=1)
 
 
 def t_mul(u: TElement, v: TElement) -> TElement:
-    """Product in T via the structure table; commutative by construction."""
-    acc = [QSqrt3(0), QSqrt3(0), QSqrt3(0), QSqrt3(0)]
-    for i in range(4):
-        if not u.parts[i]:
-            continue
-        for j in range(4):
-            if not v.parts[j]:
-                continue
-            idx, sign = _TABLE[i][j]
-            term = u.parts[i] * v.parts[j]
-            acc[idx] = acc[idx] + (term if sign > 0 else -term)
-    return TElement(tuple(acc))
+    """Product in T via the structure table: the checked u * v."""
+    return u * v
 
 
 def epsilon_pair():
@@ -178,9 +152,9 @@ class Triple:
     __slots__ = ("n", "k", "l")
 
     def __init__(self, n: int, k: int, l: int = 0):
-        self.n = int(n)
-        self.k = int(k)
-        self.l = int(l)
+        self.n = _int_scale(n)
+        self.k = _int_scale(k)
+        self.l = _int_scale(l)
 
     def normalize(self) -> "Triple":
         return Triple(self.n - self.l, self.k - self.l, 0)

@@ -123,6 +123,27 @@ def test_verify_closed_nd_m_cap(capsys):
     assert code == 2 and out == "" and err.startswith("error:") and limit in err
 
 
+def test_verify_closed_nd_term_cap(capsys):
+    # m = 1 builds 2 terms per tuple: 223^2 * 2 = 99,458 and 224^2 * 2 = 100,352
+    assert cli.CLOSED_ND_TERM_LIMIT == 100_000
+    code, out, _ = _run(capsys, "verify", "--identity", "closed-nd", "--m", "1", "--range=0..222")
+    assert code == 0 and out.startswith("PASS closed-nd")
+    code, out, err = _run(capsys, "verify", "--identity", "closed-nd", "--m", "1", "--range=0..223")
+    assert code == 2 and out == "" and err.startswith("error:") and "100352 terms" in err
+    code, out, err = _run(capsys, "verify", "--identity", "closed-nd")
+    assert code == 2 and out == "" and "11138790 terms" in err
+
+
+@pytest.mark.parametrize("command", [["eulerian"], ["worpitzky", "--n", "3"]])
+def test_eulerian_m_cap(capsys, command):
+    limit = cli.EULERIAN_M_LIMIT
+    code, out, _ = _run(capsys, *command, "--m", str(limit))
+    assert code == 0 and out
+    for m in (limit + 1, 0):
+        code, out, err = _run(capsys, *command, "--m", str(m))
+        assert code == 2 and out == "" and err.startswith("error:") and str(limit) in err
+
+
 def test_eval_deep_nesting_exits_2(capsys):
     code, out, err = _run(capsys, "eval", "(" * 2000 + "<1>" + ")" * 2000)
     assert code == 2 and out == "" and err.startswith("error:") and "nest" in err

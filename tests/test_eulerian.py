@@ -61,6 +61,15 @@ def test_row_symmetry_and_total():
         assert sum(row) == math.factorial(m)
 
 
+def test_row_past_the_recursion_limit():
+    import math
+    m = sys.getrecursionlimit() + 100
+    row = eulerian_row(m)
+    assert row == row[::-1]
+    assert sum(row) == math.factorial(m)
+    assert row[:3] == tuple(eulerian(m, k, method="explicit") for k in range(3))
+
+
 def test_explicit_formula_agrees_with_recurrence():
     for m in range(1, 10):
         for k in range(-1, m + 2):

@@ -1,6 +1,7 @@
 """Formal combinations, closed addition laws and interpolation forms."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from simplexring.forms import (
 )
 from simplexring.eulerian import embed_nd
 from simplexring.ring import OrthElement, SimplexLiteral, embed2, embed3, embed_literal
+from simplexring.triples import Triple
 
 
 def _closed2_oracle(n, k, l):
@@ -183,6 +185,30 @@ def test_combination_family_agreement():
             (1, SimplexLiteral(2, 1)),
             (1, SimplexLiteral(2, 1, extended=True)),
         ))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: combination(2, False, [(2.5, 3)]),
+    lambda: closed_sum((1.7, 2, 3), 2),
+    lambda: closed_sum_shifted(1, 2, 3, 0.5),
+    lambda: star_product(3.9, 2),
+    lambda: star_product(4, 2.0),
+    lambda: pairwise_sum((1.5, 2, 3)),
+    lambda: arithmetic_form(4.5, 2),
+    lambda: three_term_form(2.5, 1),
+    lambda: segment_form(2.5, 1),
+    lambda: segment_form(2, Fraction(1, 2)),
+    lambda: Triple(2.9, 1, 0),
+    lambda: FormalCombination(2, False, ((True, SimplexLiteral(2, 1)),)),
+])
+def test_formal_sum_inputs_must_be_integers(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_integral_fractions_are_integers():
+    assert star_product(Fraction(4), 2) == star_product(4, 2)
+    assert Triple(Fraction(6, 2), 1) == Triple(3, 1)
 
 
 def test_simplify_merges_first_seen_order():

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from simplexring.ring import embed2, to_orth
+from simplexring.ring import RepresentationError, embed2, to_orth
 from simplexring.triples import (
     QSqrt3,
     T_E,
@@ -61,9 +61,25 @@ def test_t_element_arithmetic():
     u = t_element(1, 2, 0, -1)
     v = t_element(0, 1, 1, 1)
     assert u + v == t_element(1, 3, 1, 0)
-    assert u * v == v * u or True  # the table is not commutative in general
+    assert u * v == v * u
     assert 2 * u == t_element(2, 4, 0, -2)
     assert u - u == T_ZERO
+
+
+def test_t_units_commute():
+    units = (T_ONE, T_E, T_I, T_J)
+    for a, b in itertools.product(units, repeat=2):
+        assert t_mul(a, b) == t_mul(b, a)
+
+
+def test_t_element_rejects_other_element_classes():
+    for other in (embed2(2), to_orth(embed2(2))):
+        with pytest.raises(RepresentationError):
+            T_ONE + other
+        with pytest.raises(RepresentationError):
+            t_mul(T_ONE, other)
+    with pytest.raises(RepresentationError):
+        T_ONE - 5
 
 
 def test_epsilon_squares_to_partner():
