@@ -233,6 +233,8 @@ def interior_cells(faces) -> dict:
     contributes its face only.
     """
     region = set(faces)
+    if len(region) == 1:
+        return dict.fromkeys(region, 1)
     cells = {face: 1 for face in faces}
     seen_edges = set()
     seen_verts = set()
@@ -446,11 +448,25 @@ def tetrahedron_slabs(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class TilePiece:
-    """A face-only triangle available to the tiling search."""
+    """A face-only triangle available to the tiling search.
+
+    size is an int >= 1, orientation UP or DOWN and sign +1 or -1; anything
+    else (a bool included) raises TypeError or ValueError.
+    """
 
     size: int
     orientation: str = UP
     sign: int = 1
+
+    def __post_init__(self):
+        if type(self.size) is not int or type(self.sign) is not int:
+            raise TypeError(f"size and sign must be integers, got {self.size!r} and {self.sign!r}")
+        if self.size < 1:
+            raise ValueError(f"size must be >= 1, got {self.size}")
+        if self.orientation not in (UP, DOWN):
+            raise ValueError(f"orientation must be 'up' or 'down', got {self.orientation!r}")
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
 
 def triangle_window(n: int, position=(0, 0)) -> frozenset:
@@ -458,18 +474,108 @@ def triangle_window(n: int, position=(0, 0)) -> frozenset:
     return frozenset(triangle_face_cells(n, UP, position))
 
 
+def _window_cells(window) -> frozenset:
+    cells = frozenset(window)
+    if not cells:
+        raise ValueError("the window must hold at least one face cell")
+    for cell in cells:
+        if not (type(cell) is tuple and len(cell) == 4 and cell[0] == "face"
+                and type(cell[1]) is int and type(cell[2]) is int and cell[3] in (UP, DOWN)):
+            raise ValueError(f"window cell {cell!r} is not a face cell")
+    return cells
+
+
 def _window_placements(tile: TilePiece, window: frozenset):
+    """(anchor, faces) of every placement inside the window, by row then column.
+
+    A side-s triangle spans s rows from its anchor row, and s columns from
+    its anchor column (up) or up to it (down), so only anchors whose span
+    fits the window's bounding box are tried.
+    """
     rs = [cell[1] for cell in window]
     cs = [cell[2] for cell in window]
-    lo_r, hi_r = min(rs) - tile.size, max(rs) + tile.size
-    lo_c, hi_c = min(cs) - tile.size, max(cs) + tile.size
+    reach = tile.size - 1
+    lo_c, hi_c = min(cs), max(cs) - reach
+    if tile.orientation == DOWN:
+        lo_c, hi_c = lo_c + reach, hi_c + reach
     spots = []
-    for r in range(lo_r, hi_r + 1):
+    for r in range(min(rs), max(rs) - reach + 1):
         for c in range(lo_c, hi_c + 1):
             faces = triangle_face_cells(tile.size, tile.orientation, (r, c))
             if all(f in window for f in faces):
                 spots.append(((r, c), faces))
     return spots
+
+
+def _combinations(groups) -> int:
+    """Multisets of placements: per group, count pieces over its spots."""
+    total = 1
+    for _, count, spots in groups:
+        total *= comb(len(spots) + count - 1, count)
+    return total
+
+
+def _exact_cover(residual: list, placements: list, by_cell: list, left: list):
+    """Placements whose faces sum exactly to residual, or None if none do.
+
+    residual holds the non-negative need of each cell, placements are
+    (group, cell indices), by_cell the placements on each cell and left the
+    pieces each group still has; residual and left are worked on in place.
+    A placement fits while its group has pieces left, every face of it is
+    still needed and it is not banned; blocked counts the reasons it does
+    not.  A node branches on the cell with the fewest fitting placements,
+    and a cell with none ends the node.  A placement tried at a node is
+    banned in its later siblings and their subtrees, so each multiset of
+    placements is visited once.
+    """
+    blocked = [sum(1 for f in faces if not residual[f]) for _, faces in placements]
+
+    def place(p):
+        group, faces = placements[p]
+        left[group] -= 1
+        for f in faces:
+            residual[f] -= 1
+            if not residual[f]:
+                for q in by_cell[f]:
+                    blocked[q] += 1
+
+    def lift(p):
+        group, faces = placements[p]
+        left[group] += 1
+        for f in faces:
+            if not residual[f]:
+                for q in by_cell[f]:
+                    blocked[q] -= 1
+            residual[f] += 1
+
+    stack = []  # per node: [candidates, how many of them were tried]
+    while True:
+        best = None
+        for cell, need in enumerate(residual):
+            if need:
+                fitting = [p for p in by_cell[cell] if not blocked[p] and left[placements[p][0]]]
+                if best is None or len(fitting) < len(best):
+                    best = fitting
+                    if not fitting:
+                        break
+        if best is None:
+            return [candidates[tried - 1] for candidates, tried in stack]
+        stack.append([best, 0])
+        while stack:
+            node = stack[-1]
+            candidates, tried = node
+            if tried:
+                lift(candidates[tried - 1])
+                blocked[candidates[tried - 1]] += 1
+            if tried < len(candidates):
+                place(candidates[tried])
+                node[1] = tried + 1
+                break
+            for p in candidates:
+                blocked[p] -= 1
+            stack.pop()
+        else:
+            return None
 
 
 def tiling_search(
@@ -478,64 +584,86 @@ def tiling_search(
     window: frozenset,
     cap: int = 2_000_000,
 ) -> Optional[PlacementPlan]:
-    """Exhaustively search placements of the pieces realizing the target.
+    """Search placements of the pieces inside the window realizing the target.
 
-    Pieces are grouped by kind; identical pieces are placed in
-    nondecreasing position order, so the enumeration is exhaustive over
-    distinct multisets of placements and deterministic (lexicographic by
-    group, then position).  Returns the first realizing plan, or None when
-    no in-window placement works - the search is complete, so None is a
-    proof of impossibility within the window.  Raises SearchSpaceError if
-    the combination count exceeds cap.
+    Two counts do not depend on where the pieces go: the signed number of
+    faces, and the signed number of up faces (a side-s up triangle has
+    s(s+1)/2, a down one s(s-1)/2).  The target must match both and lie on
+    the window's faces.  Then the pieces of the sign with fewer placement
+    combinations are enumerated (identical pieces in nondecreasing position
+    order), and the pieces of the other sign must cover what is left
+    exactly, an exact cover with multiplicities (_exact_cover).  Returns a
+    deterministic realizing plan, or None when no in-window placement
+    works - the search is complete, so None is a proof of impossibility
+    within the window.  Raises SearchSpaceError if the number of placement
+    combinations of all the pieces exceeds cap; a window that is not a
+    non-empty set of face cells raises ValueError.
     """
     if target.dim != 2:
         raise ValueError("tiling search works on 2-d chains")
-    groups = []
-    order = []
+    window = _window_cells(window)
+    counted = {}
     for tile in pieces:
-        if tile not in order:
-            order.append(tile)
-    counted = {tile: sum(1 for p in pieces if p == tile) for tile in order}
-    total = 1
-    for tile in sorted(order, key=lambda t: (-t.size, t.orientation, -t.sign)):
-        spots = _window_placements(tile, window)
-        count = counted[tile]
-        total *= comb(len(spots) + count - 1, count)
-        groups.append((tile, count, spots))
+        counted[tile] = counted.get(tile, 0) + 1
+    groups = [(tile, counted[tile], _window_placements(tile, window))
+              for tile in sorted(counted, key=lambda t: (-t.size, t.orientation, -t.sign))]
+    total = _combinations(groups)
     if total > cap:
         raise SearchSpaceError(f"{total} placement combinations exceed the cap {cap}")
 
-    # Quick exact invariant: the signed face count is placement-independent.
-    area = sum(t.sign * c * t.size ** 2 for t, c, _ in groups)
-    if area != chain_face_total(target):
-        return None
-
     target_cells = target.cells()
-
-    def descend(level: int, acc: dict):
-        if level == len(groups):
-            return [] if acc == target_cells else None
-        tile, count, spots = groups[level]
-        for chosen in itertools.combinations_with_replacement(range(len(spots)), count):
-            step = dict(acc)
-            for idx in chosen:
-                for f in spots[idx][1]:
-                    m = step.get(f, 0) + tile.sign
-                    if m:
-                        step[f] = m
-                    else:
-                        del step[f]
-            rest = descend(level + 1, step)
-            if rest is not None:
-                placed = [
-                    PlacedPiece("triangle", spots[idx][0], size=tile.size,
-                                orientation=tile.orientation, sign=tile.sign)
-                    for idx in chosen
-                ]
-                return placed + rest
+    area = up = 0
+    for tile, count, _ in groups:
+        s = tile.size
+        area += tile.sign * count * s * s
+        up += tile.sign * count * (s * (s + 1 if tile.orientation == UP else s - 1) // 2)
+    if area != chain_face_total(target) or not window.issuperset(target_cells):
+        return None
+    if up != sum(m for cell, m in target_cells.items() if cell[3] == UP):
         return None
 
-    result = descend(0, {})
-    if result is None:
-        return None
-    return PlacementPlan(2, tuple(result))
+    # Pieces of one sign are listed, those of the other cover the residual:
+    # with positives covering it is target + negatives, else positives - target.
+    cells = sorted(window)
+    index = {cell: i for i, cell in enumerate(cells)}
+    ranked = list(enumerate(groups))
+    negatives = [(rank, g) for rank, g in ranked if g[0].sign < 0]
+    positives = [(rank, g) for rank, g in ranked if g[0].sign > 0]
+    if _combinations(g for _, g in negatives) <= _combinations(g for _, g in positives):
+        listed, covering, listed_sign = negatives, positives, -1
+    else:
+        listed, covering, listed_sign = positives, negatives, 1
+    base = [0] * len(cells)
+    for cell, m in target_cells.items():
+        base[index[cell]] = -listed_sign * m
+    placements, keys, by_cell = [], [], [[] for _ in cells]
+    for group, (rank, (_, _, spots)) in enumerate(covering):
+        for spot, (_, faces) in enumerate(spots):
+            for f in faces:
+                by_cell[index[f]].append(len(placements))
+            placements.append((group, [index[f] for f in faces]))
+            keys.append((rank, spot))
+    listed_faces = [[[index[f] for f in faces] for _, faces in spots]
+                    for _, (_, _, spots) in listed]
+    choices = [itertools.combinations_with_replacement(range(len(spots)), count)
+               for _, (_, count, spots) in listed]
+    for chosen in itertools.product(*choices):
+        residual = list(base)
+        for faces, picks in zip(listed_faces, chosen):
+            for spot in picks:
+                for f in faces[spot]:
+                    residual[f] += 1
+        if min(residual) < 0:
+            continue
+        cover = _exact_cover(residual, placements, by_cell,
+                             [count for _, (_, count, _) in covering])
+        if cover is None:
+            continue
+        used = [(rank, spot) for (rank, _), picks in zip(listed, chosen) for spot in picks]
+        used += [keys[p] for p in cover]
+        return PlacementPlan(2, tuple(
+            PlacedPiece("triangle", groups[rank][2][spot][0], size=groups[rank][0].size,
+                        orientation=groups[rank][0].orientation, sign=groups[rank][0].sign)
+            for rank, spot in sorted(used)
+        ))
+    return None

@@ -26,6 +26,13 @@ CLOSED_ND_TERM_LIMIT = 100_000
 # `eulerian` prints every row up to m, and row m has entries near m! that
 # are slow to build and, past about m = 1600, too long for str().
 EULERIAN_M_LIMIT = 100
+# `render` refuses a plan whose pieces hold more unit cells than this (the
+# sum of size^2 over the pieces); at the limit a render takes about 1.5 s
+# and 260 MiB.
+RENDER_CELL_LIMIT = 100_000
+# The N-term series sum has the denominator 4^N, whose 0.6 N digits must stay
+# under Python's default 4300-digit limit on int-to-str conversion.
+SERIES_TERMS_LIMIT = 7_000
 
 
 def _parse_range(text: str):
@@ -200,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True, help=f"1 <= m <= {EULERIAN_M_LIMIT}")
 
-    p = sub.add_parser("render", help="write an SVG for a placement plan")
+    p = sub.add_parser("render", help="write an SVG for a placement plan, "
+                       f"up to {RENDER_CELL_LIMIT} unit cells")
     p.add_argument("--plan", required=True, choices=sorted(PLANS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
@@ -209,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output file, '-' for stdout")
 
     p = sub.add_parser("series", help="partial sum of the shrinking-triangle series")
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=int, required=True, help=f"1 <= terms <= {SERIES_TERMS_LIMIT}")
 
     p = sub.add_parser("slabs", help="slab counts of the side-n tetrahedron")
     p.add_argument("--n", type=int, required=True)
@@ -311,10 +319,21 @@ def _cmd_render(args) -> int:
             print(f"error: plan {args.plan!r} needs --{name}", file=sys.stderr)
             return 2
         params.append(value)
+    # A 2-d plan holds at least n^2 cells and a 1-d plan at least n, and the
+    # build makes up to one piece per cell, so the side is checked first.
+    n = max(params[0], 0)
+    cells = n if args.plan in ("segment", "open-segment") else n * n
     try:
-        plan = getattr(chains, builder)(*params)
+        if cells <= RENDER_CELL_LIMIT:
+            plan = getattr(chains, builder)(*params)
+            cells = sum(piece.size ** 2 for piece in plan.pieces)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if cells > RENDER_CELL_LIMIT:
+        print(f"error: plan {args.plan!r} holds at least {cells} unit cells (the sum of "
+              f"size^2 over its pieces); render takes at most {RENDER_CELL_LIMIT}",
+              file=sys.stderr)
         return 2
     text = render.to_svg(plan)
     if args.out == "-":
@@ -332,6 +351,10 @@ def _cmd_render(args) -> int:
 def _cmd_series(args) -> int:
     from .ring import element_to_json, series_partial_sum
 
+    if args.terms > SERIES_TERMS_LIMIT:
+        print(f"error: series takes at most {SERIES_TERMS_LIMIT} terms, past which the sum "
+              f"has too many digits to print; got {args.terms}", file=sys.stderr)
+        return 2
     try:
         element = series_partial_sum(args.terms)
     except ValueError as exc:

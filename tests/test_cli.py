@@ -5,6 +5,7 @@ import json
 import pytest
 
 from simplexring import cli
+from simplexring.chains import closed_triangle_plan
 from simplexring.ring import element_from_json, embed2, embed20
 
 
@@ -230,3 +231,28 @@ def test_no_arguments_exits_2(capsys):
     code = cli.main([])
     capsys.readouterr()
     assert code == 2
+
+
+def test_render_cell_cap(capsys):
+    # difference(316, 12) holds 316^2 + 12^2 = 100,000 unit cells: just inside.
+    code, out, _ = _run(capsys, "render", "--plan", "difference", "--n", "316", "--k", "12")
+    assert code == 0 and out.rstrip().endswith("</svg>")
+    code, out, err = _run(capsys, "render", "--plan", "difference", "--n", "316", "--k", "13")
+    assert code == 2 and out == ""
+    assert "100025" in err and str(cli.RENDER_CELL_LIMIT) in err
+    # A side whose square alone is past the cap is refused before the build.
+    code, _, err = _run(capsys, "render", "--plan", "triangle", "--n", "5000")
+    assert code == 2 and "25000000" in err
+    code, _, err = _run(capsys, "render", "--plan", "segment", "--n", "50001")
+    assert code == 2 and "100001" in err
+    # `render --plan triangle --n 200` (about a second) stays admitted.
+    assert sum(p.size ** 2 for p in closed_triangle_plan(200).pieces) <= cli.RENDER_CELL_LIMIT
+
+
+def test_series_terms_cap(capsys):
+    limit = cli.SERIES_TERMS_LIMIT
+    code, out, _ = _run(capsys, "series", "--terms", str(limit))
+    assert code == 0 and json.loads(out)["terms"] == limit
+    code, out, err = _run(capsys, "series", "--terms", str(limit + 1))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(limit) in err

@@ -1,0 +1,234 @@
+"""The tiling search against a brute-force oracle, and input validation.
+
+`_oracle_search` is the plain enumeration the exact-cover search replaced:
+every multiset of in-window placements, group by group, compared with the
+target at the end.  It shares no search code with `tiling_search`, only the
+lattice geometry, so the two give two routes to every verdict.
+"""
+
+import ast
+import itertools
+import json
+import random
+from collections import Counter
+from math import comb
+from pathlib import Path
+
+import pytest
+
+from simplexring.chains import (
+    Chain,
+    DOWN,
+    PlacedPiece,
+    PlacementPlan,
+    SearchSpaceError,
+    TilePiece,
+    UP,
+    chain_face_total,
+    realize,
+    tiling_search,
+    triangle_chain,
+    triangle_face_cells,
+    triangle_window,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+ORACLE_CAP = 20_000
+
+
+def _oracle_placements(tile, window):
+    """Every in-window anchor, scanning a box a piece wider than the window."""
+    rs = [cell[1] for cell in window]
+    cs = [cell[2] for cell in window]
+    spots = []
+    for r in range(min(rs) - tile.size, max(rs) + tile.size + 1):
+        for c in range(min(cs) - tile.size, max(cs) + tile.size + 1):
+            faces = triangle_face_cells(tile.size, tile.orientation, (r, c))
+            if all(f in window for f in faces):
+                spots.append(((r, c), faces))
+    return spots
+
+
+def _oracle_search(target, pieces, window, cap):
+    """Enumerate every multiset of placements, group by group."""
+    order = []
+    for tile in pieces:
+        if tile not in order:
+            order.append(tile)
+    groups = []
+    total = 1
+    for tile in sorted(order, key=lambda t: (-t.size, t.orientation, -t.sign)):
+        spots = _oracle_placements(tile, window)
+        count = pieces.count(tile)
+        total *= comb(len(spots) + count - 1, count)
+        groups.append((tile, count, spots))
+    if total > cap:
+        raise SearchSpaceError(f"{total} placement combinations exceed the cap {cap}")
+    if sum(t.sign * c * t.size ** 2 for t, c, _ in groups) != chain_face_total(target):
+        return None
+    target_cells = target.cells()
+
+    def descend(level, acc):
+        if level == len(groups):
+            return [] if acc == target_cells else None
+        tile, count, spots = groups[level]
+        for chosen in itertools.combinations_with_replacement(range(len(spots)), count):
+            step = dict(acc)
+            for idx in chosen:
+                for f in spots[idx][1]:
+                    m = step.get(f, 0) + tile.sign
+                    if m:
+                        step[f] = m
+                    else:
+                        del step[f]
+            rest = descend(level + 1, step)
+            if rest is not None:
+                return [PlacedPiece("triangle", spots[idx][0], size=tile.size,
+                                    orientation=tile.orientation, sign=tile.sign)
+                        for idx in chosen] + rest
+        return None
+
+    result = descend(0, {})
+    return None if result is None else PlacementPlan(2, tuple(result))
+
+
+def _verdict(search, target, pieces, window, cap):
+    try:
+        return search(target, pieces, window, cap)
+    except SearchSpaceError:
+        return SearchSpaceError
+
+
+def _assert_layout(plan, target, pieces, window):
+    assert realize(plan) == target
+    assert Counter((p.size, p.orientation, p.sign) for p in plan.pieces) == Counter(
+        (t.size, t.orientation, t.sign) for t in pieces)
+    for p in plan.pieces:
+        assert p.kind == "triangle" and p.multiplicity == 1
+        assert window.issuperset(triangle_face_cells(p.size, p.orientation, p.position))
+
+
+def _random_instance(rng, kind):
+    """A target, pieces and window: target up to <4>, up to 6 pieces.
+
+    kind "placed" sums random in-window placements, so a layout exists;
+    "moved" shifts one unit of such a target to another face; "random" is a
+    random face chain with multiplicities in -1..2, or the full triangle.
+    """
+    n = rng.randint(2 if kind == "moved" else 1, 4)
+    window = triangle_window(n)
+    faces = sorted(window)
+
+    def draw():
+        pieces = []
+        for _ in range(rng.randint(1, 6)):
+            orientation = rng.choice((UP, UP, DOWN)) if n >= 2 else UP
+            largest = n if orientation == UP else n // 2
+            pieces.append(TilePiece(rng.randint(1, largest), orientation, rng.choice((1, 1, -1))))
+        return pieces
+
+    if kind == "random":
+        if rng.random() < 0.5:
+            target = triangle_chain(n)
+        else:
+            target = Chain(2, {f: rng.randint(-1, 2) for f in faces})
+        # Mostly pieces of the target's area, so the search has work to do.
+        for _ in range(40):
+            pieces = draw()
+            if sum(t.sign * t.size ** 2 for t in pieces) == chain_face_total(target):
+                break
+        return target, pieces, window
+    pieces = draw()
+    cells = {}
+    for tile in pieces:
+        anchor, spot = rng.choice(_oracle_placements(tile, window))
+        for f in spot:
+            cells[f] = cells.get(f, 0) + tile.sign
+    if kind == "moved":
+        source, sink = rng.sample(faces, 2)
+        cells[source] = cells.get(source, 0) - 1
+        cells[sink] = cells.get(sink, 0) + 1
+    return Chain(2, cells), pieces, window
+
+
+def test_search_matches_oracle_on_random_instances():
+    rng = random.Random(20121)
+    seen = Counter()
+    for i in range(1600):
+        kind = ("placed", "placed", "moved", "random")[i % 4]
+        target, pieces, window = _random_instance(rng, kind)
+        # Every fifth instance gets a small cap, to compare where both raise.
+        cap = rng.randint(0, 60) if i % 5 == 4 else ORACLE_CAP
+        fast = _verdict(tiling_search, target, pieces, window, cap)
+        slow = _verdict(_oracle_search, target, pieces, window, cap)
+        if fast is SearchSpaceError or slow is SearchSpaceError:
+            assert fast is slow, (target.sorted_items(), pieces)
+            seen["capped"] += 1
+            continue
+        assert (fast is None) == (slow is None), (target.sorted_items(), pieces)
+        if fast is None:
+            seen["none"] += 1
+            continue
+        _assert_layout(fast, target, pieces, window)
+        _assert_layout(slow, target, pieces, window)
+        seen["found"] += 1
+    # The sample must exercise every verdict, not only the easy ones.
+    assert seen["found"] >= 400 and seen["none"] >= 300 and seen["capped"] >= 100, seen
+
+
+def test_pinned_verdicts():
+    instances = json.loads((ROOT / "bench" / "pinned.json").read_text())["tiling"]
+    assert len(instances) == 275
+    for inst in instances:
+        target = triangle_chain(inst["n"])
+        window = triangle_window(inst["n"])
+        pieces = [TilePiece(*p) for p in inst["pieces"]]
+        plan = tiling_search(target, pieces, window)
+        assert (plan is not None) == inst["found"], inst
+        if plan is not None:
+            _assert_layout(plan, target, pieces, window)
+
+
+def test_face_count_invariant_settles_without_search():
+    # Four up units and no down unit have the area of <2> but not its up faces.
+    pieces = [TilePiece(1, UP)] * 4
+    assert tiling_search(triangle_chain(2), pieces, triangle_window(2)) is None
+    # A target cell outside the window has no layout inside it.
+    target = Chain(2, {("face", 5, 5, UP): 1})
+    assert tiling_search(target, [TilePiece(1, UP)], triangle_window(2)) is None
+
+
+def test_search_is_deterministic():
+    target = triangle_chain(4)
+    pieces = [TilePiece(2, UP), TilePiece(2, UP), TilePiece(2, UP), TilePiece(2, DOWN)]
+    plans = {tiling_search(target, pieces, triangle_window(4)) for _ in range(3)}
+    assert len(plans) == 1 and None not in plans
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: TilePiece(0), ValueError),
+    (lambda: TilePiece(-2), ValueError),
+    (lambda: TilePiece(1.0), TypeError),
+    (lambda: TilePiece(True), TypeError),
+    (lambda: TilePiece(1, "left"), ValueError),
+    (lambda: TilePiece(1, UP, 2), ValueError),
+    (lambda: TilePiece(1, UP, 0), ValueError),
+    (lambda: TilePiece(1, UP, True), TypeError),
+    (lambda: TilePiece(1, UP, -1.0), TypeError),
+    (lambda: tiling_search(Chain(2), [TilePiece(1)], frozenset()), ValueError),
+    (lambda: tiling_search(Chain(2), [], frozenset()), ValueError),
+    (lambda: tiling_search(Chain(2), [TilePiece(1)], {("vertex", 0, 0)}), ValueError),
+    (lambda: tiling_search(Chain(2), [TilePiece(1)], {("face", 0, 0, "left")}), ValueError),
+    (lambda: tiling_search(Chain(2), [TilePiece(1)], {("face", 0.0, 0, UP)}), ValueError),
+])
+def test_bad_pieces_and_windows_are_refused(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_src_has_no_assert():
+    # `python -O` strips assert statements, so no library result may rest on one.
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.relative_to(ROOT)} asserts on lines {lines}"
