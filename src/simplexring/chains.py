@@ -107,6 +107,16 @@ class Chain:
         return f"Chain(dim={self.dim}, cells={len(self._cells)})"
 
 
+def _raise_non_int(**values):
+    """TypeError naming the first value that is not an int (a bool is not one).
+
+    Callers test `type(x) is int` inline first, since plans build many pieces.
+    """
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PlacedPiece:
     """One placed piece of a plan.
@@ -115,7 +125,8 @@ class PlacedPiece:
     offset), "vertex" / "triangle" / "closed_triangle" / "open_triangle" in
     2-d (position is (r, c)).  Up triangles anchor at their bottom-left
     face; down triangles anchor at their tip face.  sign flips the whole
-    piece, multiplicity repeats it.
+    piece, multiplicity repeats it.  size, sign and multiplicity must be
+    ints (a bool is not one), else TypeError.
     """
 
     kind: str
@@ -126,6 +137,8 @@ class PlacedPiece:
     multiplicity: int = 1
 
     def __post_init__(self):
+        if not type(self.size) is type(self.sign) is type(self.multiplicity) is int:
+            _raise_non_int(size=self.size, sign=self.sign, multiplicity=self.multiplicity)
         if self.kind not in _KINDS_1D | _KINDS_2D:
             raise ValueError(f"unknown piece kind {self.kind!r}")
         if self.sign not in (1, -1):
@@ -459,8 +472,8 @@ class TilePiece:
     sign: int = 1
 
     def __post_init__(self):
-        if type(self.size) is not int or type(self.sign) is not int:
-            raise TypeError(f"size and sign must be integers, got {self.size!r} and {self.sign!r}")
+        if not type(self.size) is type(self.sign) is int:
+            _raise_non_int(size=self.size, sign=self.sign)
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
         if self.orientation not in (UP, DOWN):

@@ -4,6 +4,12 @@ Exit codes: 0 on success, 1 when a `verify` run finds a counterexample,
 2 on usage or input errors.  All numeric output is exact (fraction strings
 or integers); nothing is ever printed as a float.
 
+Every command estimates its work before it starts, and `_budget` refuses
+the work past that command's entry in LIMITS.  The `_cmd_*` handlers only
+raise: `main` is the one place that turns a ValueError (bad input, a
+refused budget, a number too long to print) or an OSError (`render --out`)
+into an `error: ...` line and exit 2.
+
 Each command imports the library modules it uses when it runs, so a
 process pays only for those.
 """
@@ -15,24 +21,35 @@ import itertools
 import json
 import sys
 
-# Inputs past these limits exit 2: both scans are O(z^2) per integer.
-FACTOR_LIMIT = 10_000
-COMPOSITE_LIMIT = 1_000
-# closed_sum builds 2^(m+1) - 2 terms per tuple, so closed-nd doubles its time
-# per step of m; at the limit one tuple takes about a quarter of a second.
-CLOSED_ND_M_LIMIT = 10
-# Tuples times terms per tuple; at the limit closed-nd runs a few seconds.
-CLOSED_ND_TERM_LIMIT = 100_000
-# `eulerian` prints every row up to m, and row m has entries near m! that
-# are slow to build and, past about m = 1600, too long for str().
-EULERIAN_M_LIMIT = 100
-# `render` refuses a plan whose pieces hold more unit cells than this (the
-# sum of size^2 over the pieces); at the limit a render takes about 1.5 s
-# and 260 MiB.
-RENDER_CELL_LIMIT = 100_000
-# The N-term series sum has the denominator 4^N, whose 0.6 N digits must stay
-# under Python's default 4300-digit limit on int-to-str conversion.
-SERIES_TERMS_LIMIT = 7_000
+# The most work each command may start: (limit, what the estimate counts).
+LIMITS = {
+    # Cases times the cost of a case (see IDENTITIES).  `closed3` over -6..6
+    # comes to 1,399,489, and no identity runs longer at the limit.
+    "verify": (1_400_000, "work units"),
+    # The witness scan is O(z^2); a prime near the limit takes seconds.
+    "factor": (10_000, "z"),
+    # `eulerian` prints every row up to m, and row m holds numbers near m!.
+    "eulerian": (100, "m"),
+    # The sum of size^2 over a plan's pieces; at the limit a render takes
+    # seconds and about 260 MiB.
+    "render": (100_000, "unit cells"),
+    # The N-term series sum has the denominator 4^N, whose 0.6 N digits must
+    # stay under Python's default 4300-digit limit on int-to-str conversion.
+    "series": (7_000, "terms"),
+}
+
+# What a verify case pays besides its terms times their coefficients:
+# building the expected value and comparing.  It is most of the cost of a
+# closed-nd case at m = 1, which builds only two one-coefficient terms.
+CASE_COST = 7
+
+
+def _budget(what, units, limit):
+    """Refuse work whose estimate `units` is past LIMITS[limit], before it starts."""
+    most, counted = LIMITS[limit]
+    if units > most:
+        shown = f"= {units}" if units < 2 ** 64 else ">= 2^64"
+        raise ValueError(f"{what}: {counted} {shown}, over the limit of {most}")
 
 
 def _parse_range(text: str):
@@ -46,16 +63,11 @@ def _parse_range(text: str):
     return lo, hi
 
 
-def _grid(lo, hi, arity, cap=600_000):
-    span = hi - lo + 1
-    if span ** arity > cap:
-        raise ValueError(
-            f"range {lo}..{hi} gives {span ** arity} tuples; narrow the range"
-        )
+def _grid(lo, hi, arity):
     return itertools.product(range(lo, hi + 1), repeat=arity)
 
 
-def _check_closed2(lo, hi):
+def _check_closed2(lo, hi, dim):
     from .forms import closed_sum, evaluate
     from .ring import embed2
 
@@ -65,7 +77,7 @@ def _check_closed2(lo, hi):
     return None
 
 
-def _check_closed2_shift(lo, hi):
+def _check_closed2_shift(lo, hi, dim):
     from .forms import closed_sum_shifted, evaluate
     from .ring import embed2
 
@@ -75,7 +87,7 @@ def _check_closed2_shift(lo, hi):
     return None
 
 
-def _check_closed3(lo, hi):
+def _check_closed3(lo, hi, dim):
     from .forms import closed_sum, evaluate
     from .ring import embed3
 
@@ -85,25 +97,17 @@ def _check_closed3(lo, hi):
     return None
 
 
-def _check_closed_nd(lo, hi, m=4):
+def _check_closed_nd(lo, hi, dim):
     from .eulerian import embed_nd
     from .forms import closed_sum, evaluate_orth
 
-    if not 1 <= m <= CLOSED_ND_M_LIMIT:
-        raise ValueError(f"closed-nd needs 1 <= m <= {CLOSED_ND_M_LIMIT}; got m = {m}")
-    terms = (hi - lo + 1) ** (m + 1) * (2 ** (m + 1) - 2)
-    if terms > CLOSED_ND_TERM_LIMIT:
-        raise ValueError(
-            f"closed-nd at m = {m} over {lo}..{hi} builds {terms} terms, more than "
-            f"{CLOSED_ND_TERM_LIMIT}; narrow the range or lower m"
-        )
-    for values in _grid(lo, hi, m + 1):
-        if evaluate_orth(closed_sum(values, m)) != embed_nd(sum(values), m):
-            return f"m={m} values={values}"
+    for values in _grid(lo, hi, dim + 1):
+        if evaluate_orth(closed_sum(values, dim)) != embed_nd(sum(values), dim):
+            return f"m={dim} values={values}"
     return None
 
 
-def _check_mirror(lo, hi):
+def _check_mirror(lo, hi, dim):
     from .forms import combination, evaluate
 
     for t in range(lo, hi + 1):
@@ -114,7 +118,7 @@ def _check_mirror(lo, hi):
     return None
 
 
-def _check_star(lo, hi):
+def _check_star(lo, hi, dim):
     from .forms import evaluate, star_product
     from .ring import embed2
 
@@ -125,7 +129,7 @@ def _check_star(lo, hi):
     return None
 
 
-def _check_worpitzky(lo, hi):
+def _check_worpitzky(lo, hi, dim):
     from .eulerian import worpitzky
 
     for n in range(lo, hi + 1):
@@ -135,11 +139,9 @@ def _check_worpitzky(lo, hi):
     return None
 
 
-def _check_composite(lo, hi):
+def _check_composite(lo, hi, dim):
     from .witnesses import _is_prime, composite_witness, factors_from_witness
 
-    if hi > COMPOSITE_LIMIT:
-        raise ValueError(f"composite checks stop at z = {COMPOSITE_LIMIT}; got {lo}..{hi}")
     for z in range(max(lo, 2), hi + 1):
         w = composite_witness(z)
         if (w is not None) != (not _is_prime(z)):
@@ -151,16 +153,41 @@ def _check_composite(lo, hi):
     return None
 
 
+def _closed_nd_size(lo, hi, m):
+    if m < 1:
+        raise ValueError(f"closed-nd needs m >= 1; got m = {m}")
+    # Powers past 2^64 are over every limit anyway, so the exponent is cut
+    # there: a huge m never builds a number with m bits.
+    power = min(m + 1, 64)
+    return (hi - lo + 1) ** power, (2 ** power - 2) * (m + 1)
+
+
+# name -> (check, size).  check(lo, hi, dim) returns the first counterexample
+# or None; size(lo, hi, dim) returns the number of cases and what one case
+# builds: its terms times the coefficients of each term.  The orthogonal
+# route of closed-nd costs about one coefficient more per term than the
+# geometric ones, and a composite case scans up to z^2/4 pairs, 16 to a unit.
 IDENTITIES = {
-    "closed2": _check_closed2,
-    "closed2-shift": _check_closed2_shift,
-    "closed3": _check_closed3,
-    "closed-nd": _check_closed_nd,
-    "mirror": _check_mirror,
-    "star": _check_star,
-    "worpitzky": _check_worpitzky,
-    "composite": _check_composite,
+    "closed2": (_check_closed2, lambda lo, hi, m: ((hi - lo + 1) ** 3, 6 * 2)),
+    "closed2-shift": (_check_closed2_shift, lambda lo, hi, m: ((hi - lo + 1) ** 4, 7 * 2)),
+    "closed3": (_check_closed3, lambda lo, hi, m: ((hi - lo + 1) ** 4, 14 * 3)),
+    "closed-nd": (_check_closed_nd, _closed_nd_size),
+    "mirror": (_check_mirror, lambda lo, hi, m: (hi - lo + 1, 2 * 2 * 2)),
+    "star": (_check_star, lambda lo, hi, m: (max(0, hi - max(lo, 3) + 1) * (hi - lo + 1), 2 * 2)),
+    "worpitzky": (_check_worpitzky, lambda lo, hi, m: ((hi - lo + 1) * 8, 2 * 8)),
+    "composite": (_check_composite, lambda lo, hi, m: (max(0, hi - max(lo, 2) + 1), hi * hi // 64)),
 }
+
+
+def _verify_units(identity, lo, hi, m):
+    """Work units of `verify`: cases times (what a case builds + CASE_COST).
+
+    Values longer than 256 bits multiply that by the square of their length
+    in 256-bit words, as big-integer products do.
+    """
+    cases, builds = IDENTITIES[identity][1](lo, hi, m)
+    words = 1 + max(-lo, hi).bit_length() // 256
+    return cases * (builds + CASE_COST) * words * words
 
 
 # plan name -> (builder in `chains`, the options it takes)
@@ -176,6 +203,7 @@ PLANS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    limit = {name: most for name, (most, _) in LIMITS.items()}
     parser = argparse.ArgumentParser(
         prog="simplexring",
         description="Exact arithmetic of scaled simplex numbers.",
@@ -188,27 +216,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extended", action="store_true",
                    help="read plain literals as the boundary-carrying family")
 
-    p = sub.add_parser("verify", help="check an identity over a range")
+    p = sub.add_parser("verify", help="check an identity over a range, "
+                       f"up to {limit['verify']} work units")
     p.add_argument("--identity", required=True, choices=sorted(IDENTITIES))
-    p.add_argument("--range", dest="span", default="-6..6", metavar="A..B")
+    p.add_argument("--range", dest="span", default="-6..6", metavar="A..B",
+                   help="the range of each value; cases times the cost of a case "
+                   f"may come to at most {limit['verify']} work units")
     p.add_argument("--m", type=int, default=4,
-                   help=f"dimension for closed-nd, 1 <= m <= {CLOSED_ND_M_LIMIT}")
+                   help="dimension for closed-nd, m >= 1; a case costs "
+                   f"(2^(m+1)-2)*(m+1) + {CASE_COST} work units")
 
     p = sub.add_parser("factor", help="witness and factor pair for an integer")
-    p.add_argument("z", type=int, help=f"2 <= z <= {FACTOR_LIMIT}")
+    p.add_argument("z", type=int, help=f"2 <= z <= {limit['factor']}")
 
     p = sub.add_parser("eulerian", help="print the Eulerian triangle")
-    p.add_argument("--m", type=int, required=True, help=f"1 <= m <= {EULERIAN_M_LIMIT}")
+    p.add_argument("--m", type=int, required=True, help=f"1 <= m <= {limit['eulerian']}")
     p.add_argument("--json", action="store_true")
     p.add_argument("--volumes", action="store_true",
                    help="also print the slice volumes of row m")
 
     p = sub.add_parser("worpitzky", help="both power-sum forms for n^m")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help=f"1 <= m <= {EULERIAN_M_LIMIT}")
+    p.add_argument("--m", type=int, required=True, help=f"1 <= m <= {limit['eulerian']}")
 
     p = sub.add_parser("render", help="write an SVG for a placement plan, "
-                       f"up to {RENDER_CELL_LIMIT} unit cells")
+                       f"up to {limit['render']} unit cells")
     p.add_argument("--plan", required=True, choices=sorted(PLANS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
@@ -217,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output file, '-' for stdout")
 
     p = sub.add_parser("series", help="partial sum of the shrinking-triangle series")
-    p.add_argument("--terms", type=int, required=True, help=f"1 <= terms <= {SERIES_TERMS_LIMIT}")
+    p.add_argument("--terms", type=int, required=True, help=f"1 <= terms <= {limit['series']}")
 
     p = sub.add_parser("slabs", help="slab counts of the side-n tetrahedron")
     p.add_argument("--n", type=int, required=True)
@@ -226,30 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    from .expr import ExpressionError, evaluate_expression, parse
-    from .ring import RepresentationError, element_to_json
+    from .expr import evaluate_expression, parse
+    from .ring import element_to_json
 
-    try:
-        tree = parse(args.expression, args.dim)
-        value = evaluate_expression(tree, args.dim, args.extended)
-    except (ExpressionError, RepresentationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    value = evaluate_expression(parse(args.expression, args.dim), args.dim, args.extended)
     print(json.dumps(element_to_json(value)))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    try:
-        lo, hi = _parse_range(args.span)
-        check = IDENTITIES[args.identity]
-        if args.identity == "closed-nd":
-            counterexample = check(lo, hi, args.m)
-        else:
-            counterexample = check(lo, hi)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lo, hi = _parse_range(args.span)
+    at_m = f" at m = {args.m}" if args.identity == "closed-nd" else ""
+    _budget(f"verify {args.identity} over {lo}..{hi}{at_m}",
+            _verify_units(args.identity, lo, hi, args.m), "verify")
+    counterexample = IDENTITIES[args.identity][0](lo, hi, args.m)
     if counterexample is None:
         print(f"PASS {args.identity} over {lo}..{hi}")
         return 0
@@ -260,12 +282,7 @@ def _cmd_verify(args) -> int:
 def _cmd_factor(args) -> int:
     from .witnesses import factor_report
 
-    if args.z < 2:
-        print("error: z must be at least 2", file=sys.stderr)
-        return 2
-    if args.z > FACTOR_LIMIT:
-        print(f"error: z must be at most {FACTOR_LIMIT}", file=sys.stderr)
-        return 2
+    _budget("factor", args.z, "factor")
     print(json.dumps(factor_report(args.z)))
     return 0
 
@@ -273,16 +290,15 @@ def _cmd_factor(args) -> int:
 def _cmd_eulerian(args) -> int:
     from .eulerian import eulerian_row, slice_volumes
 
-    if not 1 <= args.m <= EULERIAN_M_LIMIT:
-        print(f"error: m must be between 1 and {EULERIAN_M_LIMIT}", file=sys.stderr)
-        return 2
+    _budget("eulerian", args.m, "eulerian")
+    last = eulerian_row(args.m)  # raises ValueError for m < 1
     if args.json:
         payload = {"rows": {str(m): list(eulerian_row(m)) for m in range(1, args.m + 1)}}
         if args.volumes:
             payload["volumes"] = [str(v) for v in slice_volumes(args.m)]
         print(json.dumps(payload))
         return 0
-    width = len(str(max(eulerian_row(args.m))))
+    width = len(str(max(last)))
     for m in range(1, args.m + 1):
         row = "  ".join(str(a).rjust(width) for a in eulerian_row(m))
         print(f"m={m}: {row}")
@@ -294,9 +310,7 @@ def _cmd_eulerian(args) -> int:
 def _cmd_worpitzky(args) -> int:
     from .eulerian import worpitzky
 
-    if not 1 <= args.m <= EULERIAN_M_LIMIT:
-        print(f"error: m must be between 1 and {EULERIAN_M_LIMIT}", file=sys.stderr)
-        return 2
+    _budget("worpitzky", args.m, "eulerian")
     value = worpitzky(args.n, args.m)
     print(json.dumps({
         "n": args.n,
@@ -312,54 +326,30 @@ def _cmd_render(args) -> int:
     from . import chains, render
 
     builder, wanted = PLANS[args.plan]
-    params = []
-    for name in wanted:
-        value = getattr(args, name)
-        if value is None:
-            print(f"error: plan {args.plan!r} needs --{name}", file=sys.stderr)
-            return 2
-        params.append(value)
+    params = [getattr(args, name) for name in wanted]
+    if None in params:
+        raise ValueError(f"plan {args.plan!r} needs --{wanted[params.index(None)]}")
+    what = f"render --plan {args.plan}"
     # A 2-d plan holds at least n^2 cells and a 1-d plan at least n, and the
     # build makes up to one piece per cell, so the side is checked first.
     n = max(params[0], 0)
-    cells = n if args.plan in ("segment", "open-segment") else n * n
-    try:
-        if cells <= RENDER_CELL_LIMIT:
-            plan = getattr(chains, builder)(*params)
-            cells = sum(piece.size ** 2 for piece in plan.pieces)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if cells > RENDER_CELL_LIMIT:
-        print(f"error: plan {args.plan!r} holds at least {cells} unit cells (the sum of "
-              f"size^2 over its pieces); render takes at most {RENDER_CELL_LIMIT}",
-              file=sys.stderr)
-        return 2
+    _budget(what, n if args.plan in ("segment", "open-segment") else n * n, "render")
+    plan = getattr(chains, builder)(*params)
+    _budget(what, sum(piece.size ** 2 for piece in plan.pieces), "render")
     text = render.to_svg(plan)
     if args.out == "-":
         sys.stdout.write(text)
         return 0
-    try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(text)
     return 0
 
 
 def _cmd_series(args) -> int:
     from .ring import element_to_json, series_partial_sum
 
-    if args.terms > SERIES_TERMS_LIMIT:
-        print(f"error: series takes at most {SERIES_TERMS_LIMIT} terms, past which the sum "
-              f"has too many digits to print; got {args.terms}", file=sys.stderr)
-        return 2
-    try:
-        element = series_partial_sum(args.terms)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _budget("series", args.terms, "series")
+    element = series_partial_sum(args.terms)
     a2, a1 = element.coeffs
     print(json.dumps({
         "terms": args.terms,
@@ -374,11 +364,7 @@ def _cmd_slabs(args) -> int:
     from . import chains
     from .eulerian import eulerian_row
 
-    try:
-        counts = chains.tetrahedron_slabs(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    counts = chains.tetrahedron_slabs(args.n)
     weights = eulerian_row(3)
     volume = sum(c * w for c, w in zip(counts, weights))
     print(json.dumps({"n": args.n, "counts": list(counts), "weighted_volume": volume}))
@@ -403,7 +389,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -144,7 +144,7 @@ def orthogonal_basis_matrix(m: int) -> tuple:
     if m < 1:
         raise ValueError("m must be >= 1")
     fact = factorial(m)
-    # columns[k][i] = coefficient of n^i in C(n+m-k-? ...): expand the product
+    # columns[k - 1][i] is the coefficient of n^i in C(n+m-k, m) = (n+m-k)_m / m!
     columns = []
     for k in range(1, m + 1):
         poly = [Fraction(1)]

@@ -141,8 +141,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok[0] == "int":
             self.index += 1
-            star_tok = self.next(("sym", "*"), what="'*' after a coefficient")
-            del star_tok
+            self.next(("sym", "*"), what="'*' after a coefficient")
             return Term(int(tok[1]), self.atom())
         return Term(1, self.atom())
 

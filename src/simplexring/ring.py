@@ -267,7 +267,6 @@ def from_orth(elem: OrthElement):
 
 # Named basis elements.
 ONE2 = GeomElement2(1, 0)            # <1>, the neutral element
-DOWN_UNIT = GeomElement2(0, 1)       # <-1>, the reflected unit; squares to <1>
 ONE3 = GeomElement3(1, 0, 0)         # <1>
 D_UNIT = GeomElement3(0, 1, 0)       # <D1>
 E_UNIT = GeomElement3(0, 0, 1)       # <e1> = -embed3(-1)
@@ -340,13 +339,7 @@ def series_partial_sum(terms: int) -> OrthElement:
     """
     if not isinstance(terms, int) or terms < 1:
         raise ValueError("terms must be a positive integer")
-    a2 = Fraction(0)
-    a1 = Fraction(0)
-    for j in range(1, terms + 1):
-        weight = 3 ** (j - 1)
-        a2 += Fraction(weight, 4 ** j)
-        a1 -= Fraction(weight, 2 ** j)
-    return OrthElement(2, False, (a2, a1))
+    return OrthElement(2, False, (1 - Fraction(3, 4) ** terms, 1 - Fraction(3, 2) ** terms))
 
 
 def element_to_json(elem) -> dict:

@@ -240,6 +240,17 @@ def test_piece_cells_closed_open_plain():
     assert ("vertex", 0, 0) in closed and ("vertex", 0, 0) not in open_
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("sign", True), ("sign", -1.0), ("size", 1.5), ("size", True),
+    ("multiplicity", 2.0), ("multiplicity", False),
+])
+def test_placed_piece_rejects_non_integers(field, bad):
+    # A bool passes `in (1, -1)` and a float passes `>= 1`, so only a type
+    # check stops them before realize fails on them.
+    with pytest.raises(TypeError, match=field):
+        PlacedPiece("triangle", (0, 0), **{field: bad})
+
+
 def test_realize_respects_sign_and_multiplicity():
     plan = PlacementPlan(2, (
         PlacedPiece("vertex", (1, 1), sign=-1, multiplicity=3),

@@ -1,5 +1,6 @@
 """Command line behaviour: output shapes, exit codes, file writing."""
 
+import importlib
 import json
 
 import pytest
@@ -63,9 +64,9 @@ def test_verify_all_identities_small(capsys):
 
 
 def test_verify_counterexample_exits_1(capsys, monkeypatch):
-    def always_wrong(lo, hi):
+    def always_wrong(lo, hi, dim):
         return f"(n)=({lo})"
-    monkeypatch.setitem(cli.IDENTITIES, "mirror", always_wrong)
+    monkeypatch.setitem(cli.IDENTITIES, "mirror", (always_wrong, cli.IDENTITIES["mirror"][1]))
     code, out, _ = _run(capsys, "verify", "--identity", "mirror", "--range=0..1")
     assert code == 1
     assert out.startswith("FAIL mirror: first counterexample (n)=(0)")
@@ -80,7 +81,7 @@ def test_verify_bad_range_exits_2(capsys):
 
 def test_verify_range_too_wide_exits_2(capsys):
     code, _, err = _run(capsys, "verify", "--identity", "closed3", "--range=-100..100")
-    assert code == 2 and "narrow" in err
+    assert code == 2 and "over the limit" in err
 
 
 def test_factor_composite(capsys):
@@ -108,41 +109,69 @@ def test_factor_cap(capsys):
     assert code == 2 and out == "" and "10000" in err
 
 
+def _stub_check(monkeypatch, identity):
+    """Replace an identity's check, keeping its size, so the budget alone decides."""
+    calls = []
+    size = cli.IDENTITIES[identity][1]
+    monkeypatch.setitem(cli.IDENTITIES, identity, (lambda *span: calls.append(span), size))
+    return calls
+
+
 def test_verify_composite_cap(capsys):
-    code, out, _ = _run(capsys, "verify", "--identity", "composite", "--range=1000..1000")
+    # A case costs hi^2 // 64 + 7 for the top z = hi: 2..447 is 446 * 3129 =
+    # 1,395,534 work units and 2..448 is 447 * 3143 = 1,404,921, around the
+    # verify limit of 1,400,000.
+    assert cli.LIMITS["verify"][0] == 1_400_000
+    code, out, _ = _run(capsys, "verify", "--identity", "composite", "--range=2..447")
     assert code == 0 and out.startswith("PASS composite")
-    code, out, err = _run(capsys, "verify", "--identity", "composite", "--range=2..1001")
-    assert code == 2 and out == "" and "1000" in err
+    code, out, err = _run(capsys, "verify", "--identity", "composite", "--range=2..448")
+    assert code == 2 and out == "" and "1404921" in err and "1400000" in err
+    # A single z up to 9465 fits (9465^2 // 64 + 7 = 1,399,791).
+    code, out, _ = _run(capsys, "verify", "--identity", "composite", "--range=9465..9465")
+    assert code == 0 and out.startswith("PASS composite")
+    code, out, _ = _run(capsys, "verify", "--identity", "composite", "--range=9466..9466")
+    assert code == 2 and out == ""
 
 
-def test_verify_closed_nd_m_cap(capsys):
-    limit = str(cli.CLOSED_ND_M_LIMIT)
-    code, out, _ = _run(capsys, "verify", "--identity", "closed-nd", "--m", limit, "--range=1..1")
+def test_verify_closed_nd_m_cap(capsys, monkeypatch):
+    # One tuple costs (2^(m+1) - 2) * (m+1) + 7: 1,048,551 work units at
+    # m = 15 and 2,228,197 at m = 16.  m = 15 runs for seconds, so its check is stubbed.
+    calls = _stub_check(monkeypatch, "closed-nd")
+    code, out, _ = _run(capsys, "verify", "--identity", "closed-nd", "--m", "15", "--range=1..1")
+    assert code == 0 and out.startswith("PASS closed-nd") and calls == [(1, 1, 15)]
+    code, out, err = _run(capsys, "verify", "--identity", "closed-nd", "--m", "16", "--range=1..1")
+    assert code == 2 and out == "" and err.startswith("error:") and "2228197" in err
+    assert calls == [(1, 1, 15)]
+    monkeypatch.undo()
+    code, out, _ = _run(capsys, "verify", "--identity", "closed-nd", "--m", "10", "--range=1..1")
     assert code == 0 and out.startswith("PASS closed-nd")
-    past = str(cli.CLOSED_ND_M_LIMIT + 1)
-    code, out, err = _run(capsys, "verify", "--identity", "closed-nd", "--m", past, "--range=1..1")
-    assert code == 2 and out == "" and err.startswith("error:") and limit in err
+    for m in ("0", "-3"):
+        code, out, err = _run(capsys, "verify", "--identity", "closed-nd", "--m", m, "--range=1..1")
+        assert code == 2 and out == "" and "m >= 1" in err
 
 
-def test_verify_closed_nd_term_cap(capsys):
-    # m = 1 builds 2 terms per tuple: 223^2 * 2 = 99,458 and 224^2 * 2 = 100,352
-    assert cli.CLOSED_ND_TERM_LIMIT == 100_000
-    code, out, _ = _run(capsys, "verify", "--identity", "closed-nd", "--m", "1", "--range=0..222")
-    assert code == 0 and out.startswith("PASS closed-nd")
-    code, out, err = _run(capsys, "verify", "--identity", "closed-nd", "--m", "1", "--range=0..223")
-    assert code == 2 and out == "" and err.startswith("error:") and "100352 terms" in err
+def test_verify_closed_nd_term_cap(capsys, monkeypatch):
+    # m = 1 costs 2 terms times 2 plus 7 per tuple:
+    # 356^2 * 11 = 1,394,096 and 357^2 * 11 = 1,401,939.
+    calls = _stub_check(monkeypatch, "closed-nd")
+    code, out, _ = _run(capsys, "verify", "--identity", "closed-nd", "--m", "1", "--range=0..355")
+    assert code == 0 and out.startswith("PASS closed-nd") and calls == [(0, 355, 1)]
+    code, out, err = _run(capsys, "verify", "--identity", "closed-nd", "--m", "1", "--range=0..356")
+    assert code == 2 and out == "" and err.startswith("error:") and "1401939" in err
+    # The default -6..6 at m = 4: 13^5 * (30 * 5 + 7).
     code, out, err = _run(capsys, "verify", "--identity", "closed-nd")
-    assert code == 2 and out == "" and "11138790 terms" in err
+    assert code == 2 and out == "" and "58293001" in err
 
 
 @pytest.mark.parametrize("command", [["eulerian"], ["worpitzky", "--n", "3"]])
 def test_eulerian_m_cap(capsys, command):
-    limit = cli.EULERIAN_M_LIMIT
+    limit = cli.LIMITS["eulerian"][0]
     code, out, _ = _run(capsys, *command, "--m", str(limit))
     assert code == 0 and out
-    for m in (limit + 1, 0):
-        code, out, err = _run(capsys, *command, "--m", str(m))
-        assert code == 2 and out == "" and err.startswith("error:") and str(limit) in err
+    code, out, err = _run(capsys, *command, "--m", str(limit + 1))
+    assert code == 2 and out == "" and err.startswith("error:") and str(limit) in err
+    code, out, err = _run(capsys, *command, "--m", "0")
+    assert code == 2 and out == "" and err.startswith("error:") and "m must be >= 1" in err
 
 
 def test_eval_deep_nesting_exits_2(capsys):
@@ -239,20 +268,85 @@ def test_render_cell_cap(capsys):
     assert code == 0 and out.rstrip().endswith("</svg>")
     code, out, err = _run(capsys, "render", "--plan", "difference", "--n", "316", "--k", "13")
     assert code == 2 and out == ""
-    assert "100025" in err and str(cli.RENDER_CELL_LIMIT) in err
+    assert "100025" in err and str(cli.LIMITS["render"][0]) in err
     # A side whose square alone is past the cap is refused before the build.
     code, _, err = _run(capsys, "render", "--plan", "triangle", "--n", "5000")
     assert code == 2 and "25000000" in err
     code, _, err = _run(capsys, "render", "--plan", "segment", "--n", "50001")
     assert code == 2 and "100001" in err
     # `render --plan triangle --n 200` (about a second) stays admitted.
-    assert sum(p.size ** 2 for p in closed_triangle_plan(200).pieces) <= cli.RENDER_CELL_LIMIT
+    assert sum(p.size ** 2 for p in closed_triangle_plan(200).pieces) <= cli.LIMITS["render"][0]
 
 
 def test_series_terms_cap(capsys):
-    limit = cli.SERIES_TERMS_LIMIT
+    limit = cli.LIMITS["series"][0]
     code, out, _ = _run(capsys, "series", "--terms", str(limit))
     assert code == 0 and json.loads(out)["terms"] == limit
     code, out, err = _run(capsys, "series", "--terms", str(limit + 1))
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(limit) in err
+
+
+# identity, just inside the verify budget, just past it (range of each value)
+BUDGET_EDGES = [
+    ("closed2", "0..40", "0..41"),              # 41^3 * 19 = 1,309,499; 42^3 * 19
+    ("closed2-shift", "0..15", "0..16"),        # 16^4 * 21 = 1,376,256; 17^4 * 21
+    ("closed3", "-6..6", "-6..7"),              # 13^4 * 49 = 1,399,489; 14^4 * 49
+    ("mirror", "0..93332", "0..93333"),         # 93,333 * 15 = 1,399,995
+    ("star", "0..357", "0..358"),               # 355 * 358 * 11 = 1,397,990
+    ("worpitzky", "0..7607", "0..7608"),        # 7608 * 8 * 23 = 1,399,872
+    # values of 257..512 bits cost 2^2 times as much: 26^3 * 19 * 4 = 1,335,776
+    ("closed2", f"{2 ** 300}..{2 ** 300 + 25}", f"{2 ** 300}..{2 ** 300 + 26}"),
+]
+
+
+@pytest.mark.parametrize("identity, inside, past", BUDGET_EDGES,
+                         ids=[f"{name} {inside[:12]}" for name, inside, _ in BUDGET_EDGES])
+def test_verify_budget_edges(capsys, monkeypatch, identity, inside, past):
+    calls = _stub_check(monkeypatch, identity)
+    code, out, _ = _run(capsys, "verify", "--identity", identity, f"--range={inside}")
+    assert code == 0 and out.startswith(f"PASS {identity}") and len(calls) == 1
+    code, out, err = _run(capsys, "verify", "--identity", identity, f"--range={past}")
+    assert code == 2 and out == "" and err.startswith("error:") and "over the limit of 1400000" in err
+    assert len(calls) == 1
+
+
+def test_verify_default_range_admitted(capsys, monkeypatch):
+    for identity in cli.IDENTITIES:
+        _stub_check(monkeypatch, identity)
+        code, out, err = _run(capsys, "verify", "--identity", identity)
+        assert (code, out == "") == ((2, True) if identity == "closed-nd" else (0, False)), identity
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("the work started before the budget refused it")
+
+
+NINES = "9" * 4000
+# argv, and the evaluator a grid identity would call first (patched to raise)
+HOSTILE = [
+    (["verify", "--identity", "mirror", "--range=0..3000000"], ("forms", "evaluate")),
+    (["verify", "--identity", "star", "--range=0..3000"], ("forms", "evaluate")),
+    (["verify", "--identity", "worpitzky", "--range=0..300000"], ("eulerian", "worpitzky")),
+    (["verify", "--identity", "closed3", "--range=-8..8"], ("forms", "evaluate")),
+    (["verify", "--identity", "closed3", "--range=-13..13"], ("forms", "evaluate")),
+    (["verify", "--identity", "closed2", "--range=-41..42"], ("forms", "evaluate")),
+    (["verify", "--identity", "closed-nd", "--m", "1000000000000", "--range=0..1"],
+     ("forms", "evaluate_orth")),
+    (["verify", "--identity", "closed2", f"--range=-{NINES}..{NINES}"], ("forms", "evaluate")),
+    (["verify", "--identity", "composite", "--range=100000..100000"],
+     ("witnesses", "composite_witness")),
+    (["slabs", "--n", NINES], None),
+    (["worpitzky", "--n", NINES, "--m", "2"], None),
+    (["eval", "<" + "9" * 2500 + ">"], None),
+    (["eval", "<" + "9" * 2500 + ">", "--dim", "3"], None),
+]
+
+
+@pytest.mark.parametrize("argv, evaluator", HOSTILE, ids=[" ".join(a)[:50] for a, _ in HOSTILE])
+def test_hostile_input_exits_2(capsys, monkeypatch, argv, evaluator):
+    if evaluator is not None:
+        module, name = evaluator
+        monkeypatch.setattr(importlib.import_module(f"simplexring.{module}"), name, _boom)
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err

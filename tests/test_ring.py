@@ -24,6 +24,7 @@ from simplexring.ring import (
     embed_literal,
     from_orth,
     literal_orth,
+    series_partial_sum,
     to_orth,
 )
 
@@ -203,3 +204,24 @@ def test_json_round_trip():
         assert element_from_json(blob) == e
     blob = element_to_json(GeomElement2(Fraction(-2, 9), 4))
     assert blob["coeffs"] == ["-2/9", "4"]
+
+
+def _series_oracle(terms):
+    """The shrinking-triangle series added term by term.
+
+    Term j is 3^(j-1) triangles scaled by -1/2^j, each (1/4^j) A_2 - (1/2^j) A_1.
+    """
+    a2 = a1 = Fraction(0)
+    for j in range(1, terms + 1):
+        weight = 3 ** (j - 1)
+        a2 += Fraction(weight, 4 ** j)
+        a1 -= Fraction(weight, 2 ** j)
+    return OrthElement(2, False, (a2, a1))
+
+
+def test_series_closed_form_matches_the_sum():
+    for terms in [*range(1, 201), 7000]:
+        element = series_partial_sum(terms)
+        assert element_to_json(element) == element_to_json(_series_oracle(terms)), terms
+    with pytest.raises(ValueError):
+        series_partial_sum(0)

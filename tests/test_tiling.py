@@ -7,6 +7,8 @@ lattice geometry, so the two give two routes to every verdict.
 """
 
 import ast
+import builtins
+import importlib
 import itertools
 import json
 import random
@@ -232,3 +234,37 @@ def test_src_has_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.relative_to(ROOT)} asserts on lines {lines}"
+
+
+def _caught(handler):
+    """The exception classes one `except` clause names (BaseException when bare)."""
+    if handler.type is None:
+        return [BaseException]
+    nodes = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    names = [node.attr if isinstance(node, ast.Attribute) else node.id for node in nodes]
+    modules = [builtins] + [importlib.import_module(f"simplexring.{name}")
+                            for name in ("chains", "expr", "forms", "ring", "witnesses")]
+    return [next(getattr(m, name) for m in modules if hasattr(m, name)) for name in names]
+
+
+def test_cli_errors_leave_through_main_only():
+    # The `_cmd_*` handlers raise; `main` alone turns ValueError and OSError
+    # into `error: ...` and exit 2, so no handler may catch them or print.
+    tree = ast.parse((ROOT / "src" / "simplexring" / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def error_texts(node):
+        return [n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.startswith("error:")]
+
+    handlers = [name for name in functions if name.startswith("_cmd_")]
+    assert len(handlers) >= 8
+    for name in handlers:
+        for handler in ast.walk(functions[name]):
+            if isinstance(handler, ast.ExceptHandler):
+                for cls in _caught(handler):
+                    assert not (issubclass(cls, (ValueError, OSError))
+                                or issubclass(ValueError, cls) or issubclass(OSError, cls)), (
+                        f"{name} catches {cls.__name__} on line {handler.lineno}")
+        assert not error_texts(functions[name]), f"{name} prints its own error"
+    assert error_texts(tree) == error_texts(functions["main"]) and len(error_texts(tree)) == 1
