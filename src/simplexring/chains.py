@@ -17,9 +17,9 @@ plain triangles only their faces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import comb
-from typing import Optional, Sequence
+
+from ._record import Record
 
 
 class SearchSpaceError(RuntimeError):
@@ -117,8 +117,7 @@ def _raise_non_int(**values):
             raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PlacedPiece:
+class PlacedPiece(Record):
     """One placed piece of a plan.
 
     kind: "point" / "segment" / "open_segment" in 1-d (position is an int
@@ -129,42 +128,44 @@ class PlacedPiece:
     ints (a bool is not one), else TypeError.
     """
 
-    kind: str
-    position: tuple
-    size: int = 1
-    orientation: str = UP
-    sign: int = 1
-    multiplicity: int = 1
+    __slots__ = ("kind", "position", "size", "orientation", "sign", "multiplicity")
 
-    def __post_init__(self):
-        if not type(self.size) is type(self.sign) is type(self.multiplicity) is int:
-            _raise_non_int(size=self.size, sign=self.sign, multiplicity=self.multiplicity)
-        if self.kind not in _KINDS_1D | _KINDS_2D:
-            raise ValueError(f"unknown piece kind {self.kind!r}")
-        if self.sign not in (1, -1):
+    def __init__(self, kind: str, position: tuple, size: int = 1, orientation: str = UP,
+                 sign: int = 1, multiplicity: int = 1):
+        if not type(size) is type(sign) is type(multiplicity) is int:
+            _raise_non_int(size=size, sign=sign, multiplicity=multiplicity)
+        if kind not in _KINDS_1D | _KINDS_2D:
+            raise ValueError(f"unknown piece kind {kind!r}")
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.size < 1:
+        if size < 1:
             raise ValueError("size must be >= 1")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
-        if self.orientation not in (UP, DOWN):
+        if orientation not in (UP, DOWN):
             raise ValueError("orientation must be 'up' or 'down'")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
     @property
     def dim(self) -> int:
         return 1 if self.kind in _KINDS_1D else 2
 
 
-@dataclass(frozen=True)
-class PlacementPlan:
-    dim: int
-    pieces: tuple = field(default_factory=tuple)
+class PlacementPlan(Record):
+    __slots__ = ("dim", "pieces")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        for piece in self.pieces:
-            if piece.dim != self.dim:
-                raise ValueError(f"piece {piece} does not live in dimension {self.dim}")
+    def __init__(self, dim: int, pieces: tuple = ()):
+        pieces = tuple(pieces)
+        for piece in pieces:
+            if piece.dim != dim:
+                raise ValueError(f"piece {piece} does not live in dimension {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "pieces", pieces)
 
 
 def face_cell(r: int, c: int, orientation: str) -> tuple:
@@ -459,27 +460,27 @@ def tetrahedron_slabs(n: int) -> tuple:
 # exhaustive tiling search
 
 
-@dataclass(frozen=True)
-class TilePiece:
+class TilePiece(Record):
     """A face-only triangle available to the tiling search.
 
     size is an int >= 1, orientation UP or DOWN and sign +1 or -1; anything
     else (a bool included) raises TypeError or ValueError.
     """
 
-    size: int
-    orientation: str = UP
-    sign: int = 1
+    __slots__ = ("size", "orientation", "sign")
 
-    def __post_init__(self):
-        if not type(self.size) is type(self.sign) is int:
-            _raise_non_int(size=self.size, sign=self.sign)
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        if self.orientation not in (UP, DOWN):
-            raise ValueError(f"orientation must be 'up' or 'down', got {self.orientation!r}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+    def __init__(self, size: int, orientation: str = UP, sign: int = 1):
+        if not type(size) is type(sign) is int:
+            _raise_non_int(size=size, sign=sign)
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {size}")
+        if orientation not in (UP, DOWN):
+            raise ValueError(f"orientation must be 'up' or 'down', got {orientation!r}")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "sign", sign)
 
 
 def triangle_window(n: int, position=(0, 0)) -> frozenset:
@@ -593,10 +594,10 @@ def _exact_cover(residual: list, placements: list, by_cell: list, left: list):
 
 def tiling_search(
     target: Chain,
-    pieces: Sequence[TilePiece],
+    pieces: tuple[TilePiece, ...] | list[TilePiece],
     window: frozenset,
     cap: int = 2_000_000,
-) -> Optional[PlacementPlan]:
+) -> PlacementPlan | None:
     """Search placements of the pieces inside the window realizing the target.
 
     Two counts do not depend on where the pieces go: the signed number of

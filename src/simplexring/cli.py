@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 
 # The most work each command may start: (limit, what the estimate counts).
@@ -52,14 +51,40 @@ def _budget(what, units, limit):
         raise ValueError(f"{what}: {counted} {shown}, over the limit of {most}")
 
 
-def _parse_range(text: str):
+# Part of the message of the ValueError that Python's limit on the digits of
+# an int converted from or to text raises (`sys.get_int_max_str_digits()`).
+_DIGIT_LIMIT = "integer string conversion"
+
+
+def _digits_past_limit() -> str:
+    return f"more than {sys.get_int_max_str_digits()} digits"
+
+
+def _shown(text: str) -> str:
+    """An input as an error message quotes it: at most about 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:30]!r}... ({len(text)} characters)"
+
+
+def _int_option(text: str) -> int:
+    """The type of the int options: argparse prints the message on failure."""
     try:
-        lo_text, hi_text = text.split("..", 1)
+        return int(text)
+    except ValueError as exc:
+        if _DIGIT_LIMIT in str(exc):
+            raise argparse.ArgumentTypeError(f"{_shown(text)} has {_digits_past_limit()}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+
+
+def _parse_range(text: str):
+    lo_text, dots, hi_text = text.partition("..")
+    try:
         lo, hi = int(lo_text), int(hi_text)
-    except ValueError:
-        raise ValueError(f"range must look like A..B, got {text!r}")
+    except ValueError as exc:
+        if dots and _DIGIT_LIMIT in str(exc):
+            raise ValueError(f"range {_shown(text)}: a number has {_digits_past_limit()}") from None
+        raise ValueError(f"range must look like A..B, got {_shown(text)}") from None
     if lo > hi:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"empty range {_shown(text)}")
     return lo, hi
 
 
@@ -212,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a bracket expression")
     p.add_argument("expression")
-    p.add_argument("--dim", type=int, choices=(2, 3), default=2)
+    p.add_argument("--dim", type=_int_option, choices=(2, 3), default=2)
     p.add_argument("--extended", action="store_true",
                    help="read plain literals as the boundary-carrying family")
 
@@ -222,39 +247,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", dest="span", default="-6..6", metavar="A..B",
                    help="the range of each value; cases times the cost of a case "
                    f"may come to at most {limit['verify']} work units")
-    p.add_argument("--m", type=int, default=4,
+    p.add_argument("--m", type=_int_option, default=4,
                    help="dimension for closed-nd, m >= 1; a case costs "
                    f"(2^(m+1)-2)*(m+1) + {CASE_COST} work units")
 
     p = sub.add_parser("factor", help="witness and factor pair for an integer")
-    p.add_argument("z", type=int, help=f"2 <= z <= {limit['factor']}")
+    p.add_argument("z", type=_int_option, help=f"2 <= z <= {limit['factor']}")
 
     p = sub.add_parser("eulerian", help="print the Eulerian triangle")
-    p.add_argument("--m", type=int, required=True, help=f"1 <= m <= {limit['eulerian']}")
+    p.add_argument("--m", type=_int_option, required=True, help=f"1 <= m <= {limit['eulerian']}")
     p.add_argument("--json", action="store_true")
     p.add_argument("--volumes", action="store_true",
                    help="also print the slice volumes of row m")
 
     p = sub.add_parser("worpitzky", help="both power-sum forms for n^m")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help=f"1 <= m <= {limit['eulerian']}")
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--m", type=_int_option, required=True, help=f"1 <= m <= {limit['eulerian']}")
 
     p = sub.add_parser("render", help="write an SVG for a placement plan, "
                        f"up to {limit['render']} unit cells")
     p.add_argument("--plan", required=True, choices=sorted(PLANS))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--t", type=int)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--k", type=_int_option)
+    p.add_argument("--l", type=_int_option)
+    p.add_argument("--t", type=_int_option)
     p.add_argument("--out", default="-", help="output file, '-' for stdout")
 
     p = sub.add_parser("series", help="partial sum of the shrinking-triangle series")
-    p.add_argument("--terms", type=int, required=True, help=f"1 <= terms <= {limit['series']}")
+    p.add_argument("--terms", type=_int_option, required=True, help=f"1 <= terms <= {limit['series']}")
 
     p = sub.add_parser("slabs", help="slab counts of the side-n tetrahedron")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
 
     return parser
+
+
+def _print_json(value) -> None:
+    import json  # loaded only by the commands that print JSON
+
+    print(json.dumps(value))
 
 
 def _cmd_eval(args) -> int:
@@ -262,7 +293,7 @@ def _cmd_eval(args) -> int:
     from .ring import element_to_json
 
     value = evaluate_expression(parse(args.expression, args.dim), args.dim, args.extended)
-    print(json.dumps(element_to_json(value)))
+    _print_json(element_to_json(value))
     return 0
 
 
@@ -283,7 +314,7 @@ def _cmd_factor(args) -> int:
     from .witnesses import factor_report
 
     _budget("factor", args.z, "factor")
-    print(json.dumps(factor_report(args.z)))
+    _print_json(factor_report(args.z))
     return 0
 
 
@@ -296,7 +327,7 @@ def _cmd_eulerian(args) -> int:
         payload = {"rows": {str(m): list(eulerian_row(m)) for m in range(1, args.m + 1)}}
         if args.volumes:
             payload["volumes"] = [str(v) for v in slice_volumes(args.m)]
-        print(json.dumps(payload))
+        _print_json(payload)
         return 0
     width = len(str(max(last)))
     for m in range(1, args.m + 1):
@@ -312,13 +343,13 @@ def _cmd_worpitzky(args) -> int:
 
     _budget("worpitzky", args.m, "eulerian")
     value = worpitzky(args.n, args.m)
-    print(json.dumps({
+    _print_json({
         "n": args.n,
         "m": args.m,
         "value": value,
         "power": args.n ** args.m,
         "equal": value == args.n ** args.m,
-    }))
+    })
     return 0
 
 
@@ -351,12 +382,12 @@ def _cmd_series(args) -> int:
     _budget("series", args.terms, "series")
     element = series_partial_sum(args.terms)
     a2, a1 = element.coeffs
-    print(json.dumps({
+    _print_json({
         "terms": args.terms,
         "element": element_to_json(element),
         "a2": str(a2),
         "a1": str(a1),
-    }))
+    })
     return 0
 
 
@@ -367,7 +398,7 @@ def _cmd_slabs(args) -> int:
     counts = chains.tetrahedron_slabs(args.n)
     weights = eulerian_row(3)
     volume = sum(c * w for c, w in zip(counts, weights))
-    print(json.dumps({"n": args.n, "counts": list(counts), "weighted_volume": volume}))
+    _print_json({"n": args.n, "counts": list(counts), "weighted_volume": volume})
     return 0
 
 
@@ -392,7 +423,10 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if _DIGIT_LIMIT in message:  # inputs are checked, so this is output
+            message = f"the result holds an integer with {_digits_past_limit()}, the most Python prints"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

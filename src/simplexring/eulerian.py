@@ -8,11 +8,11 @@ numbers.  That is all the combinatorics the higher-dimensional ring needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from ._record import Record
 from .ring import OrthElement
 
 
@@ -91,20 +91,18 @@ def slice_volumes(m: int) -> tuple:
     return tuple(Fraction(a, fact) for a in eulerian_row(m))
 
 
-@dataclass(frozen=True)
-class SliceBasisVector:
+class SliceBasisVector(Record):
     """Multiplicities of the m slice pieces inside a scaled m-simplex."""
 
-    dim: int
-    coeffs: tuple
+    __slots__ = ("dim", "coeffs")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, coeffs: tuple):
+        if dim < 1:
             raise ValueError("dim must be >= 1")
-        if len(self.coeffs) != self.dim:
-            raise ValueError(
-                f"need {self.dim} slice coefficients, got {len(self.coeffs)}"
-            )
+        if len(coeffs) != dim:
+            raise ValueError(f"need {dim} slice coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def volume(self):
         """Total volume, normalising the k-th unit piece to A(m, k-1).

@@ -17,16 +17,18 @@ most MAX_DEPTH deep.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Union
+import sys
 
+from ._record import Record
 from .ring import SimplexLiteral, embed_literal, representation
 from .forms import star_product, evaluate
 
 
 # Parentheses may nest this deep.  Parsing, evaluating, printing and
-# comparing a tree all recurse per level; comparing or repr() of a tree 90
-# deep already exceeds Python's default recursion limit.
+# comparing a tree all recurse per level.  Under Python's default recursion
+# limit of 1000, parsing fails near 330 levels, but `==` and repr() of the
+# records fail at 90 (Python 3.10 and 3.11; 3.12 at 107 and 136) and hash()
+# at 165, so 32 keeps every operation well inside the limit.
 MAX_DEPTH = 32
 
 
@@ -36,37 +38,46 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Lit:
-    scale: int
-    suffix: Optional[str] = None  # None, "0" or "10"
-    negated: bool = False
+# An atom is a Lit, a Star or a Group.
 
 
-@dataclass(frozen=True)
-class Star:
-    n: int
-    m: int
+class Lit(Record):
+    __slots__ = ("scale", "suffix", "negated")
+
+    def __init__(self, scale: int, suffix: str | None = None, negated: bool = False):
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "suffix", suffix)  # None, "0" or "10"
+        object.__setattr__(self, "negated", negated)
 
 
-@dataclass(frozen=True)
-class Group:
-    inner: "Expr"
+class Star(Record):
+    __slots__ = ("n", "m")
+
+    def __init__(self, n: int, m: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
 
-Atom = Union[Lit, Star, Group]
+class Group(Record):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Expr):
+        object.__setattr__(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class Term:
-    coeff: int
-    atom: Atom
+class Term(Record):
+    __slots__ = ("coeff", "atom")
+
+    def __init__(self, coeff: int, atom: Lit | Star | Group):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "atom", atom)
 
 
-@dataclass(frozen=True)
-class Expr:
-    # (sign, term) pairs; the first sign is always +1
-    terms: tuple
+class Expr(Record):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        object.__setattr__(self, "terms", terms)  # (sign, term) pairs; the first sign is +1
 
 
 _TOKEN = re.compile(
@@ -142,10 +153,10 @@ class _Parser:
         if tok is not None and tok[0] == "int":
             self.index += 1
             self.next(("sym", "*"), what="'*' after a coefficient")
-            return Term(int(tok[1]), self.atom())
+            return Term(self.number(tok), self.atom())
         return Term(1, self.atom())
 
-    def atom(self) -> Atom:
+    def atom(self) -> Lit | Star | Group:
         tok = self.peek()
         if tok is None:
             raise ExpressionError("expected a literal, star(...) or '('", len(self.text))
@@ -181,8 +192,14 @@ class _Parser:
         if tok is not None and tok[0] == "sym" and tok[1] == "-":
             self.index += 1
             sign = -1
-        tok = self.next("int", what="an integer")
-        return sign * int(tok[1])
+        return sign * self.number(self.next("int", what="an integer"))
+
+    def number(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # an int token fails only past Python's digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ExpressionError(f"integer has more than {limit} digits", tok[2]) from None
 
     def literal(self) -> Lit:
         self.next(("sym", "<"), what="'<'")
@@ -228,7 +245,7 @@ def unparse(node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _eval_atom(atom: Atom, dim: int, extended: bool):
+def _eval_atom(atom: Lit | Star | Group, dim: int, extended: bool):
     if isinstance(atom, Lit):
         if atom.suffix == "10":
             lit = SimplexLiteral(1, atom.scale, -1 if atom.negated else 1, True)

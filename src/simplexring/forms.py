@@ -9,9 +9,9 @@ describes a physical layout, not just a number.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .ring import (
     OrthElement,
     SimplexLiteral,
@@ -26,28 +26,27 @@ class StarDomainError(ValueError):
     """star_product is only defined for scale factors n > 2."""
 
 
-@dataclass(frozen=True)
-class FormalCombination:
+class FormalCombination(Record):
     """Integer-weighted formal sum of literals sharing one family.
 
     terms is a tuple of (coefficient, literal) pairs in writing order.
     All literals must agree with the combination's dim and extended flag.
     """
 
-    dim: int
-    extended: bool
-    terms: tuple
+    __slots__ = ("dim", "extended", "terms")
 
-    def __post_init__(self):
-        terms = tuple((_int_scale(c), lit) for c, lit in self.terms)
+    def __init__(self, dim: int, extended: bool, terms: tuple):
+        terms = tuple((_int_scale(c), lit) for c, lit in terms)
         for coeff, lit in terms:
             if not isinstance(lit, SimplexLiteral):
                 raise TypeError(f"term {lit!r} is not a literal")
-            if lit.dim != self.dim or lit.extended != self.extended:
+            if lit.dim != dim or lit.extended != extended:
                 raise ValueError(
                     f"literal {lit} does not belong to the "
-                    f"(dim={self.dim}, extended={self.extended}) family"
+                    f"(dim={dim}, extended={extended}) family"
                 )
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "extended", extended)
         object.__setattr__(self, "terms", terms)
 
     def simplify(self) -> "FormalCombination":

@@ -10,22 +10,27 @@ order with fixed number formatting, so equal inputs give identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .chains import Chain, PlacementPlan, face_vertices, piece_cells
 
 SQRT3 = 3 ** 0.5
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    side: float = 40.0          # pixels per lattice unit
-    margin: float = 20.0
-    positive: str = "#333333"
-    positive_open: str = "#999999"
-    negative: str = "#cc3333"
-    cancelled: str = "#2e8b57"
-    annotate: bool = True
+class RenderOptions(Record):
+    """Drawing options; side is the number of pixels per lattice unit."""
+
+    __slots__ = ("side", "margin", "positive", "positive_open", "negative", "cancelled", "annotate")
+
+    def __init__(self, side: float = 40.0, margin: float = 20.0, positive: str = "#333333",
+                 positive_open: str = "#999999", negative: str = "#cc3333",
+                 cancelled: str = "#2e8b57", annotate: bool = True):
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "positive_open", positive_open)
+        object.__setattr__(self, "negative", negative)
+        object.__setattr__(self, "cancelled", cancelled)
+        object.__setattr__(self, "annotate", annotate)
 
 
 def _fmt(x: float) -> str:

@@ -14,9 +14,10 @@ rejected at the boundary; nothing in this package computes with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg, sub
+
+from ._record import Record
 
 
 class RepresentationError(ValueError):
@@ -276,8 +277,7 @@ F_UNIT = from_orth(OrthElement(3, False, (-1, 1, 1)))
 G_UNIT = from_orth(OrthElement(3, False, (1, 1, -1)))
 
 
-@dataclass(frozen=True)
-class SimplexLiteral:
+class SimplexLiteral(Record):
     """A single written symbol <n>, <n>_0 or <n>_10, possibly negated.
 
     dim is the simplex dimension (1 for segments), scale the integer inside
@@ -286,17 +286,17 @@ class SimplexLiteral:
     _10 forms).
     """
 
-    dim: int
-    scale: int
-    sign: int = 1
-    extended: bool = False
+    __slots__ = ("dim", "scale", "sign", "extended")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, scale: int, sign: int = 1, extended: bool = False):
+        if dim < 1:
             raise ValueError("literal dimension must be >= 1")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("literal sign must be +1 or -1")
-        object.__setattr__(self, "scale", _int_scale(self.scale))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "scale", _int_scale(scale))
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "extended", extended)
 
 
 _ZERO2 = GeomElement2(0, 0)

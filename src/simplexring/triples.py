@@ -10,9 +10,9 @@ plays the role of the layer shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .ring import Element, GeomElement2, OrthElement, _frac, _int_scale, embed2
 
 
@@ -21,16 +21,14 @@ def _coercible(value) -> bool:
             and not isinstance(value, bool))
 
 
-@dataclass(frozen=True)
-class QSqrt3:
+class QSqrt3(Record):
     """a + b*sqrt(3) with exact rational a, b."""
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
+    def __init__(self, a: Fraction, b: Fraction = Fraction(0)):
+        object.__setattr__(self, "a", _frac(a))
+        object.__setattr__(self, "b", _frac(b))
 
     def __add__(self, other):
         if not _coercible(other):

@@ -12,22 +12,24 @@ t = b - c - d over the divisors of c and d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Optional
+
+from ._record import Record
 
 
 class WitnessError(ValueError):
     """The given numbers do not form a valid witness."""
 
 
-@dataclass(frozen=True)
-class Witness:
-    z: int
-    a: int
-    b: int
-    c: int
-    d: int
+class Witness(Record):
+    __slots__ = ("z", "a", "b", "c", "d")
+
+    def __init__(self, z: int, a: int, b: int, c: int, d: int):
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def validate(self) -> None:
         """Raise WitnessError unless both power-sum constraints and ranges hold."""
@@ -46,21 +48,23 @@ class Witness:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
-class FactorPair:
+class FactorPair(Record):
     """Nontrivial factorization z = p*q recovered from a witness.
 
     t is the positive b - c - d (after a possible role swap of a and b),
     split as t = t1*t2 with t1 | c and t2 | d, s1 = c/t1, s2 = d/t2.
     """
 
-    p: int
-    q: int
-    t: int
-    t1: int
-    t2: int
-    s1: int
-    s2: int
+    __slots__ = ("p", "q", "t", "t1", "t2", "s1", "s2")
+
+    def __init__(self, p: int, q: int, t: int, t1: int, t2: int, s1: int, s2: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t1", t1)
+        object.__setattr__(self, "t2", t2)
+        object.__setattr__(self, "s1", s1)
+        object.__setattr__(self, "s2", s2)
 
 
 def _is_prime(n: int) -> bool:
@@ -78,7 +82,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def composite_witness(z: int) -> Optional[Witness]:
+def composite_witness(z: int) -> Witness | None:
     """Lexicographically smallest witness (a, b, c, d) with a <= b, c <= d.
 
     Returns None when no witness exists, which happens exactly for prime z.
@@ -136,7 +140,7 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
-def _split(z: int, t: int, c: int, d: int) -> Optional[FactorPair]:
+def _split(z: int, t: int, c: int, d: int) -> FactorPair | None:
     cross = None
     for t1 in _divisors(t):
         if c % t1:

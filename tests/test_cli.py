@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import sys
 
 import pytest
 
@@ -350,3 +351,26 @@ def test_hostile_input_exits_2(capsys, monkeypatch, argv, evaluator):
         monkeypatch.setattr(importlib.import_module(f"simplexring.{module}"), name, _boom)
     code, out, err = _run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+DIGITS = sys.get_int_max_str_digits()
+PAST_LIMIT = f"more than {DIGITS} digits"
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["verify", "--identity", "closed2", "--range=0.." + "1" * (DIGITS + 100)],
+     f"a number has {PAST_LIMIT}"),
+    (["verify", "--identity", "closed2", "--range=" + "x" * 5000], "range must look like A..B"),
+    (["factor", "1" * (DIGITS + 700)], f"(5000 characters) has {PAST_LIMIT}"),
+    (["factor", "x" * 5000], "invalid int value: 'xxxxx"),
+    (["eval", "<" + "1" * (DIGITS + 1) + ">"], f"integer has {PAST_LIMIT} (at offset 1)"),
+    (["slabs", "--n", NINES], f"the result holds an integer with {PAST_LIMIT}"),
+    (["eval", "<" + "9" * 2500 + ">"], f"the result holds an integer with {PAST_LIMIT}"),
+], ids=["range", "range-text", "factor", "factor-text", "eval-input", "slabs", "eval-output"])
+def test_numbers_past_the_digit_limit_are_named(capsys, argv, says):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert says in err
+    # The input is quoted in at most about 40 characters, and Python's advice
+    # to raise the limit is not passed on.
+    assert len(err) < 300 and "set_int_max_str_digits" not in err

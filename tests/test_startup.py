@@ -28,15 +28,23 @@ def _python(code, *flags):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def _loaded_by(argv):
-    """Modules a fresh `simplexring.cli.main(argv)` leaves loaded."""
-    return set(_python(
-        "import contextlib, io, json, sys\n"
+def _loaded_by(argv, *flags):
+    """Modules a fresh `simplexring.cli.main(argv)` leaves loaded.
+
+    The child writes the JSON list by hand and swaps `sys.stdout` itself,
+    so it imports neither `json` nor `contextlib` on the command's behalf.
+    """
+    names = _python(
+        "import io, sys\n"
         "from simplexring.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n"
-        "print(json.dumps(sorted(sys.modules)))"
-    ))
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"code = main({argv!r})\n"
+        "sys.stdout = stdout\n"
+        "assert code == 0, code\n"
+        "print('[' + ', '.join(f'\"{name}\"' for name in sorted(sys.modules)) + ']')",
+        *flags,
+    )
+    return set(names)
 
 
 def test_import_loads_no_submodule():
@@ -56,6 +64,28 @@ def test_render_loads_no_fraction_or_witness_code():
     loaded = _loaded_by(["render", "--plan", "triangle", "--n", "3"])
     assert "simplexring.render" in loaded
     assert not {"fractions", "simplexring.witnesses", "simplexring.expr"} & loaded
+
+
+# One run of every command.  None loads the modules `dataclasses` and
+# `typing` pull in, and the commands that print no JSON leave `json` alone.
+COMMANDS = [
+    (["eval", "2*<3> + (star(3,2) - <1>)"], True),
+    (["verify", "--identity", "closed2", "--range=0..1"], False),
+    (["factor", "35"], True),
+    (["eulerian", "--m", "4", "--json"], True),
+    (["worpitzky", "--n", "3", "--m", "2"], True),
+    (["render", "--plan", "triangle", "--n", "2"], False),
+    (["series", "--terms", "3"], True),
+    (["slabs", "--n", "4"], True),
+]
+
+
+@pytest.mark.parametrize("argv, prints_json", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+def test_command_loads_no_introspection_modules(argv, prints_json):
+    # -S skips `site`, which would load some of these modules for every process.
+    loaded = _loaded_by(argv, "-S")
+    assert not {"dataclasses", "inspect", "ast", "typing"} & loaded
+    assert ("json" in loaded) == prints_json
 
 
 def test_exported_names_resolve_to_their_definitions():
