@@ -179,13 +179,11 @@ def face_vertices(face):
     return ((r, c + 1), (r + 1, c), (r + 1, c + 1))
 
 
-def edge_cell(v1, v2) -> tuple:
-    return ("edge",) + tuple(sorted((v1, v2)))
-
-
 def face_edges(face):
-    verts = face_vertices(face)
-    return tuple(edge_cell(a, b) for a, b in itertools.combinations(verts, 2))
+    # face_vertices lists the corners in increasing order, so each pair is
+    # already the sorted vertex pair that keys an edge
+    a, b, c = face_vertices(face)
+    return (("edge", a, b), ("edge", a, c), ("edge", b, c))
 
 
 def edge_adjacent_faces(edge):
@@ -213,18 +211,22 @@ def triangle_face_cells(size: int, orientation: str, position) -> tuple:
         raise ValueError(f"unknown orientation {orientation!r}")
     r0, c0 = position
     faces = []
+    append = faces.append
+    # the tuples are face_cell's, built inline: plans and searches make many
     if orientation == UP:
         for i in range(size):
-            for j in range(size - i):
-                faces.append(face_cell(r0 + i, c0 + j, UP))
-            for j in range(size - 1 - i):
-                faces.append(face_cell(r0 + i, c0 + j, DOWN))
+            r, end = r0 + i, c0 + size - i
+            for c in range(c0, end):
+                append(("face", r, c, UP))
+            for c in range(c0, end - 1):
+                append(("face", r, c, DOWN))
     else:
         for i in range(size):
-            for j in range(i + 1):
-                faces.append(face_cell(r0 + i, c0 - i + j, DOWN))
-            for j in range(1, i + 1):
-                faces.append(face_cell(r0 + i, c0 - i + j, UP))
+            r = r0 + i
+            for c in range(c0 - i, c0 + 1):
+                append(("face", r, c, DOWN))
+            for c in range(c0 - i + 1, c0 + 1):
+                append(("face", r, c, UP))
     return tuple(faces)
 
 
@@ -269,7 +271,7 @@ def interior_cells(faces) -> dict:
 
 
 def piece_cells(piece: PlacedPiece) -> dict:
-    """Unit cell multiplicities of a piece before sign and multiplicity."""
+    """The unit cells of a piece, each at multiplicity 1 before sign and multiplicity."""
     if piece.kind == "point":
         return {("point", piece.position): 1}
     if piece.kind == "segment":

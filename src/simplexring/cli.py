@@ -30,7 +30,7 @@ LIMITS = {
     # `eulerian` prints every row up to m, and row m holds numbers near m!.
     "eulerian": (100, "m"),
     # The sum of size^2 over a plan's pieces; at the limit a render takes
-    # seconds and about 260 MiB.
+    # about 2 s and 170 MiB.
     "render": (100_000, "unit cells"),
     # The N-term series sum has the denominator 4^N, whose 0.6 N digits must
     # stay under Python's default 4300-digit limit on int-to-str conversion.
@@ -227,58 +227,78 @@ PLANS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    limit = {name: most for name, (most, _) in LIMITS.items()}
+_MOST = {name: most for name, (most, _) in LIMITS.items()}
+
+# command -> (its help, its arguments as (flag, add_argument options)), in
+# the order the usage lists them
+SYNTAX = {
+    "eval": ("evaluate a bracket expression", (
+        ("expression", {}),
+        ("--dim", dict(type=_int_option, choices=(2, 3), default=2)),
+        ("--extended", dict(action="store_true",
+                            help="read plain literals as the boundary-carrying family")),
+    )),
+    "verify": (f"check an identity over a range, up to {_MOST['verify']} work units", (
+        ("--identity", dict(required=True, choices=sorted(IDENTITIES))),
+        ("--range", dict(dest="span", default="-6..6", metavar="A..B",
+                         help="the range of each value; cases times the cost of a case "
+                         f"may come to at most {_MOST['verify']} work units")),
+        ("--m", dict(type=_int_option, default=4,
+                     help="dimension for closed-nd, m >= 1; a case costs "
+                     f"(2^(m+1)-2)*(m+1) + {CASE_COST} work units")),
+    )),
+    "factor": ("witness and factor pair for an integer", (
+        ("z", dict(type=_int_option, help=f"2 <= z <= {_MOST['factor']}")),
+    )),
+    "eulerian": ("print the Eulerian triangle", (
+        ("--m", dict(type=_int_option, required=True, help=f"1 <= m <= {_MOST['eulerian']}")),
+        ("--json", dict(action="store_true")),
+        ("--volumes", dict(action="store_true", help="also print the slice volumes of row m")),
+    )),
+    "worpitzky": ("both power-sum forms for n^m", (
+        ("--n", dict(type=_int_option, required=True)),
+        ("--m", dict(type=_int_option, required=True, help=f"1 <= m <= {_MOST['eulerian']}")),
+    )),
+    "render": (f"write an SVG for a placement plan, up to {_MOST['render']} unit cells", (
+        ("--plan", dict(required=True, choices=sorted(PLANS))),
+        ("--n", dict(type=_int_option, required=True)),
+        ("--k", dict(type=_int_option)),
+        ("--l", dict(type=_int_option)),
+        ("--t", dict(type=_int_option)),
+        ("--out", dict(default="-", help="output file, '-' for stdout")),
+    )),
+    "series": ("partial sum of the shrinking-triangle series", (
+        ("--terms", dict(type=_int_option, required=True, help=f"1 <= terms <= {_MOST['series']}")),
+    )),
+    "slabs": ("slab counts of the side-n tetrahedron", (
+        ("--n", dict(type=_int_option, required=True)),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; given a command's name, it holds only that command.
+
+    A run reads one command, so main() builds the full parser only for
+    top-level help and a missing or unknown command.  The one-command parser
+    reads its command's arguments, and prints usage, errors and help, byte
+    for byte as the full parser does.
+    """
     parser = argparse.ArgumentParser(
         prog="simplexring",
         description="Exact arithmetic of scaled simplex numbers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a bracket expression")
-    p.add_argument("expression")
-    p.add_argument("--dim", type=_int_option, choices=(2, 3), default=2)
-    p.add_argument("--extended", action="store_true",
-                   help="read plain literals as the boundary-carrying family")
-
-    p = sub.add_parser("verify", help="check an identity over a range, "
-                       f"up to {limit['verify']} work units")
-    p.add_argument("--identity", required=True, choices=sorted(IDENTITIES))
-    p.add_argument("--range", dest="span", default="-6..6", metavar="A..B",
-                   help="the range of each value; cases times the cost of a case "
-                   f"may come to at most {limit['verify']} work units")
-    p.add_argument("--m", type=_int_option, default=4,
-                   help="dimension for closed-nd, m >= 1; a case costs "
-                   f"(2^(m+1)-2)*(m+1) + {CASE_COST} work units")
-
-    p = sub.add_parser("factor", help="witness and factor pair for an integer")
-    p.add_argument("z", type=_int_option, help=f"2 <= z <= {limit['factor']}")
-
-    p = sub.add_parser("eulerian", help="print the Eulerian triangle")
-    p.add_argument("--m", type=_int_option, required=True, help=f"1 <= m <= {limit['eulerian']}")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--volumes", action="store_true",
-                   help="also print the slice volumes of row m")
-
-    p = sub.add_parser("worpitzky", help="both power-sum forms for n^m")
-    p.add_argument("--n", type=_int_option, required=True)
-    p.add_argument("--m", type=_int_option, required=True, help=f"1 <= m <= {limit['eulerian']}")
-
-    p = sub.add_parser("render", help="write an SVG for a placement plan, "
-                       f"up to {limit['render']} unit cells")
-    p.add_argument("--plan", required=True, choices=sorted(PLANS))
-    p.add_argument("--n", type=_int_option, required=True)
-    p.add_argument("--k", type=_int_option)
-    p.add_argument("--l", type=_int_option)
-    p.add_argument("--t", type=_int_option)
-    p.add_argument("--out", default="-", help="output file, '-' for stdout")
-
-    p = sub.add_parser("series", help="partial sum of the shrinking-triangle series")
-    p.add_argument("--terms", type=_int_option, required=True, help=f"1 <= terms <= {limit['series']}")
-
-    p = sub.add_parser("slabs", help="slab counts of the side-n tetrahedron")
-    p.add_argument("--n", type=_int_option, required=True)
-
+    names = [command] if command in SYNTAX else list(SYNTAX)
+    # The usage lists every command either way.  The full parser's default
+    # metavar is that same list, and leaving it unset keeps the name
+    # `command` in the errors about a missing or unknown command.
+    every = "{" + ",".join(SYNTAX) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        text, arguments = SYNTAX[name]
+        p = sub.add_parser(name, help=text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -415,7 +435,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -10,20 +10,43 @@ order with fixed number formatting, so equal inputs give identical bytes.
 
 from __future__ import annotations
 
+import math
+
 from ._record import Record
-from .chains import Chain, PlacementPlan, face_vertices, piece_cells
+from .chains import UP, Chain, PlacementPlan, face_vertices, piece_cells
 
 SQRT3 = 3 ** 0.5
 
 
+def _check_finite(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be an int or a float, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an int past the float range") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class RenderOptions(Record):
-    """Drawing options; side is the number of pixels per lattice unit."""
+    """Drawing options; side is the number of pixels per lattice unit.
+
+    side and margin are finite ints or floats (not bools) with side > 0
+    and margin >= 0; anything else raises TypeError or ValueError.
+    """
 
     __slots__ = ("side", "margin", "positive", "positive_open", "negative", "cancelled", "annotate")
 
     def __init__(self, side: float = 40.0, margin: float = 20.0, positive: str = "#333333",
                  positive_open: str = "#999999", negative: str = "#cc3333",
                  cancelled: str = "#2e8b57", annotate: bool = True):
+        _check_finite("side", side)
+        _check_finite("margin", margin)
+        if side <= 0:
+            raise ValueError(f"side must be > 0, got {side!r}")
+        if margin < 0:
+            raise ValueError(f"margin must be >= 0, got {margin!r}")
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "margin", margin)
         object.__setattr__(self, "positive", positive)
@@ -41,73 +64,118 @@ def _fmt(x: float) -> str:
 _RANK = {"face": 0, "edge": 1, "interval": 1, "vertex": 2, "point": 2}
 
 
-class _Canvas:
-    """The elements of one SVG and the memos that live as long as it.
+def _sort_key(cell) -> str:
+    """A key that sorts as (rank, repr(cell)) does, for under half of repr's cost.
 
-    A drawn position is a tuple (x, y, "x", "y") of canvas coordinates and
-    their formatted text.  Lattice vertices are converted and formatted once
-    and kept in `vertices`, and each face's points text is joined once; the
-    bounding box is taken in render() from those vertices plus the few drawn
-    points that are not lattice vertices and the labels.
+    It is the rank, the kind and the cell's integers (and orientation), with
+    ',' between them.  Two reprs of one kind part where one integer's digits
+    run on and the other's are followed by ', ' or ')'; ',' sorts below the
+    digits and '-' just as ',' and ')' do, so the keys part the same way.
+    """
+    kind = cell[0]
+    if kind == "face":
+        return f"0face,{cell[1]},{cell[2]},{cell[3]}"
+    if kind == "edge":
+        (r1, c1), (r2, c2) = cell[1], cell[2]
+        return f"1edge,{r1},{c1},{r2},{c2}"
+    return f"{_RANK[kind]}{kind}," + ",".join(map(str, cell[1:]))
+
+
+class _Axis(dict):
+    """Formatted canvas coordinates by lattice index, each formatted on first use."""
+
+    __slots__ = ("position",)
+
+    def __init__(self, position):
+        super().__init__()
+        self.position = position
+
+    def __missing__(self, i):
+        text = self[i] = _fmt(self.position(i))
+        return text
+
+
+class _Style:
+    """The attribute text shared by every cell drawn at one multiplicity.
+
+    Each element is its coordinates followed by the tail of its kind;
+    `label` is the annotation, or None.  Multiplicity zero marks a cell
+    that pieces covered but cancelled.
+    """
+
+    __slots__ = ("color", "label", "face", "edge", "interval", "vertex", "point")
+
+    def __init__(self, opt: RenderOptions, mult: int, open_face: bool):
+        color = opt.positive if mult > 0 else opt.negative if mult < 0 else opt.cancelled
+        self.color = color
+        self.label = str(abs(mult)) if opt.annotate and abs(mult) > 1 else None
+        if mult == 0:
+            fill, stroke, width, opacity = "none", opt.cancelled, 2.0, None
+        else:
+            fill = opt.positive_open if (open_face and mult > 0) else color
+            stroke, width, opacity = "#222222", 0.5, 0.85 if open_face else None
+        face = f'" fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"'
+        if opacity is not None:
+            face += f' fill-opacity="{_fmt(opacity)}"'
+        self.face = face + " />"
+        self.edge = _line_tail(color, 2.0 if mult else 2.5)
+        self.interval = _line_tail(color, 5.0)
+        self.vertex = _circle_tail(color, 3.5)
+        self.point = _circle_tail(color, 4.0)
+
+
+def _line_tail(stroke: str, width: float) -> str:
+    return f' stroke="{stroke}" stroke-width="{_fmt(width)}" stroke-linecap="round" />'
+
+
+def _circle_tail(fill: str, radius: float) -> str:
+    return f' r="{_fmt(radius)}" fill="{fill}" />'
+
+
+class _Canvas:
+    """The elements of one SVG and the tables that live as long as it.
+
+    Lattice vertex (r, c) sits at x = (c + r/2)*side, y = r*side*sqrt(3)/2.
+    `xs` holds formatted x by the half-unit column k = 2c + r, where
+    (k/2)*side equals (c + r/2)*side exactly (half-integers below 2^52 are
+    exact floats), and `ys` holds formatted y by row r, so a face's points
+    text is read straight from (r, c, orientation).  The bounding box is
+    taken in render() from the table entries plus the few drawn points that
+    are not lattice vertices and the labels.
     """
 
     def __init__(self, options: RenderOptions):
+        side = options.side
         self.options = options
         self.body = []
         self.labels = []
-        self.vertices = {}      # (r, c) -> drawn position
-        self.faces = {}         # face cell -> (drawn corners, points text)
-        self.extra = []         # drawn positions off the lattice vertices
-        self.styles = {}        # polygon style -> attribute text
+        self.xs = _Axis(lambda k: k / 2.0 * side)
+        self.ys = _Axis(lambda r: r * side * SQRT3 / 2.0)
+        self.extra = []         # (x, y, "x", "y") of drawn points off the lattice
+        self.styles = {}        # (multiplicity, open_face) -> _Style
         self.keys = {}          # cell -> draw-order sort key
 
-    def vertex(self, v):
-        point = self.vertices.get(v)
-        if point is None:
-            r, c = v
-            side = self.options.side
-            x, y = (c + r / 2.0) * side, r * side * SQRT3 / 2.0
-            point = self.vertices[v] = (x, y, _fmt(x), _fmt(y))
-        return point
-
-    def face(self, cell):
-        hit = self.faces.get(cell)
-        if hit is None:
-            pts = [self.vertex(v) for v in face_vertices(cell)]
-            hit = self.faces[cell] = (pts, " ".join([f"{p[2]},{p[3]}" for p in pts]))
-        return hit
+    def at(self, v):
+        r, c = v
+        return self.xs.position(2 * c + r), self.ys.position(r)
 
     def point(self, x, y):
         point = (x, y, _fmt(x), _fmt(y))
         self.extra.append(point)
         return point
 
-    def sort_key(self, cell):
-        key = self.keys.get(cell)
-        if key is None:
-            key = self.keys[cell] = (_RANK[cell[0]], repr(cell))
-        return key
+    def style(self, mult: int, open_face: bool = False) -> _Style:
+        style = self.styles.get((mult, open_face))
+        if style is None:
+            style = self.styles[mult, open_face] = _Style(self.options, mult, open_face)
+        return style
 
-    def polygon(self, text, fill, stroke, width=1.0, opacity=None):
-        style = (fill, stroke, width, opacity)
-        attrs = self.styles.get(style)
-        if attrs is None:
-            attrs = f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"'
-            if opacity is not None:
-                attrs += f' fill-opacity="{_fmt(opacity)}"'
-            attrs = self.styles[style] = f'" {attrs} />'
-        self.body.append('<polygon points="' + text + attrs)
-
-    def line(self, p1, p2, stroke, width):
-        self.body.append(
-            f'<line x1="{p1[2]}" y1="{p1[3]}" x2="{p2[2]}" y2="{p2[3]}" '
-            f'stroke="{stroke}" stroke-width="{_fmt(width)}" stroke-linecap="round" />'
-        )
-
-    def circle(self, p, radius, fill):
-        self.body.append(
-            f'<circle cx="{p[2]}" cy="{p[3]}" r="{_fmt(radius)}" fill="{fill}" />'
-        )
+    def ordered(self, cells) -> list:
+        """The cells in draw order; each key is made once per render."""
+        keys = self.keys
+        missing = set(cells).difference(keys)
+        keys.update(zip(missing, map(_sort_key, missing)))
+        return sorted(cells, key=keys.__getitem__)
 
     def label(self, x, y, text, color):
         self.labels.append((x, y, text, color))
@@ -117,9 +185,9 @@ class _Canvas:
             min_x = min_y = 0.0
             max_x = max_y = 1.0
         else:
-            points = [*self.vertices.values(), *self.extra, *self.labels]
-            xs = [p[0] for p in points]
-            ys = [p[1] for p in points]
+            points = [*self.extra, *self.labels]
+            xs = [*map(self.xs.position, self.xs), *[p[0] for p in points]]
+            ys = [*map(self.ys.position, self.ys), *[p[1] for p in points]]
             min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
         m = self.options.margin
         w = max_x - min_x + 2 * m
@@ -127,84 +195,77 @@ class _Canvas:
         # flip y inside a group so larger lattice rows sit higher on the canvas
         shift_x = m - min_x
         shift_y = max_y + m
-        header = (
-            '<?xml version="1.0" encoding="UTF-8"?>\n'
-            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'viewBox="0 0 {_fmt(w)} {_fmt(h)}">\n'
-            f'<g transform="translate({_fmt(shift_x)},{_fmt(shift_y)}) scale(1,-1)">\n'
-        )
         # text must not be mirrored: labels go outside the flipped group
         fixed = [
             f'<text x="{_fmt(x + shift_x)}" y="{_fmt(shift_y - y)}" font-size="11" '
             f'font-family="monospace" fill="{color}">{text}</text>'
             for x, y, text, color in self.labels
         ]
-        return (
-            header
-            + "\n".join(self.body)
-            + "\n</g>\n"
-            + "\n".join(fixed)
-            + ("\n" if fixed else "")
-            + "</svg>\n"
-        )
+        # one join, so the document is copied once however large it is
+        return "\n".join([
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{_fmt(w)}" height="{_fmt(h)}" '
+            f'viewBox="0 0 {_fmt(w)} {_fmt(h)}">',
+            f'<g transform="translate({_fmt(shift_x)},{_fmt(shift_y)}) scale(1,-1)">',
+            *(self.body or [""]),
+            "</g>",
+            *fixed,
+            "</svg>",
+            "",
+        ])
 
 
-def _color(options: RenderOptions, mult: int, covered: bool) -> str:
-    if mult > 0:
-        return options.positive
-    if mult < 0:
-        return options.negative
-    return options.cancelled if covered else "none"
-
-
-def _draw_cell(canvas: _Canvas, cell, mult: int, covered: bool, open_face: bool = False):
-    opt = canvas.options
-    color = _color(opt, mult, covered)
-    if color == "none":
-        return
+def _draw_cell(canvas: _Canvas, cell, style: _Style):
     kind = cell[0]
-    labelled = opt.annotate and abs(mult) > 1
+    xs, ys = canvas.xs, canvas.ys
     if kind == "face":
-        pts, text = canvas.face(cell)
-        if mult == 0:
-            canvas.polygon(text, "none", opt.cancelled, width=2.0)
+        _, r, c, orientation = cell
+        k = 2 * c + r
+        if orientation == UP:
+            y = ys[r]
+            canvas.body.append(
+                f'<polygon points="{xs[k]},{y} {xs[k + 2]},{y} {xs[k + 1]},{ys[r + 1]}{style.face}')
         else:
-            fill = opt.positive_open if (open_face and mult > 0) else color
-            canvas.polygon(text, fill, "#222222", width=0.5,
-                           opacity=0.85 if open_face else None)
-        if labelled:
-            cx = sum(p[0] for p in pts) / 3
-            cy = sum(p[1] for p in pts) / 3
-            canvas.label(cx, cy, str(abs(mult)), "#ffffff")
+            y = ys[r + 1]
+            canvas.body.append(
+                f'<polygon points="{xs[k + 2]},{ys[r]} {xs[k + 1]},{y} {xs[k + 3]},{y}{style.face}')
+        if style.label is not None:
+            pts = [canvas.at(v) for v in face_vertices(cell)]
+            canvas.label(sum(p[0] for p in pts) / 3, sum(p[1] for p in pts) / 3,
+                         style.label, "#ffffff")
     elif kind == "edge":
-        canvas.line(canvas.vertex(cell[1]), canvas.vertex(cell[2]), color, 2.0 if mult else 2.5)
+        _, (r1, c1), (r2, c2) = cell
+        canvas.body.append(
+            f'<line x1="{xs[2 * c1 + r1]}" y1="{ys[r1]}" '
+            f'x2="{xs[2 * c2 + r2]}" y2="{ys[r2]}"{style.edge}')
     elif kind == "vertex":
-        p = canvas.vertex(cell[1:])
-        canvas.circle(p, 3.5, color)
-        if labelled:
-            canvas.label(p[0] + 5, p[1] + 5, str(abs(mult)), color)
+        _, r, c = cell
+        canvas.body.append(f'<circle cx="{xs[2 * c + r]}" cy="{ys[r]}"{style.vertex}')
+        if style.label is not None:
+            x, y = canvas.at((r, c))
+            canvas.label(x + 5, y + 5, style.label, style.color)
     elif kind == "interval":
-        i = cell[1]
-        canvas.line(canvas.point(i * opt.side + 3, 0.0),
-                    canvas.point((i + 1) * opt.side - 3, 0.0), color, 5.0)
+        side = canvas.options.side
+        p1 = canvas.point(cell[1] * side + 3, 0.0)
+        p2 = canvas.point((cell[1] + 1) * side - 3, 0.0)
+        canvas.body.append(f'<line x1="{p1[2]}" y1="{p1[3]}" x2="{p2[2]}" y2="{p2[3]}"{style.interval}')
     elif kind == "point":
-        p = canvas.point(cell[1] * opt.side, 0.0)
-        canvas.circle(p, 4.0, color)
-        if labelled:
-            canvas.label(p[0] + 5, p[1] + 8, str(abs(mult)), color)
+        p = canvas.point(cell[1] * canvas.options.side, 0.0)
+        canvas.body.append(f'<circle cx="{p[2]}" cy="{p[3]}"{style.point}')
+        if style.label is not None:
+            canvas.label(p[0] + 5, p[1] + 8, style.label, style.color)
 
 
 def chain_svg(chain: Chain, options: RenderOptions = None, covered=frozenset()) -> str:
     """Render a chain; cells in `covered` with zero multiplicity show green."""
-    opt = options or RenderOptions()
-    canvas = _Canvas(opt)
+    canvas = _Canvas(options or RenderOptions())
     cells = chain.cells()
-    zeros = [cell for cell in covered if cell not in cells]
-    for cell in sorted(cells, key=canvas.sort_key):
-        _draw_cell(canvas, cell, cells[cell], False)
-    for cell in sorted(zeros, key=canvas.sort_key):
-        _draw_cell(canvas, cell, 0, True)
+    for cell in canvas.ordered(cells):
+        _draw_cell(canvas, cell, canvas.style(cells[cell]))
+    cancelled = canvas.style(0)
+    for cell in canvas.ordered([cell for cell in covered if cell not in cells]):
+        _draw_cell(canvas, cell, cancelled)
     return canvas.render()
 
 
@@ -214,22 +275,21 @@ def plan_svg(plan: PlacementPlan, options: RenderOptions = None) -> str:
     Closed pieces draw with their boundary, open pieces lighter; point and
     vertex pieces become dots with multiplicity annotations.  Cells touched
     by pieces whose total multiplicity is zero get the green marker.  Each
-    piece's cells are computed once and summed here, as realize() would.
+    piece's cells are computed once and summed here, as realize() would;
+    every cell of a piece has one multiplicity, so one style draws them all.
     """
-    opt = options or RenderOptions()
-    canvas = _Canvas(opt)
+    canvas = _Canvas(options or RenderOptions())
     total = {}
+    get = total.get
     for piece in plan.pieces:
         weight = piece.sign * piece.multiplicity
-        open_face = piece.kind in ("open_triangle", "open_segment")
-        cells = piece_cells(piece)
-        for cell in sorted(cells, key=canvas.sort_key):
-            mult = weight * cells[cell]
-            _draw_cell(canvas, cell, mult, False, open_face=open_face)
-            total[cell] = total.get(cell, 0) + mult
-    cancelled = [cell for cell, mult in total.items() if not mult]
-    for cell in sorted(cancelled, key=canvas.sort_key):
-        _draw_cell(canvas, cell, 0, True)
+        style = canvas.style(weight, piece.kind in ("open_triangle", "open_segment"))
+        for cell in canvas.ordered(piece_cells(piece)):
+            _draw_cell(canvas, cell, style)
+            total[cell] = get(cell, 0) + weight
+    cancelled = canvas.style(0)
+    for cell in canvas.ordered([cell for cell, mult in total.items() if not mult]):
+        _draw_cell(canvas, cell, cancelled)
     return canvas.render()
 
 

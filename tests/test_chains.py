@@ -1,5 +1,7 @@
 """Lattice chains, placement plans and the tiling search."""
 
+import itertools
+
 import pytest
 
 from simplexring.chains import (
@@ -238,6 +240,46 @@ def test_piece_cells_closed_open_plain():
     assert set(plain) == {c for c in closed if c[0] == "face"}
     assert set(open_) <= set(closed)
     assert ("vertex", 0, 0) in closed and ("vertex", 0, 0) not in open_
+
+
+def test_face_edges_are_sorted_vertex_pairs():
+    for r, c in ((0, 0), (2, -3), (-1, 4)):
+        for orientation in (UP, DOWN):
+            face = face_cell(r, c, orientation)
+            pairs = itertools.combinations(face_vertices(face), 2)
+            assert face_edges(face) == tuple(("edge", *sorted(pair)) for pair in pairs)
+
+
+def test_piece_cells_are_unit_multiplicities():
+    # plan_svg draws all of a piece's cells in one style, the piece's weight
+    for kind, position in (("point", 2), ("segment", -1), ("open_segment", 3), ("vertex", (1, 2)),
+                           ("triangle", (0, 1)), ("closed_triangle", (2, -1)), ("open_triangle", (1, 1))):
+        for size in (1, 2, 4):
+            for orientation in (UP, DOWN):
+                cells = piece_cells(PlacedPiece(kind, position, size=size, orientation=orientation))
+                assert set(cells.values()) == {1}, (kind, size, orientation)
+
+
+def _faces_one_by_one(size, orientation, position):
+    """The face loop triangle_face_cells had before it built its tuples inline."""
+    r0, c0 = position
+    faces = []
+    for i in range(size):
+        if orientation == UP:
+            faces += [face_cell(r0 + i, c0 + j, UP) for j in range(size - i)]
+            faces += [face_cell(r0 + i, c0 + j, DOWN) for j in range(size - 1 - i)]
+        else:
+            faces += [face_cell(r0 + i, c0 - i + j, DOWN) for j in range(i + 1)]
+            faces += [face_cell(r0 + i, c0 - i + j, UP) for j in range(1, i + 1)]
+    return tuple(faces)
+
+
+@pytest.mark.parametrize("orientation", [UP, DOWN])
+def test_triangle_face_cells_order(orientation):
+    for size in range(1, 9):
+        for position in ((0, 0), (3, -2), (-4, 7)):
+            assert (triangle_face_cells(size, orientation, position)
+                    == _faces_one_by_one(size, orientation, position))
 
 
 @pytest.mark.parametrize("field, bad", [

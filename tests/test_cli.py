@@ -374,3 +374,43 @@ def test_numbers_past_the_digit_limit_are_named(capsys, argv, says):
     # The input is quoted in at most about 40 characters, and Python's advice
     # to raise the limit is not passed on.
     assert len(err) < 300 and "set_int_max_str_digits" not in err
+
+
+# Every command's help, each way its arguments can fail, and a good parse,
+# read by the one-command parser main() builds and by the full parser.
+_PARSES = [[name, "--help"] for name in cli.SYNTAX] + [[name] for name in cli.SYNTAX] + [
+    ["eval", "<1>"], ["eval", "<1>", "--dim", "4"], ["eval", "<1>", "--dim", "x"],
+    ["eval", "<1>", "--extended", "--extended=1"],
+    ["verify", "--identity", "star"], ["verify", "--identity", "nope"],
+    ["verify", "--identity", "closed2", "--range"], ["verify", "--identity", "closed-nd", "--m", "1.5"],
+    ["factor", "35"], ["factor", "x"], ["factor", "35", "36"],
+    ["eulerian", "--m", "3", "--json", "--volumes"], ["eulerian", "--m", "3", "--bogus"],
+    ["worpitzky", "--n", "2"], ["worpitzky", "--n", "2", "--m", "3"],
+    ["render", "--plan", "hexagon", "--n", "1", "--k", "2", "--l", "3", "--t", "4", "--out", "x.svg"],
+    ["render", "--plan", "square", "--n", "3"], ["render", "--plan", "triangle", "--n", "3", "--k"],
+    ["series", "--terms", "1.5"], ["series", "--terms", "4", "-h"],
+    ["slabs", "--n", "3"], ["slabs", "--n", "3", "4"], ["slabs", "--n", "3", "--", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSES, ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(capsys, argv):
+    def parse(parser):
+        try:
+            result = vars(parser.parse_args(argv)), 0
+        except SystemExit as exc:
+            result = None, exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    assert parse(cli.build_parser(argv[0])) == parse(cli.build_parser())
+
+
+def test_parser_holds_one_command_only_when_named():
+    def commands(first):
+        return [list(action.choices) for action in cli.build_parser(first)._actions
+                if isinstance(action, cli.argparse._SubParsersAction)]
+
+    assert commands("slabs") == [["slabs"]]
+    for first in (None, "-h", "--help", "nope"):
+        assert commands(first) == [list(cli.SYNTAX)]

@@ -1,10 +1,14 @@
 """Rendering: deterministic bytes, stable structure, no floats beyond 2 decimals."""
 
 import hashlib
+import json
+import random
 import re
+from pathlib import Path
 
 import pytest
 
+from simplexring import chains
 from simplexring.chains import (
     Chain,
     DOWN,
@@ -176,3 +180,53 @@ GOLDEN_SHA256 = {
 def test_golden_bytes(case):
     digest = hashlib.sha256(GOLDEN[case]().encode()).hexdigest()
     assert digest == GOLDEN_SHA256[case]
+
+
+# bench/pinned.json holds the sha256 of every catalogued plan's SVG; it is
+# read here, never written.
+PINNED = Path(__file__).resolve().parent.parent / "bench" / "pinned.json"
+
+
+def test_pinned_plan_digests():
+    plans = json.loads(PINNED.read_text())["plans"]
+    drift = []
+    for entry in plans:
+        svg = plan_svg(getattr(chains, entry["builder"] + "_plan")(*entry["params"]))
+        if hashlib.sha256(svg.encode()).hexdigest() != entry["sha256"]:
+            drift.append((entry["builder"], entry["params"]))
+    assert len(plans) == 922
+    assert drift == []
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("side", float("nan"), ValueError), ("side", float("inf"), ValueError),
+    ("side", 10 ** 400, ValueError), ("side", 0, ValueError), ("side", -2.5, ValueError),
+    ("side", "40", TypeError), ("side", True, TypeError), ("side", None, TypeError),
+    ("margin", float("-inf"), ValueError), ("margin", -0.5, ValueError),
+    ("margin", "20", TypeError), ("margin", False, TypeError),
+])
+def test_render_options_reject_bad_lengths(field, value, error):
+    with pytest.raises(error, match=field):
+        RenderOptions(**{field: value})
+
+
+def test_render_options_take_ints_and_a_zero_margin():
+    text = chain_svg(triangle_chain(1), RenderOptions(side=10, margin=0))
+    assert 'width="10.00" height="8.66"' in text
+    assert chain_svg(triangle_chain(1), RenderOptions(side=10.0, margin=0.0)) == text
+
+
+def test_sort_key_orders_as_rank_then_repr():
+    # The draw order was (rank, repr(cell)); the cheaper key must keep it,
+    # across kinds, signs and integers whose digits prefix one another.
+    from simplexring.render import _RANK, _sort_key
+
+    values = (-12, -10, -2, -1, 0, 1, 2, 9, 10, 11, 19, 100, 101)
+    cells = [("face", r, c, o) for r in values for c in values for o in (UP, DOWN)]
+    cells += [("edge", (r, c), (r + 1, c - 10)) for r in values for c in values]
+    cells += [("edge", (r, c), (r, c + 1)) for r in values for c in values]
+    cells += [("vertex", r, c) for r in values for c in values]
+    cells += [(kind, i) for kind in ("point", "interval") for i in values]
+    rng = random.Random(5)
+    rng.shuffle(cells)
+    assert sorted(cells, key=_sort_key) == sorted(cells, key=lambda c: (_RANK[c[0]], repr(c)))
