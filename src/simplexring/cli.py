@@ -11,14 +11,20 @@ refused budget, a number too long to print) or an OSError (`render --out`)
 into an `error: ...` line and exit 2.
 
 Each command imports the library modules it uses when it runs, so a
-process pays only for those.
+process pays only for those.  A well-formed command line never loads
+argparse either: `_read` turns it into the namespace argparse would build,
+driven by the same SYNTAX table, and main() hands everything else (help,
+abbreviations, `--`, missing, extra or bad arguments) to the argparse
+parser of `build_parser`, which stays the one writer of usage, help and
+error text.  JSON goes out through `_json`, which writes the bytes
+`json.dumps` does for the values the commands print.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import sys
+from types import SimpleNamespace
 
 # The most work each command may start: (limit, what the estimate counts).
 LIMITS = {
@@ -60,6 +66,10 @@ def _digits_past_limit() -> str:
     return f"more than {sys.get_int_max_str_digits()} digits"
 
 
+def _result_past_limit() -> str:
+    return f"the result holds an integer with {_digits_past_limit()}, the most Python prints"
+
+
 def _shown(text: str) -> str:
     """An input as an error message quotes it: at most about 40 characters."""
     return repr(text) if len(text) <= 40 else f"{text[:30]!r}... ({len(text)} characters)"
@@ -70,9 +80,11 @@ def _int_option(text: str) -> int:
     try:
         return int(text)
     except ValueError as exc:
+        from argparse import ArgumentTypeError
+
         if _DIGIT_LIMIT in str(exc):
-            raise argparse.ArgumentTypeError(f"{_shown(text)} has {_digits_past_limit()}") from None
-        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+            raise ArgumentTypeError(f"{_shown(text)} has {_digits_past_limit()}") from None
+        raise ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
 
 
 def _parse_range(text: str):
@@ -276,6 +288,83 @@ SYNTAX = {
 }
 
 
+def _is_value(text: str) -> bool:
+    """Whether argparse reads `text` as a value: no leading '-', or a negative int.
+
+    argparse also takes '-', '-1.5' and text with a space as values; those
+    are left to it.
+    """
+    return not text.startswith("-") or (text[1:].isdigit() and text.isascii())
+
+
+_BAD = object()
+
+
+def _converted(options, text):
+    """`text` as argparse stores it for an argument with these options, else _BAD."""
+    kind = options.get("type")
+    try:
+        value = text if kind is None else kind(text)
+    except Exception:  # argparse calls the type again, and reports or raises it
+        return _BAD
+    return _BAD if "choices" in options and value not in options["choices"] else value
+
+
+def _read(argv):
+    """The namespace `build_parser(argv[0]).parse_args(argv)` returns, or None.
+
+    It reads only the well-formed command lines: a command, then its exact
+    flags (`--flag value` or `--flag=value`) and positionals in any order,
+    each value passing the flag's type and choices, every required argument
+    present.  Anything else is None, and argparse reads it.
+    """
+    if not argv or argv[0] not in SYNTAX:
+        return None
+    arguments = SYNTAX[argv[0]][1]
+    flags = {flag: options for flag, options in arguments if flag.startswith("--")}
+    wanted = [options for flag, options in arguments if not flag.startswith("--")]
+    seen, positionals = {}, []
+    rest = iter(argv[1:])
+    for text in rest:
+        if _is_value(text):
+            if len(positionals) == len(wanted):
+                return None
+            value = _converted(wanted[len(positionals)], text)
+            positionals.append(value)
+        else:
+            flag, equals, value = text.partition("=")
+            options = flags.get(flag)
+            if options is None:
+                return None
+            if options.get("action") == "store_true":
+                if equals:
+                    return None
+                value = True
+            else:
+                if not equals:
+                    value = next(rest, None)
+                    if value is None or not _is_value(value):
+                        return None
+                value = _converted(options, value)
+            seen[flag] = value
+        if value is _BAD:
+            return None
+    if len(positionals) < len(wanted):
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for flag, options in arguments:
+        if not flag.startswith("--"):
+            value = positionals.pop(0)
+        elif flag in seen:
+            value = seen[flag]
+        elif options.get("required"):
+            return None
+        else:
+            value = options.get("default", False if options.get("action") == "store_true" else None)
+        setattr(args, options.get("dest", flag.lstrip("-")), value)
+    return args
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The argument parser; given a command's name, it holds only that command.
 
@@ -284,6 +373,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     reads its command's arguments, and prints usage, errors and help, byte
     for byte as the full parser does.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="simplexring",
         description="Exact arithmetic of scaled simplex numbers.",
@@ -302,10 +393,40 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _print_json(value) -> None:
-    import json  # loaded only by the commands that print JSON
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
-    print(json.dumps(value))
+
+def _json_char(char: str) -> str:
+    if " " <= char <= "~":
+        return _ESCAPES.get(char, char)
+    code = ord(char)
+    if code > 0xFFFF:  # a surrogate pair
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return _ESCAPES.get(char) or f"\\u{code:04x}"
+
+
+def _json(value) -> str:
+    """`json.dumps(value)` for None, bools, ints, strs, lists, tuples and str-keyed dicts.
+
+    An int past Python's digit limit raises the same ValueError; any other
+    type raises TypeError.
+    """
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        return '"' + "".join(map(_json_char, value)) + '"'
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        return "{" + ", ".join(f"{_json(key)}: {_json(item)}" for key, item in value.items()) + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _cmd_eval(args) -> int:
@@ -313,7 +434,7 @@ def _cmd_eval(args) -> int:
     from .ring import element_to_json
 
     value = evaluate_expression(parse(args.expression, args.dim), args.dim, args.extended)
-    _print_json(element_to_json(value))
+    print(_json(element_to_json(value)))
     return 0
 
 
@@ -334,7 +455,7 @@ def _cmd_factor(args) -> int:
     from .witnesses import factor_report
 
     _budget("factor", args.z, "factor")
-    _print_json(factor_report(args.z))
+    print(_json(factor_report(args.z)))
     return 0
 
 
@@ -347,7 +468,7 @@ def _cmd_eulerian(args) -> int:
         payload = {"rows": {str(m): list(eulerian_row(m)) for m in range(1, args.m + 1)}}
         if args.volumes:
             payload["volumes"] = [str(v) for v in slice_volumes(args.m)]
-        _print_json(payload)
+        print(_json(payload))
         return 0
     width = len(str(max(last)))
     for m in range(1, args.m + 1):
@@ -362,14 +483,18 @@ def _cmd_worpitzky(args) -> int:
     from .eulerian import worpitzky
 
     _budget("worpitzky", args.m, "eulerian")
+    # n^m has at least m*(d-1)+1 digits when n has d: refuse what cannot be printed.
+    most = sys.get_int_max_str_digits()
+    if most and args.m * (len(str(abs(args.n))) - 1) + 1 > most:
+        raise ValueError(_result_past_limit())
     value = worpitzky(args.n, args.m)
-    _print_json({
+    print(_json({
         "n": args.n,
         "m": args.m,
         "value": value,
         "power": args.n ** args.m,
         "equal": value == args.n ** args.m,
-    })
+    }))
     return 0
 
 
@@ -402,12 +527,12 @@ def _cmd_series(args) -> int:
     _budget("series", args.terms, "series")
     element = series_partial_sum(args.terms)
     a2, a1 = element.coeffs
-    _print_json({
+    print(_json({
         "terms": args.terms,
         "element": element_to_json(element),
         "a2": str(a2),
         "a1": str(a1),
-    })
+    }))
     return 0
 
 
@@ -418,7 +543,7 @@ def _cmd_slabs(args) -> int:
     counts = chains.tetrahedron_slabs(args.n)
     weights = eulerian_row(3)
     volume = sum(c * w for c, w in zip(counts, weights))
-    _print_json({"n": args.n, "counts": list(counts), "weighted_volume": volume})
+    print(_json({"n": args.n, "counts": list(counts), "weighted_volume": volume}))
     return 0
 
 
@@ -437,17 +562,18 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read(argv)
+    if args is None:
+        try:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         message = str(exc)
         if _DIGIT_LIMIT in message:  # inputs are checked, so this is output
-            message = f"the result holds an integer with {_digits_past_limit()}, the most Python prints"
+            message = _result_past_limit()
         print(f"error: {message}", file=sys.stderr)
         return 2
 

@@ -8,12 +8,13 @@ numbers.  That is all the combinatorics the higher-dimensional ring needs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from ._record import Record
-from .ring import OrthElement
+
+# `fractions` (with `decimal`) and `.ring` load inside the functions that use
+# them, so `slabs`, `worpitzky` and `eulerian` without `--volumes` load neither.
 
 
 @lru_cache(maxsize=None)
@@ -87,6 +88,8 @@ def worpitzky(n: int, m: int) -> int:
 
 def slice_volumes(m: int) -> tuple:
     """Volumes V(m, k) = A(m, k)/m! of the m cube slices; they sum to 1."""
+    from fractions import Fraction
+
     fact = factorial(m)
     return tuple(Fraction(a, fact) for a in eulerian_row(m))
 
@@ -115,6 +118,8 @@ class SliceBasisVector(Record):
 
 def slice_decomposition(n: int, m: int) -> SliceBasisVector:
     """Side-n simplex over the slice pieces: piece k occurs C(n+m-k, m) times."""
+    from fractions import Fraction
+
     if m < 1:
         raise ValueError("m must be >= 1")
     fact = factorial(m)
@@ -124,6 +129,8 @@ def slice_decomposition(n: int, m: int) -> SliceBasisVector:
 
 def _poly_mul_linear(coeffs: list, a: int) -> list:
     """Multiply a little-endian polynomial by (x + a)."""
+    from fractions import Fraction
+
     out = [Fraction(0)] * (len(coeffs) + 1)
     for i, c in enumerate(coeffs):
         out[i] += c * a
@@ -139,6 +146,8 @@ def orthogonal_basis_matrix(m: int) -> tuple:
     polynomial in n.  Applying the matrix to slice_decomposition(n, m)
     yields the power vector (n^m, ..., n).
     """
+    from fractions import Fraction
+
     if m < 1:
         raise ValueError("m must be >= 1")
     fact = factorial(m)
@@ -174,6 +183,8 @@ def apply_basis_matrix(matrix, element: OrthElement) -> SliceBasisVector:
 
 def embed_nd(n: int, m: int) -> OrthElement:
     """Side-n m-simplex in the orthogonal basis: (n^m, ..., n)."""
+    from .ring import OrthElement
+
     if m < 1:
         raise ValueError("m must be >= 1")
     return OrthElement(m, False, tuple(n ** i for i in range(m, 0, -1)))

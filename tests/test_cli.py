@@ -366,7 +366,10 @@ PAST_LIMIT = f"more than {DIGITS} digits"
     (["eval", "<" + "1" * (DIGITS + 1) + ">"], f"integer has {PAST_LIMIT} (at offset 1)"),
     (["slabs", "--n", NINES], f"the result holds an integer with {PAST_LIMIT}"),
     (["eval", "<" + "9" * 2500 + ">"], f"the result holds an integer with {PAST_LIMIT}"),
-], ids=["range", "range-text", "factor", "factor-text", "eval-input", "slabs", "eval-output"])
+    # n^100 has at least 100 * 999 + 1 digits: refused before the power is taken
+    (["worpitzky", "--n", "9" * 1000, "--m", "100"], f"the result holds an integer with {PAST_LIMIT}"),
+], ids=["range", "range-text", "factor", "factor-text", "eval-input", "slabs", "eval-output",
+        "worpitzky"])
 def test_numbers_past_the_digit_limit_are_named(capsys, argv, says):
     code, out, err = _run(capsys, *argv)
     assert code == 2 and out == ""
@@ -407,9 +410,11 @@ def test_one_command_parser_matches_the_full_parser(capsys, argv):
 
 
 def test_parser_holds_one_command_only_when_named():
+    import argparse
+
     def commands(first):
         return [list(action.choices) for action in cli.build_parser(first)._actions
-                if isinstance(action, cli.argparse._SubParsersAction)]
+                if isinstance(action, argparse._SubParsersAction)]
 
     assert commands("slabs") == [["slabs"]]
     for first in (None, "-h", "--help", "nope"):

@@ -28,19 +28,21 @@ def _python(code, *flags):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def _loaded_by(argv, *flags):
+def _loaded_by(argv, *flags, exit_code=0):
     """Modules a fresh `simplexring.cli.main(argv)` leaves loaded.
 
-    The child writes the JSON list by hand and swaps `sys.stdout` itself,
-    so it imports neither `json` nor `contextlib` on the command's behalf.
+    The child writes the JSON list by hand and swaps `sys.stdout` and
+    `sys.stderr` itself, so it imports neither `json` nor `contextlib` on
+    the command's behalf.
     """
     names = _python(
         "import io, sys\n"
         "from simplexring.cli import main\n"
-        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        "streams = sys.stdout, sys.stderr\n"
+        "sys.stdout, sys.stderr = io.StringIO(), io.StringIO()\n"
         f"code = main({argv!r})\n"
-        "sys.stdout = stdout\n"
-        "assert code == 0, code\n"
+        "sys.stdout, sys.stderr = streams\n"
+        f"assert code == {exit_code}, code\n"
         "print('[' + ', '.join(f'\"{name}\"' for name in sorted(sys.modules)) + ']')",
         *flags,
     )
@@ -66,26 +68,47 @@ def test_render_loads_no_fraction_or_witness_code():
     assert not {"fractions", "simplexring.witnesses", "simplexring.expr"} & loaded
 
 
-# One run of every command.  None loads the modules `dataclasses` and
-# `typing` pull in, and the commands that print no JSON leave `json` alone.
-COMMANDS = [
-    (["eval", "2*<3> + (star(3,2) - <1>)"], True),
-    (["verify", "--identity", "closed2", "--range=0..1"], False),
-    (["factor", "35"], True),
-    (["eulerian", "--m", "4", "--json"], True),
-    (["worpitzky", "--n", "3", "--m", "2"], True),
-    (["render", "--plan", "triangle", "--n", "2"], False),
-    (["series", "--terms", "3"], True),
-    (["slabs", "--n", "4"], True),
-]
+# One run of every command, and whether it loads `fractions` (which loads
+# `decimal`).  No success path loads argparse or json, nor the modules
+# `dataclasses` and `typing` pull in.
+COMMANDS = {
+    "eval": (["eval", "2*<3> + (star(3,2) - <1>)"], True),
+    "verify": (["verify", "--identity", "closed2", "--range=0..1"], True),
+    "verify-worpitzky": (["verify", "--identity", "worpitzky", "--range=0..1"], False),
+    "factor": (["factor", "35"], False),
+    "eulerian": (["eulerian", "--m", "4", "--json"], False),
+    "eulerian-text": (["eulerian", "--m", "4"], False),
+    "eulerian-volumes": (["eulerian", "--m", "4", "--json", "--volumes"], True),
+    "worpitzky": (["worpitzky", "--n", "3", "--m", "2"], False),
+    "render": (["render", "--plan", "triangle", "--n", "2"], False),
+    "series": (["series", "--terms", "3"], True),
+    "slabs": (["slabs", "--n", "4"], False),
+}
 
 
-@pytest.mark.parametrize("argv, prints_json", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
-def test_command_loads_no_introspection_modules(argv, prints_json):
+@pytest.mark.parametrize("argv, loads_fractions", COMMANDS.values(), ids=COMMANDS)
+def test_command_loads_no_introspection_modules(argv, loads_fractions):
     # -S skips `site`, which would load some of these modules for every process.
     loaded = _loaded_by(argv, "-S")
     assert not {"dataclasses", "inspect", "ast", "typing"} & loaded
-    assert ("json" in loaded) == prints_json
+    assert "json" not in loaded
+    assert ("fractions" in loaded) == ("decimal" in loaded) == loads_fractions
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS.values()], ids=COMMANDS)
+def test_command_reads_its_arguments_without_argparse(argv):
+    assert not {"argparse", "gettext", "locale"} & _loaded_by(argv, "-S")
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["slabs", "--help"], 0),
+    (["slabs", "--n", "x"], 2),
+    (["factor", "35", "36"], 2),
+    (["eval", "<1>", "--dim", "4"], 2),
+    ([], 2),
+], ids=["help", "bad-int", "extra", "bad-choice", "no-command"])
+def test_help_and_errors_come_from_argparse(argv, exit_code):
+    assert "argparse" in _loaded_by(argv, "-S", exit_code=exit_code)
 
 
 def test_exported_names_resolve_to_their_definitions():
