@@ -1,9 +1,10 @@
 """Immutable records: the one base behind the library's value classes.
 
 A record class lists its fields, in order, in `__slots__`, and writes its
-own `__init__`: that checks the arguments and sets each field with
-`object.__setattr__`.  From `__slots__` alone, Record gives every such
-class what a frozen dataclass would:
+own `__init__`: that checks and converts the arguments, then stores them
+with one `self._set(...)` call, in `__slots__` order.  `_set` is the only
+place that writes a field past the refusal below.  From `__slots__` alone,
+Record gives every such class what a frozen dataclass would:
 
 * assigning or deleting any attribute raises AttributeError;
 * `==` compares the field tuples of two records of the same class, and
@@ -13,12 +14,20 @@ class what a frozen dataclass would:
 * `__reduce__` rebuilds a record through its `__init__`, so copy, deepcopy
   and pickle work and re-run the checks.
 
+A class whose equality is not field equality (`Chain`, `Triple`) keeps its
+own `__eq__`, `__hash__` and `repr`, and takes the rest from here.
+
 This module imports nothing, so a record costs no import at start-up.
 """
 
 
 class Record:
     __slots__ = ()
+
+    def _set(self, *values):
+        write = object.__setattr__  # one lookup per record, not per field
+        for name, value in zip(self.__slots__, values):
+            write(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

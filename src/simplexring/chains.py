@@ -33,7 +33,7 @@ _KINDS_1D = {"point", "segment", "open_segment"}
 _KINDS_2D = {"vertex", "triangle", "closed_triangle", "open_triangle"}
 
 
-class Chain:
+class Chain(Record):
     """Finitely supported integer multiplicities on lattice cells.
 
     Immutable once built; zero entries are dropped so equality is equality
@@ -47,7 +47,6 @@ class Chain:
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         tags = ("interval", "point") if dim == 1 else ("face", "edge", "vertex")
-        self.dim = dim
         store = {}
         for cell, mult in dict(cells or {}).items():
             if cell[0] not in tags:
@@ -56,7 +55,7 @@ class Chain:
                 raise TypeError(f"multiplicity of {cell!r} must be an integer, got {mult!r}")
             if mult:
                 store[cell] = mult
-        self._cells = store
+        self._set(dim, store)
 
     def multiplicity(self, cell) -> int:
         return self._cells.get(cell, 0)
@@ -144,12 +143,7 @@ class PlacedPiece(Record):
             raise ValueError("multiplicity must be >= 1")
         if orientation not in (UP, DOWN):
             raise ValueError("orientation must be 'up' or 'down'")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "orientation", orientation)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "multiplicity", multiplicity)
+        self._set(kind, position, size, orientation, sign, multiplicity)
 
     @property
     def dim(self) -> int:
@@ -164,8 +158,7 @@ class PlacementPlan(Record):
         for piece in pieces:
             if piece.dim != dim:
                 raise ValueError(f"piece {piece} does not live in dimension {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "pieces", pieces)
+        self._set(dim, pieces)
 
 
 def face_cell(r: int, c: int, orientation: str) -> tuple:
@@ -480,9 +473,7 @@ class TilePiece(Record):
             raise ValueError(f"orientation must be 'up' or 'down', got {orientation!r}")
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "orientation", orientation)
-        object.__setattr__(self, "sign", sign)
+        self._set(size, orientation, sign)
 
 
 def triangle_window(n: int, position=(0, 0)) -> frozenset:

@@ -8,24 +8,28 @@ numbers.  That is all the combinatorics the higher-dimensional ring needs.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial
 
 from ._record import Record
 
 # `fractions` (with `decimal`) and `.ring` load inside the functions that use
 # them, so `slabs`, `worpitzky` and `eulerian` without `--volumes` load neither.
+# A plain dict memoises the rows: `functools` would load `collections`.
+_ROWS = {}
 
 
-@lru_cache(maxsize=None)
 def eulerian_row(m: int) -> tuple:
     """Row m of the Eulerian triangle, entries A(m, 0) .. A(m, m-1)."""
+    row = _ROWS.get(m)
+    if row is not None:
+        return row
     if m < 1:
         raise ValueError("m must be >= 1")
     row = (1,)
     for size in range(2, m + 1):
         padded = (0, *row, 0)
         row = tuple((size - k) * padded[k] + (k + 1) * padded[k + 1] for k in range(size))
+    _ROWS[m] = row
     return row
 
 
@@ -74,13 +78,7 @@ def worpitzky(n: int, m: int) -> int:
     """
     row = eulerian_row(m)
     first = sum(row[k] * binomial(n + k, m) for k in range(m))
-    fact = factorial(m)
-    second = 0
-    for k in range(1, m + 1):
-        num = falling_factorial(n + m - k, m)
-        if num % fact:
-            raise ArithmeticError(f"{m}! does not divide the falling factorial of {n + m - k}")
-        second += row[k - 1] * (num // fact)
+    second = sum(row[k - 1] * binomial(n + m - k, m) for k in range(1, m + 1))
     if first != second:
         raise ArithmeticError(f"the two summation forms disagree at n={n}, m={m}")
     return first
@@ -104,8 +102,7 @@ class SliceBasisVector(Record):
             raise ValueError("dim must be >= 1")
         if len(coeffs) != dim:
             raise ValueError(f"need {dim} slice coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs", coeffs)
+        self._set(dim, coeffs)
 
     def volume(self):
         """Total volume, normalising the k-th unit piece to A(m, k-1).

@@ -42,42 +42,38 @@ class ExpressionError(ValueError):
 
 
 class Lit(Record):
-    __slots__ = ("scale", "suffix", "negated")
+    __slots__ = ("scale", "suffix", "negated")  # suffix: None, "0" or "10"
 
     def __init__(self, scale: int, suffix: str | None = None, negated: bool = False):
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "suffix", suffix)  # None, "0" or "10"
-        object.__setattr__(self, "negated", negated)
+        self._set(scale, suffix, negated)
 
 
 class Star(Record):
     __slots__ = ("n", "m")
 
     def __init__(self, n: int, m: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+        self._set(n, m)
 
 
 class Group(Record):
     __slots__ = ("inner",)
 
     def __init__(self, inner: Expr):
-        object.__setattr__(self, "inner", inner)
+        self._set(inner)
 
 
 class Term(Record):
     __slots__ = ("coeff", "atom")
 
     def __init__(self, coeff: int, atom: Lit | Star | Group):
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "atom", atom)
+        self._set(coeff, atom)
 
 
 class Expr(Record):
-    __slots__ = ("terms",)
+    __slots__ = ("terms",)  # (sign, term) pairs; the first sign is +1
 
     def __init__(self, terms: tuple):
-        object.__setattr__(self, "terms", terms)  # (sign, term) pairs; the first sign is +1
+        self._set(terms)
 
 
 _TOKEN = re.compile(

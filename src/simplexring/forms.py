@@ -45,9 +45,7 @@ class FormalCombination(Record):
                     f"literal {lit} does not belong to the "
                     f"(dim={dim}, extended={extended}) family"
                 )
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "extended", extended)
-        object.__setattr__(self, "terms", terms)
+        self._set(dim, extended, terms)
 
     def simplify(self) -> "FormalCombination":
         """Merge equal literals and drop zero coefficients, keeping first-seen order."""

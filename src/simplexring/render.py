@@ -47,13 +47,7 @@ class RenderOptions(Record):
             raise ValueError(f"side must be > 0, got {side!r}")
         if margin < 0:
             raise ValueError(f"margin must be >= 0, got {margin!r}")
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "margin", margin)
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "positive_open", positive_open)
-        object.__setattr__(self, "negative", negative)
-        object.__setattr__(self, "cancelled", cancelled)
-        object.__setattr__(self, "annotate", annotate)
+        self._set(side, margin, positive, positive_open, negative, cancelled, annotate)
 
 
 def _fmt(x: float) -> str:

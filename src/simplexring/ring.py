@@ -293,10 +293,7 @@ class SimplexLiteral(Record):
             raise ValueError("literal dimension must be >= 1")
         if sign not in (1, -1):
             raise ValueError("literal sign must be +1 or -1")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "scale", _int_scale(scale))
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "extended", extended)
+        self._set(dim, _int_scale(scale), sign, extended)
 
 
 _ZERO2 = GeomElement2(0, 0)
@@ -323,10 +320,10 @@ def embed_literal(lit: SimplexLiteral):
     return -value if lit.sign < 0 else value
 
 
-def literal_orth(lit: SimplexLiteral, signed: bool = True) -> OrthElement:
+def literal_orth(lit: SimplexLiteral) -> OrthElement:
     """Orthogonal-basis value of a literal: powers of the scale."""
     value = _powers(lit.dim, lit.extended, lit.scale)
-    return -value if signed and lit.sign < 0 else value
+    return -value if lit.sign < 0 else value
 
 
 def series_partial_sum(terms: int) -> OrthElement:

@@ -27,8 +27,7 @@ class QSqrt3(Record):
     __slots__ = ("a", "b")
 
     def __init__(self, a: Fraction, b: Fraction = Fraction(0)):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
+        self._set(_frac(a), _frac(b))
 
     def __add__(self, other):
         if not _coercible(other):
@@ -127,11 +126,6 @@ T_I = t_element(i=1)
 T_J = t_element(j=1)
 
 
-def t_mul(u: TElement, v: TElement) -> TElement:
-    """Product in T via the structure table: the checked u * v."""
-    return u * v
-
-
 def epsilon_pair():
     """eps = (1 - sqrt(3) i)/2 and eps_star = (-1 - sqrt(3) i)/2.
 
@@ -144,15 +138,13 @@ def epsilon_pair():
     return eps, eps_star
 
 
-class Triple:
+class Triple(Record):
     """Translation class of (n, k, l); the canonical member has l = 0."""
 
     __slots__ = ("n", "k", "l")
 
     def __init__(self, n: int, k: int, l: int = 0):
-        self.n = _int_scale(n)
-        self.k = _int_scale(k)
-        self.l = _int_scale(l)
+        self._set(_int_scale(n), _int_scale(k), _int_scale(l))
 
     def normalize(self) -> "Triple":
         return Triple(self.n - self.l, self.k - self.l, 0)
@@ -221,4 +213,4 @@ def triple_to_hypercomplex(t: Triple):
     """
     eps, eps_star = epsilon_pair()
     v = t.n * T_ONE + t.k * eps + t.l * eps_star
-    return t_mul(v, v), v
+    return v * v, v

@@ -25,11 +25,7 @@ class Witness(Record):
     __slots__ = ("z", "a", "b", "c", "d")
 
     def __init__(self, z: int, a: int, b: int, c: int, d: int):
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        self._set(z, a, b, c, d)
 
     def validate(self) -> None:
         """Raise WitnessError unless both power-sum constraints and ranges hold."""
@@ -58,13 +54,7 @@ class FactorPair(Record):
     __slots__ = ("p", "q", "t", "t1", "t2", "s1", "s2")
 
     def __init__(self, p: int, q: int, t: int, t1: int, t2: int, s1: int, s2: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "t2", t2)
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "s2", s2)
+        self._set(p, q, t, t1, t2, s1, s2)
 
 
 def _is_prime(n: int) -> bool:

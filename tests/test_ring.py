@@ -194,7 +194,6 @@ def test_literal_dispatch():
 def test_literal_orth_unsigned_option():
     lit = SimplexLiteral(2, 3, sign=-1)
     assert literal_orth(lit) == OrthElement(2, False, (-9, -3))
-    assert literal_orth(lit, signed=False) == OrthElement(2, False, (9, 3))
 
 
 def test_json_round_trip():

@@ -100,6 +100,15 @@ def test_command_reads_its_arguments_without_argparse(argv):
     assert not {"argparse", "gettext", "locale"} & _loaded_by(argv, "-S")
 
 
+EULERIAN_ONLY = ["slabs", "worpitzky", "eulerian", "eulerian-text", "verify-worpitzky"]
+
+
+@pytest.mark.parametrize("argv", [COMMANDS[name][0] for name in EULERIAN_ONLY], ids=EULERIAN_ONLY)
+def test_eulerian_commands_load_no_functools(argv):
+    # eulerian_row memoises in a dict; `functools` would load `collections`.
+    assert not {"functools", "collections"} & _loaded_by(argv, "-S")
+
+
 @pytest.mark.parametrize("argv, exit_code", [
     (["slabs", "--help"], 0),
     (["slabs", "--n", "x"], 2),
