@@ -17,8 +17,31 @@ Record gives every such class what a frozen dataclass would:
 A class whose equality is not field equality (`Chain`, `Triple`) keeps its
 own `__eq__`, `__hash__` and `repr`, and takes the rest from here.
 
+`integer` is the library's one rule for an integer argument (a scale, a
+side, a dimension, a coefficient, a witness entry): every boundary that
+takes one calls it.
+
 This module imports nothing, so a record costs no import at start-up.
 """
+
+
+def integer(value, name: str, least=None) -> int:
+    """`value` as an int, else TypeError; below `least`, ValueError.
+
+    An int passes unchanged.  A rational with denominator one, such as
+    `Fraction(6, 2)`, becomes its numerator; it is found by its `numerator`
+    and `denominator`, so no `fractions` import is needed.  A bool, a
+    float, `Fraction(1, 2)` or a str raises TypeError.  Both errors name
+    the argument.
+    """
+    if type(value) is not int:
+        top = getattr(value, "numerator", None)
+        if type(top) is not int or type(value) is bool or getattr(value, "denominator", 0) != 1:
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        value = top
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 class Record:

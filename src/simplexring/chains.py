@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from ._record import Record
+from ._record import Record, integer
 
 
 class SearchSpaceError(RuntimeError):
@@ -37,13 +37,13 @@ class Chain(Record):
     """Finitely supported integer multiplicities on lattice cells.
 
     Immutable once built; zero entries are dropped so equality is equality
-    of supports with multiplicities.  A multiplicity that is not an int
-    (a float, a Fraction, a bool) raises TypeError.
+    of supports with multiplicities, which are ints (`integer`).
     """
 
     __slots__ = ("dim", "_cells")
 
     def __init__(self, dim: int, cells=None):
+        dim = integer(dim, "dim")
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         tags = ("interval", "point") if dim == 1 else ("face", "edge", "vertex")
@@ -52,7 +52,7 @@ class Chain(Record):
             if cell[0] not in tags:
                 raise ValueError(f"cell {cell!r} does not live in dimension {dim}")
             if type(mult) is not int:
-                raise TypeError(f"multiplicity of {cell!r} must be an integer, got {mult!r}")
+                mult = integer(mult, f"multiplicity of {cell!r}")
             if mult:
                 store[cell] = mult
         self._set(dim, store)
@@ -106,41 +106,35 @@ class Chain(Record):
         return f"Chain(dim={self.dim}, cells={len(self._cells)})"
 
 
-def _raise_non_int(**values):
-    """TypeError naming the first value that is not an int (a bool is not one).
-
-    Callers test `type(x) is int` inline first, since plans build many pieces.
-    """
-    for name, value in values.items():
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
 class PlacedPiece(Record):
     """One placed piece of a plan.
 
     kind: "point" / "segment" / "open_segment" in 1-d (position is an int
     offset), "vertex" / "triangle" / "closed_triangle" / "open_triangle" in
-    2-d (position is (r, c)).  Up triangles anchor at their bottom-left
-    face; down triangles anchor at their tip face.  sign flips the whole
-    piece, multiplicity repeats it.  size, sign and multiplicity must be
-    ints (a bool is not one), else TypeError.
+    2-d (position is a pair of ints (r, c)).  Up triangles anchor at their
+    bottom-left face; down triangles anchor at their tip face.  sign flips
+    the whole piece, multiplicity repeats it.  The integers follow
+    `integer`, tested inline first, since plans build many pieces.
     """
 
     __slots__ = ("kind", "position", "size", "orientation", "sign", "multiplicity")
 
     def __init__(self, kind: str, position: tuple, size: int = 1, orientation: str = UP,
                  sign: int = 1, multiplicity: int = 1):
-        if not type(size) is type(sign) is type(multiplicity) is int:
-            _raise_non_int(size=size, sign=sign, multiplicity=multiplicity)
-        if kind not in _KINDS_1D | _KINDS_2D:
+        if not (type(size) is type(sign) is type(multiplicity) is int
+                and size > 0 and multiplicity > 0):
+            size, sign = integer(size, "size", 1), integer(sign, "sign")
+            multiplicity = integer(multiplicity, "multiplicity", 1)
+        if kind in _KINDS_1D:
+            if type(position) is not int:
+                position = integer(position, "position")
+        elif kind not in _KINDS_2D:
             raise ValueError(f"unknown piece kind {kind!r}")
+        elif not (type(position) is tuple and len(position) == 2
+                  and type(position[0]) is type(position[1]) is int):
+            position = _pair(position)
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if size < 1:
-            raise ValueError("size must be >= 1")
-        if multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
         if orientation not in (UP, DOWN):
             raise ValueError("orientation must be 'up' or 'down'")
         self._set(kind, position, size, orientation, sign, multiplicity)
@@ -148,6 +142,12 @@ class PlacedPiece(Record):
     @property
     def dim(self) -> int:
         return 1 if self.kind in _KINDS_1D else 2
+
+
+def _pair(position) -> tuple:
+    if type(position) not in (tuple, list) or len(position) != 2:
+        raise TypeError(f"position must be a pair of integers, got {position!r}")
+    return (integer(position[0], "position[0]"), integer(position[1], "position[1]"))
 
 
 class PlacementPlan(Record):
@@ -313,8 +313,7 @@ def covered_cells(plan: PlacementPlan) -> frozenset:
 
 def segment_sum_plan(n: int) -> PlacementPlan:
     """Closed segment [0, n] as n closed units minus the n-1 junction points."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer(n, "n", 1)
     pieces = [PlacedPiece("segment", i) for i in range(n)]
     pieces += [PlacedPiece("point", i, sign=-1) for i in range(1, n)]
     return PlacementPlan(1, tuple(pieces))
@@ -322,8 +321,7 @@ def segment_sum_plan(n: int) -> PlacementPlan:
 
 def open_segment_plan_units(n: int) -> PlacementPlan:
     """Negated open segment (0, n) from -n closed units plus n+1 points."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer(n, "n", 1)
     pieces = [PlacedPiece("segment", i, sign=-1) for i in range(n)]
     pieces += [PlacedPiece("point", i) for i in range(n + 1)]
     return PlacementPlan(1, tuple(pieces))
@@ -331,8 +329,7 @@ def open_segment_plan_units(n: int) -> PlacementPlan:
 
 def open_segment_plan_open_units(n: int) -> PlacementPlan:
     """Same chain as open_segment_plan_units, built from negated open units."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer(n, "n", 1)
     pieces = [PlacedPiece("open_segment", i, sign=-1) for i in range(n)]
     pieces += [PlacedPiece("point", i, sign=-1) for i in range(1, n)]
     return PlacementPlan(1, tuple(pieces))
@@ -340,12 +337,13 @@ def open_segment_plan_open_units(n: int) -> PlacementPlan:
 
 def closed_triangle_chain(n: int, position=(0, 0)) -> Chain:
     """The boundary-carrying side-n triangle: every cell at multiplicity one."""
-    return Chain(2, closure_cells(triangle_face_cells(n, UP, position)))
+    return Chain(2, closure_cells(triangle_face_cells(integer(n, "n"), UP, _pair(position))))
 
 
 def triangle_chain(n: int, orientation: str = UP, position=(0, 0)) -> Chain:
     """Face-only side-n triangle chain."""
-    return Chain(2, {f: 1 for f in triangle_face_cells(n, orientation, position)})
+    faces = triangle_face_cells(integer(n, "n"), orientation, _pair(position))
+    return Chain(2, dict.fromkeys(faces, 1))
 
 
 def closed_triangle_plan(n: int) -> PlacementPlan:
@@ -356,8 +354,7 @@ def closed_triangle_plan(n: int) -> PlacementPlan:
     faces, and each vertex gets incidence-1 point units subtracted, n^2 - 1
     point units in total.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer(n, "n", 1)
     pieces = []
     up_faces = set()
     for r in range(n):
@@ -382,6 +379,7 @@ def closed_triangle_plan(n: int) -> PlacementPlan:
 
 def difference_plan(n: int, k: int) -> PlacementPlan:
     """Trapezoid <n> - <k>: remove the side-k corner triangle at the apex."""
+    n, k = integer(n, "n"), integer(k, "k")
     if not n > k > 0:
         raise ValueError("need n > k > 0")
     return PlacementPlan(2, (
@@ -397,9 +395,7 @@ def partition_plan(n: int, k: int, l: int) -> PlacementPlan:
     big one; each pairwise overlap is a small corner triangle subtracted
     once, which is the three-value closed addition drawn as a figure.
     """
-    for name, v in (("n", n), ("k", k), ("l", l)):
-        if v < 1:
-            raise ValueError(f"{name} must be >= 1")
+    n, k, l = integer(n, "n", 1), integer(k, "k", 1), integer(l, "l", 1)
     return PlacementPlan(2, (
         PlacedPiece("triangle", (0, 0), size=k + l),
         PlacedPiece("triangle", (0, k), size=n + l),
@@ -412,8 +408,7 @@ def partition_plan(n: int, k: int, l: int) -> PlacementPlan:
 
 def parallelogram_plan(n: int, k: int) -> PlacementPlan:
     """Parallelogram <n+k> - <n> - <k>: both corner cuts along one side."""
-    if n < 1 or k < 1:
-        raise ValueError("need n, k >= 1")
+    n, k = integer(n, "n", 1), integer(k, "k", 1)
     return PlacementPlan(2, (
         PlacedPiece("triangle", (0, 0), size=n + k),
         PlacedPiece("triangle", (k, 0), size=n, sign=-1),
@@ -423,9 +418,8 @@ def parallelogram_plan(n: int, k: int) -> PlacementPlan:
 
 def hexagon_plan(n: int, k: int, l: int, t: int) -> PlacementPlan:
     """Hexagon <n+k+l+t> - <n> - <k> - <l>: all three corners cut."""
-    for name, v in (("n", n), ("k", k), ("l", l), ("t", t)):
-        if v < 1:
-            raise ValueError(f"{name} must be >= 1")
+    n, k = integer(n, "n", 1), integer(k, "k", 1)
+    l, t = integer(l, "l", 1), integer(t, "t", 1)
     big = n + k + l + t
     return PlacementPlan(2, (
         PlacedPiece("triangle", (0, 0), size=big),
@@ -442,8 +436,7 @@ def chain_face_total(chain: Chain) -> int:
 
 def tetrahedron_slabs(n: int) -> tuple:
     """Slab piece counts of the side-n tetrahedron; (1,4,1)-weighted sum n^3."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer(n, "n", 1)
     return (
         n * (n + 1) * (n + 2) // 6,
         (n - 1) * n * (n + 1) // 6,
@@ -458,17 +451,15 @@ def tetrahedron_slabs(n: int) -> tuple:
 class TilePiece(Record):
     """A face-only triangle available to the tiling search.
 
-    size is an int >= 1, orientation UP or DOWN and sign +1 or -1; anything
-    else (a bool included) raises TypeError or ValueError.
+    size is an integer >= 1, orientation UP or DOWN and sign +1 or -1;
+    anything else raises TypeError or ValueError.
     """
 
     __slots__ = ("size", "orientation", "sign")
 
     def __init__(self, size: int, orientation: str = UP, sign: int = 1):
-        if not type(size) is type(sign) is int:
-            _raise_non_int(size=size, sign=sign)
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
+        if not (type(size) is type(sign) is int and size > 0):
+            size, sign = integer(size, "size", 1), integer(sign, "sign")
         if orientation not in (UP, DOWN):
             raise ValueError(f"orientation must be 'up' or 'down', got {orientation!r}")
         if sign not in (1, -1):
@@ -478,7 +469,7 @@ class TilePiece(Record):
 
 def triangle_window(n: int, position=(0, 0)) -> frozenset:
     """The face cells of the side-n up triangle, as a search window."""
-    return frozenset(triangle_face_cells(n, UP, position))
+    return frozenset(triangle_face_cells(integer(n, "n"), UP, _pair(position)))
 
 
 def _window_cells(window) -> frozenset:

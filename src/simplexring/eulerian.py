@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from ._record import Record
+from ._record import Record, integer
 
 # `fractions` (with `decimal`) and `.ring` load inside the functions that use
 # them, so `slabs`, `worpitzky` and `eulerian` without `--volumes` load neither.
@@ -20,11 +20,10 @@ _ROWS = {}
 
 def eulerian_row(m: int) -> tuple:
     """Row m of the Eulerian triangle, entries A(m, 0) .. A(m, m-1)."""
-    row = _ROWS.get(m)
+    row = _ROWS.get(m) if type(m) is int else None  # True would find row 1
     if row is not None:
         return row
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = integer(m, "m", 1)
     row = (1,)
     for size in range(2, m + 1):
         padded = (0, *row, 0)
@@ -39,8 +38,7 @@ def eulerian(m: int, k: int, method: str = "recurrence") -> int:
     Out-of-range k gives 0.  Both methods agree everywhere; keeping the
     second one callable is what lets tests pit them against each other.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m, k = integer(m, "m", 1), integer(k, "k")
     if k < 0 or k >= m:
         return 0
     if method == "recurrence":
@@ -52,8 +50,7 @@ def eulerian(m: int, k: int, method: str = "recurrence") -> int:
 
 def falling_factorial(x, m: int):
     """x(x-1)...(x-m+1); m = 0 gives 1.  Works for ints and Fractions."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = integer(m, "m", 0)
     result = x ** 0  # 1 in x's own type
     for i in range(m):
         result *= x - i
@@ -76,6 +73,7 @@ def worpitzky(n: int, m: int) -> int:
     through the row symmetry as sum of A(m,k-1) * (n+m-k)_falling(m) / m!.
     Both must agree, else ArithmeticError, and the common value is returned.
     """
+    n, m = integer(n, "n"), integer(m, "m", 1)
     row = eulerian_row(m)
     first = sum(row[k] * binomial(n + k, m) for k in range(m))
     second = sum(row[k - 1] * binomial(n + m - k, m) for k in range(1, m + 1))
@@ -88,8 +86,9 @@ def slice_volumes(m: int) -> tuple:
     """Volumes V(m, k) = A(m, k)/m! of the m cube slices; they sum to 1."""
     from fractions import Fraction
 
-    fact = factorial(m)
-    return tuple(Fraction(a, fact) for a in eulerian_row(m))
+    row = eulerian_row(m)
+    fact = factorial(len(row))
+    return tuple(Fraction(a, fact) for a in row)
 
 
 class SliceBasisVector(Record):
@@ -98,8 +97,7 @@ class SliceBasisVector(Record):
     __slots__ = ("dim", "coeffs")
 
     def __init__(self, dim: int, coeffs: tuple):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        dim = integer(dim, "dim", 1)
         if len(coeffs) != dim:
             raise ValueError(f"need {dim} slice coefficients, got {len(coeffs)}")
         self._set(dim, coeffs)
@@ -117,8 +115,7 @@ def slice_decomposition(n: int, m: int) -> SliceBasisVector:
     """Side-n simplex over the slice pieces: piece k occurs C(n+m-k, m) times."""
     from fractions import Fraction
 
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    n, m = integer(n, "n"), integer(m, "m", 1)
     fact = factorial(m)
     coeffs = tuple(Fraction(falling_factorial(n + m - k, m), fact) for k in range(1, m + 1))
     return SliceBasisVector(m, coeffs)
@@ -145,8 +142,7 @@ def orthogonal_basis_matrix(m: int) -> tuple:
     """
     from fractions import Fraction
 
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = integer(m, "m", 1)
     fact = factorial(m)
     # columns[k - 1][i] is the coefficient of n^i in C(n+m-k, m) = (n+m-k)_m / m!
     columns = []
@@ -182,6 +178,5 @@ def embed_nd(n: int, m: int) -> OrthElement:
     """Side-n m-simplex in the orthogonal basis: (n^m, ..., n)."""
     from .ring import OrthElement
 
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    n, m = integer(n, "n"), integer(m, "m", 1)
     return OrthElement(m, False, tuple(n ** i for i in range(m, 0, -1)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 import sys
 
-from ._record import Record
+from ._record import Record, integer
 from .ring import SimplexLiteral, embed_literal, representation
 from .forms import star_product, evaluate
 
@@ -106,6 +106,7 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str, dim: int):
+        dim = integer(dim, "dim")
         if dim not in (2, 3):
             raise ValueError("dimension context must be 2 or 3")
         self.text = text

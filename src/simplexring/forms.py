@@ -11,15 +11,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ._record import Record
-from .ring import (
-    OrthElement,
-    SimplexLiteral,
-    _int_scale,
-    embed_literal,
-    literal_orth,
-    representation,
-)
+from ._record import Record, integer
+from .ring import OrthElement, SimplexLiteral, embed_literal, literal_orth, representation
 
 
 class StarDomainError(ValueError):
@@ -36,7 +29,8 @@ class FormalCombination(Record):
     __slots__ = ("dim", "extended", "terms")
 
     def __init__(self, dim: int, extended: bool, terms: tuple):
-        terms = tuple((_int_scale(c), lit) for c, lit in terms)
+        dim = integer(dim, "dim", 1)
+        terms = tuple((integer(c, "coefficient"), lit) for c, lit in terms)
         for coeff, lit in terms:
             if not isinstance(lit, SimplexLiteral):
                 raise TypeError(f"term {lit!r} is not a literal")
@@ -103,9 +97,8 @@ def closed_sum(values, dim: int, extended: bool = False) -> FormalCombination:
     the constant coordinate work out.  The result's ring value equals the
     embedding of sum(values).
     """
-    values = [_int_scale(v) for v in values]
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    values = [integer(v, "value") for v in values]
+    dim = integer(dim, "dim", 1)
     if len(values) != dim + 1:
         raise ValueError(f"need {dim + 1} values for dimension {dim}, got {len(values)}")
     terms = []
@@ -124,7 +117,7 @@ def closed_sum_shifted(n, k, l, t, extended: bool = False) -> FormalCombination:
     Every subset sum of {n, k, l} is shifted by t and the bare <t> term
     closes the telescope; works for the plain and the extended family.
     """
-    n, k, l, t = map(_int_scale, (n, k, l, t))
+    n, k, l, t = integer(n, "n"), integer(k, "k"), integer(l, "l"), integer(t, "t")
     pairs = [
         (1, n + k + t), (1, n + l + t), (1, k + l + t),
         (-1, n + t), (-1, k + t), (-1, l + t),
@@ -135,7 +128,7 @@ def closed_sum_shifted(n, k, l, t, extended: bool = False) -> FormalCombination:
 
 def pairwise_sum(values) -> FormalCombination:
     """<sum(values)> from all pairwise sums minus (len-2) times each single."""
-    values = [_int_scale(v) for v in values]
+    values = [integer(v, "value") for v in values]
     count = len(values)
     if count < 3:
         raise ValueError("need at least three values")
@@ -147,8 +140,7 @@ def pairwise_sum(values) -> FormalCombination:
 
 def star_product(n: int, m: int) -> FormalCombination:
     """The star form of <n*m>: (n(n-1)/2)<2m> - n(n-2)<m>, defined for n > 2."""
-    n = _int_scale(n)
-    m = _int_scale(m)
+    n, m = integer(n, "n"), integer(m, "m")
     if n <= 2:
         raise StarDomainError(f"star_product needs n > 2, got {n}")
     return combination(2, False, [(n * (n - 1) // 2, 2 * m), (-n * (n - 2), m)])
@@ -161,7 +153,7 @@ def arithmetic_form(n: int, dim: int) -> FormalCombination:
     dim 3: the Lagrange weights on scales 3, 2, 1 (the <0> node drops out
     of the plain family), with the middle term negative.
     """
-    n = _int_scale(n)
+    n = integer(n, "n")
     if dim == 2:
         return combination(2, False, [(n * (n - 1) // 2, 2), (-n * (n - 2), 1)])
     if dim == 3:
@@ -179,8 +171,7 @@ def three_term_form(n: int, k: int) -> FormalCombination:
     Coefficients are the quadratic interpolation weights on the nodes
     k-1, k, k+1 evaluated at n.
     """
-    n = _int_scale(n)
-    k = _int_scale(k)
+    n, k = integer(n, "n"), integer(k, "k")
     d = n - k
     return combination(2, True, [
         (d * (d + 1) // 2, k + 1),
@@ -191,6 +182,5 @@ def three_term_form(n: int, k: int) -> FormalCombination:
 
 def segment_form(n: int, k: int) -> FormalCombination:
     """Segment family <n>_10 over the window <k+1>_10, <k>_10."""
-    n = _int_scale(n)
-    k = _int_scale(k)
+    n, k = integer(n, "n"), integer(k, "k")
     return combination(1, True, [(n - k, k + 1), (-(n - k - 1), k)])

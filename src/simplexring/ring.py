@@ -8,8 +8,11 @@ like the integers they came from.  Every ring here also has an orthogonal
 idempotent basis (A_m, ..., A_1, optionally A_0) that diagonalises the
 product into a componentwise one.
 
-All coefficients are exact rationals (`fractions.Fraction`).  Floats are
-rejected at the boundary; nothing in this package computes with them.
+All coefficients are exact rationals (`fractions.Fraction`, checked by
+`_frac`).  Every integer argument (a scale, a dimension, a number of terms)
+goes through `_record.integer`, which takes an int or an integral Fraction
+and refuses anything else.  Floats are rejected at the boundary; nothing in
+this package computes with them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, mul, neg, sub
 
-from ._record import Record
+from ._record import Record, integer
 
 
 class RepresentationError(ValueError):
@@ -28,17 +31,6 @@ def _frac(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating point coefficients are not allowed")
     return Fraction(value)
-
-
-def _int_scale(n) -> int:
-    """Enforce an integer (scale, coefficient) at API boundaries (denominator-one check)."""
-    if isinstance(n, bool):
-        raise TypeError("expected an integer, not bool")
-    if isinstance(n, int):
-        return n
-    if isinstance(n, Fraction) and n.denominator == 1:
-        return n.numerator
-    raise TypeError(f"expected an integer, got {n!r}")
 
 
 class Element:
@@ -188,8 +180,7 @@ class OrthElement(Element):
     has_a0 = property(lambda self: self._family[1])
 
     def __init__(self, dim: int, has_a0: bool, coeffs):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        dim = integer(dim, "dim", 1)
         super().__init__(coeffs, (dim, has_a0))
         size = dim + (1 if has_a0 else 0)
         if len(self._coeffs) != size:
@@ -210,13 +201,13 @@ def _powers(dim: int, extended: bool, n: int) -> OrthElement:
 
 def embed2(n) -> GeomElement2:
     """Side-n triangle as a geometric pair (n(n+1)/2, n(n-1)/2)."""
-    n = _int_scale(n)
+    n = integer(n, "n")
     return GeomElement2(n * (n + 1) // 2, n * (n - 1) // 2)
 
 
 def embed20(n) -> OrthElement:
     """Side-n triangle carrying its boundary: (n^2, n, 1) over A_2, A_1, A_0."""
-    return _powers(2, True, _int_scale(n))
+    return _powers(2, True, integer(n, "n"))
 
 
 def embed3(n) -> GeomElement3:
@@ -225,7 +216,7 @@ def embed3(n) -> GeomElement3:
     The reflected shapes come out automatically: embed3(-n) is the negated
     coefficient-reversal of embed3(n), e.g. embed3(-1) = (0, 0, -1).
     """
-    n = _int_scale(n)
+    n = integer(n, "n")
     return GeomElement3(
         n * (n + 1) * (n + 2) // 6,
         (n - 1) * n * (n + 1) // 6,
@@ -289,11 +280,11 @@ class SimplexLiteral(Record):
     __slots__ = ("dim", "scale", "sign", "extended")
 
     def __init__(self, dim: int, scale: int, sign: int = 1, extended: bool = False):
-        if dim < 1:
-            raise ValueError("literal dimension must be >= 1")
+        if type(sign) is not int:
+            sign = integer(sign, "sign")
         if sign not in (1, -1):
             raise ValueError("literal sign must be +1 or -1")
-        self._set(dim, _int_scale(scale), sign, extended)
+        self._set(integer(dim, "dim", 1), integer(scale, "scale"), sign, extended)
 
 
 _ZERO2 = GeomElement2(0, 0)
@@ -334,8 +325,7 @@ def series_partial_sum(terms: int) -> OrthElement:
     N-term sum is exactly 1 - (3/4)^N; the A_1 coefficient is 1 - (3/2)^N,
     whose magnitude grows without bound, so only partial sums exist here.
     """
-    if not isinstance(terms, int) or terms < 1:
-        raise ValueError("terms must be a positive integer")
+    terms = integer(terms, "terms", 1)
     return OrthElement(2, False, (1 - Fraction(3, 4) ** terms, 1 - Fraction(3, 2) ** terms))
 
 

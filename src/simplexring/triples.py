@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import Record
-from .ring import Element, GeomElement2, OrthElement, _frac, _int_scale, embed2
+from ._record import Record, integer
+from .ring import Element, GeomElement2, OrthElement, _frac, embed2
 
 
 def _coercible(value) -> bool:
@@ -144,7 +144,7 @@ class Triple(Record):
     __slots__ = ("n", "k", "l")
 
     def __init__(self, n: int, k: int, l: int = 0):
-        self._set(_int_scale(n), _int_scale(k), _int_scale(l))
+        self._set(integer(n, "n"), integer(k, "k"), integer(l, "l"))
 
     def normalize(self) -> "Triple":
         return Triple(self.n - self.l, self.k - self.l, 0)
@@ -177,15 +177,14 @@ def triple_orth(t: Triple) -> OrthElement:
 
 def triple_mul(s: Triple, t: Triple) -> Triple:
     """Closed product on canonical triples: (n1n2, n1k2 + n2k1 - 2k1k2, 0)."""
-    s = s.normalize()
-    t = t.normalize()
-    return Triple(s.n * t.n, s.n * t.k + t.n * s.k - 2 * s.k * t.k, 0)
+    n1, k1, n2, k2 = s.n - s.l, s.k - s.l, t.n - t.l, t.k - t.l
+    return Triple(n1 * n2, n1 * k2 + n2 * k1 - 2 * k1 * k2, 0)
 
 
 def triple_add(t1: Triple, t2: Triple, t3: Triple) -> Triple:
     """Componentwise sum of three canonical triples."""
-    t1, t2, t3 = t1.normalize(), t2.normalize(), t3.normalize()
-    return Triple(t1.n + t2.n + t3.n, t1.k + t2.k + t3.k, 0)
+    ts = (t1, t2, t3)
+    return Triple(sum([t.n - t.l for t in ts]), sum([t.k - t.l for t in ts]), 0)
 
 
 def triple_add_expansion(t1: Triple, t2: Triple, t3: Triple):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from ._record import Record
+from ._record import Record, integer
 
 
 class WitnessError(ValueError):
@@ -25,7 +25,7 @@ class Witness(Record):
     __slots__ = ("z", "a", "b", "c", "d")
 
     def __init__(self, z: int, a: int, b: int, c: int, d: int):
-        self._set(z, a, b, c, d)
+        self._set(*[integer(v, name) for v, name in zip((z, a, b, c, d), self.__slots__)])
 
     def validate(self) -> None:
         """Raise WitnessError unless both power-sum constraints and ranges hold."""
@@ -80,8 +80,7 @@ def composite_witness(z: int) -> Witness | None:
     squares, so scanning (a, b) in ascending order and solving the quadratic
     already yields the minimal tuple.
     """
-    if not isinstance(z, int) or z < 2:
-        raise ValueError(f"z must be an integer >= 2, got {z!r}")
+    z = integer(z, "z", 2)
     zsq = z * z
     for a in range(1, z):
         # c + d = a + b - z must be at least 2, so b >= z + 2 - a.
@@ -109,9 +108,8 @@ def witness_from_factors(x: int, y: int, m: int, n: int) -> Witness:
     a = xm + ym + xn, b = ym + xn + yn, c = ym, d = xn; both power-sum
     constraints hold identically (a is z - yn and b is z - xm).
     """
-    for name, v in (("x", x), ("y", y), ("m", m), ("n", n)):
-        if not isinstance(v, int) or v < 1:
-            raise ValueError(f"{name} must be a positive integer, got {v!r}")
+    x, y = integer(x, "x", 1), integer(y, "y", 1)
+    m, n = integer(m, "m", 1), integer(n, "n", 1)
     z = (x + y) * (m + n)
     w = Witness(z, x * m + y * m + x * n, y * m + x * n + y * n, y * m, x * n)
     w.validate()
@@ -177,8 +175,7 @@ def tarry_escott_check(left, right) -> bool:
 
 def is_one_sided_composite(n: int) -> bool:
     """True when n = 2p with p prime (witnesses with a one-sided layout)."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = integer(n, "n", 1)
     return n % 2 == 0 and _is_prime(n // 2)
 
 

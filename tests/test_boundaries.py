@@ -1,0 +1,235 @@
+"""Every integer argument of the library follows one rule, `_record.integer`.
+
+An int passes, an integral rational such as Fraction(6, 2) counts as its
+numerator, and anything else (a float, a bool, Fraction(1, 2), a str)
+raises TypeError naming the argument.  Where an argument has a least value,
+a smaller one raises ValueError naming it.  The table below lists each
+integer boundary once, as (make, name, least, good): `make(v)` passes v as
+that argument, and `good` is a value it accepts.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from simplexring._record import integer
+from simplexring.chains import (
+    Chain,
+    PlacedPiece,
+    TilePiece,
+    closed_triangle_chain,
+    closed_triangle_plan,
+    difference_plan,
+    hexagon_plan,
+    open_segment_plan_open_units,
+    open_segment_plan_units,
+    parallelogram_plan,
+    partition_plan,
+    segment_sum_plan,
+    tetrahedron_slabs,
+    triangle_chain,
+    triangle_window,
+)
+from simplexring.eulerian import (
+    SliceBasisVector,
+    embed_nd,
+    eulerian,
+    eulerian_row,
+    falling_factorial,
+    orthogonal_basis_matrix,
+    slice_decomposition,
+    worpitzky,
+)
+from simplexring.expr import evaluate_expression, parse
+from simplexring.forms import (
+    FormalCombination,
+    arithmetic_form,
+    closed_sum,
+    closed_sum_shifted,
+    combination,
+    pairwise_sum,
+    segment_form,
+    star_product,
+    three_term_form,
+)
+from simplexring.ring import (
+    OrthElement,
+    SimplexLiteral,
+    embed2,
+    embed3,
+    embed20,
+    series_partial_sum,
+)
+from simplexring.triples import Triple
+from simplexring.witnesses import (
+    Witness,
+    composite_witness,
+    factors_from_witness,
+    is_one_sided_composite,
+    witness_from_factors,
+)
+
+UP_FACE = ("face", 0, 0, "up")
+
+# id -> (make, name, least, good)
+BOUNDARIES = {
+    # ring
+    "embed2": (lambda v: embed2(v), "n", None, 3),
+    "embed3": (lambda v: embed3(v), "n", None, 3),
+    "embed20": (lambda v: embed20(v), "n", None, 3),
+    "SimplexLiteral.dim": (lambda v: SimplexLiteral(v, 2), "dim", 1, 3),
+    "SimplexLiteral.scale": (lambda v: SimplexLiteral(2, v), "scale", None, 3),
+    "SimplexLiteral.sign": (lambda v: SimplexLiteral(2, 3, v), "sign", None, 1),
+    "OrthElement.dim": (lambda v: OrthElement(v, False, (1, 2, 3)), "dim", 1, 3),
+    "series_partial_sum": (lambda v: series_partial_sum(v), "terms", 1, 3),
+    # forms
+    "FormalCombination.dim": (lambda v: FormalCombination(v, False, ()), "dim", 1, 3),
+    "FormalCombination.coefficient": (
+        lambda v: FormalCombination(2, False, ((v, SimplexLiteral(2, 1)),)),
+        "coefficient", None, 3),
+    "closed_sum.values": (lambda v: closed_sum((v, 1, 2), 2), "value", None, 3),
+    "closed_sum.dim": (lambda v: closed_sum((1, 2, 3, 4), v), "dim", 1, 3),
+    "closed_sum_shifted.n": (lambda v: closed_sum_shifted(v, 1, 2, 0), "n", None, 3),
+    "closed_sum_shifted.k": (lambda v: closed_sum_shifted(1, v, 2, 0), "k", None, 3),
+    "closed_sum_shifted.l": (lambda v: closed_sum_shifted(1, 2, v, 0), "l", None, 3),
+    "closed_sum_shifted.t": (lambda v: closed_sum_shifted(1, 2, 0, v), "t", None, 3),
+    "pairwise_sum": (lambda v: pairwise_sum((v, 1, 2)), "value", None, 3),
+    "star_product.n": (lambda v: star_product(v, 2), "n", None, 3),
+    "star_product.m": (lambda v: star_product(4, v), "m", None, 3),
+    "arithmetic_form": (lambda v: arithmetic_form(v, 3), "n", None, 3),
+    "three_term_form.n": (lambda v: three_term_form(v, 1), "n", None, 3),
+    "three_term_form.k": (lambda v: three_term_form(5, v), "k", None, 3),
+    "segment_form.n": (lambda v: segment_form(v, 1), "n", None, 3),
+    "segment_form.k": (lambda v: segment_form(5, v), "k", None, 3),
+    # triples
+    "Triple.n": (lambda v: Triple(v, 1, 0), "n", None, 3),
+    "Triple.k": (lambda v: Triple(5, v, 0), "k", None, 3),
+    "Triple.l": (lambda v: Triple(5, 1, v), "l", None, 3),
+    # chains
+    "Chain.dim": (lambda v: Chain(v, {}), "dim", None, 2),
+    "Chain.multiplicity": (
+        lambda v: Chain(2, {UP_FACE: v}), f"multiplicity of {UP_FACE!r}", None, 3),
+    "PlacedPiece.size": (lambda v: PlacedPiece("triangle", (0, 0), size=v), "size", 1, 3),
+    "PlacedPiece.sign": (lambda v: PlacedPiece("triangle", (0, 0), sign=v), "sign", None, 1),
+    "PlacedPiece.multiplicity": (
+        lambda v: PlacedPiece("vertex", (0, 0), multiplicity=v), "multiplicity", 1, 3),
+    "PlacedPiece.position": (lambda v: PlacedPiece("segment", v), "position", None, 3),
+    "PlacedPiece.position[0]": (lambda v: PlacedPiece("vertex", (v, 0)), "position[0]", None, 3),
+    "PlacedPiece.position[1]": (
+        lambda v: PlacedPiece("triangle", (0, v), size=2), "position[1]", None, 3),
+    "TilePiece.size": (lambda v: TilePiece(v), "size", 1, 3),
+    "TilePiece.sign": (lambda v: TilePiece(2, "up", v), "sign", None, 1),
+    "segment_sum_plan": (lambda v: segment_sum_plan(v), "n", 1, 3),
+    "open_segment_plan_units": (lambda v: open_segment_plan_units(v), "n", 1, 3),
+    "open_segment_plan_open_units": (lambda v: open_segment_plan_open_units(v), "n", 1, 3),
+    "closed_triangle_plan": (lambda v: closed_triangle_plan(v), "n", 1, 3),
+    "difference_plan.n": (lambda v: difference_plan(v, 1), "n", None, 3),
+    "difference_plan.k": (lambda v: difference_plan(5, v), "k", None, 3),
+    "partition_plan.n": (lambda v: partition_plan(v, 1, 2), "n", 1, 3),
+    "partition_plan.k": (lambda v: partition_plan(1, v, 2), "k", 1, 3),
+    "partition_plan.l": (lambda v: partition_plan(1, 2, v), "l", 1, 3),
+    "parallelogram_plan.n": (lambda v: parallelogram_plan(v, 1), "n", 1, 3),
+    "parallelogram_plan.k": (lambda v: parallelogram_plan(1, v), "k", 1, 3),
+    "hexagon_plan.n": (lambda v: hexagon_plan(v, 1, 1, 1), "n", 1, 3),
+    "hexagon_plan.k": (lambda v: hexagon_plan(1, v, 1, 1), "k", 1, 3),
+    "hexagon_plan.l": (lambda v: hexagon_plan(1, 1, v, 1), "l", 1, 3),
+    "hexagon_plan.t": (lambda v: hexagon_plan(1, 1, 1, v), "t", 1, 3),
+    "tetrahedron_slabs": (lambda v: tetrahedron_slabs(v), "n", 1, 3),
+    "closed_triangle_chain.n": (lambda v: closed_triangle_chain(v), "n", None, 3),
+    "closed_triangle_chain.position": (
+        lambda v: closed_triangle_chain(2, (v, 0)), "position[0]", None, 3),
+    "triangle_chain.n": (lambda v: triangle_chain(v), "n", None, 3),
+    "triangle_chain.position": (
+        lambda v: triangle_chain(2, "down", (0, v)), "position[1]", None, 3),
+    "triangle_window.n": (lambda v: triangle_window(v), "n", None, 3),
+    "triangle_window.position": (lambda v: triangle_window(2, (v, 1)), "position[0]", None, 3),
+    # eulerian
+    "eulerian_row": (lambda v: eulerian_row(v), "m", 1, 3),
+    "eulerian.m": (lambda v: eulerian(v, 1), "m", 1, 3),
+    "eulerian.k": (lambda v: eulerian(4, v), "k", None, 3),
+    "worpitzky.n": (lambda v: worpitzky(v, 3), "n", None, 3),
+    "worpitzky.m": (lambda v: worpitzky(2, v), "m", 1, 3),
+    "falling_factorial": (lambda v: falling_factorial(5, v), "m", 0, 3),
+    "slice_decomposition.n": (lambda v: slice_decomposition(v, 3), "n", None, 3),
+    "slice_decomposition.m": (lambda v: slice_decomposition(2, v), "m", 1, 3),
+    "orthogonal_basis_matrix": (lambda v: orthogonal_basis_matrix(v), "m", 1, 3),
+    "SliceBasisVector.dim": (lambda v: SliceBasisVector(v, (1, 2, 3)), "dim", 1, 3),
+    "embed_nd.n": (lambda v: embed_nd(v, 3), "n", None, 3),
+    "embed_nd.m": (lambda v: embed_nd(2, v), "m", 1, 3),
+    # witnesses
+    "Witness.z": (lambda v: Witness(v, 11, 34, 4, 6), "z", None, 35),
+    "Witness.a": (lambda v: Witness(35, v, 34, 4, 6), "a", None, 11),
+    "Witness.b": (lambda v: Witness(35, 11, v, 4, 6), "b", None, 34),
+    "Witness.c": (lambda v: Witness(35, 11, 34, v, 6), "c", None, 4),
+    "Witness.d": (lambda v: Witness(35, 11, 34, 4, v), "d", None, 6),
+    "composite_witness": (lambda v: composite_witness(v), "z", 2, 35),
+    "witness_from_factors.x": (lambda v: witness_from_factors(v, 1, 1, 1), "x", 1, 3),
+    "witness_from_factors.y": (lambda v: witness_from_factors(1, v, 1, 1), "y", 1, 3),
+    "witness_from_factors.m": (lambda v: witness_from_factors(1, 1, v, 1), "m", 1, 3),
+    "witness_from_factors.n": (lambda v: witness_from_factors(1, 1, 1, v), "n", 1, 3),
+    "is_one_sided_composite": (lambda v: is_one_sided_composite(v), "n", 1, 3),
+    # expr
+    "parse.dim": (lambda v: parse("<1>", v), "dim", None, 3),
+}
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_integer_boundary(boundary):
+    make, name, least, good = BOUNDARIES[boundary]
+    for bad in (2.5, True, Fraction(1, 2), "3"):
+        with pytest.raises(TypeError) as info:
+            make(bad)
+        assert str(info.value) == f"{name} must be an integer, got {bad!r}"
+    assert make(Fraction(2 * good, 2)) == make(good)
+    if least is not None:
+        with pytest.raises(ValueError) as info:
+            make(least - 1)
+        assert str(info.value) == f"{name} must be >= {least}, got {least - 1}"
+
+
+# Each of these returned an answer before every boundary called the rule.
+USED_TO_PASS = {
+    "tetrahedron_slabs(2.5)": lambda: tetrahedron_slabs(2.5),
+    "PlacedPiece('segment', 2.5)": lambda: PlacedPiece("segment", 2.5),
+    "PlacedPiece('vertex', (0.5, 0))": lambda: PlacedPiece("vertex", (0.5, 0)),
+    "PlacedPiece('point', (0, 0))": lambda: PlacedPiece("point", (0, 0)),
+    "factors_from_witness(Witness(35.0, ...))":
+        lambda: factors_from_witness(Witness(35.0, 11, 34, 4, 6)),
+    "combination(2.0, ...)": lambda: combination(2.0, False, [(1, 2)]),
+    "evaluate_expression(..., 2.0)": lambda: evaluate_expression(parse("<1>"), 2.0),
+    "Chain(True, {})": lambda: Chain(True, {}),
+    "eulerian_row(True)": lambda: eulerian_row(True),
+    "series_partial_sum(True)": lambda: series_partial_sum(True),
+    "witness_from_factors(True, 1, 1, 1)": lambda: witness_from_factors(True, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", USED_TO_PASS)
+def test_non_integers_that_used_to_pass_raise(case):
+    with pytest.raises(TypeError):
+        USED_TO_PASS[case]()
+
+
+def test_the_rule():
+    class Small(int):
+        pass
+
+    assert integer(7, "n") == 7
+    assert type(integer(Fraction(6, 2), "n")) is int and integer(Fraction(6, 2), "n") == 3
+    assert type(integer(Small(4), "n")) is int
+    assert integer(-5, "n") == -5 and integer(2, "n", least=2) == 2
+    for bad in (2.0, False, Fraction(5, 3), None, "7", (1,), 1j):
+        with pytest.raises(TypeError, match="^n must be an integer, got "):
+            integer(bad, "n")
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+        integer(Fraction(-2, 2), "n", least=0)
+
+
+def test_right_positions_are_stored_unchanged():
+    position = (2, -1)
+    assert PlacedPiece("triangle", position).position is position
+    assert PlacedPiece("vertex", [Fraction(4, 2), 1]).position == (2, 1)
+    assert PlacedPiece("point", Fraction(6, 2)).position == 3
+    for kind, bad in (("vertex", 1), ("vertex", (1, 2, 3)), ("triangle", "ab")):
+        with pytest.raises(TypeError, match="^position must be a pair of integers"):
+            PlacedPiece(kind, bad)

@@ -149,35 +149,39 @@ def test_copy_deepcopy_and_pickle_round_trip(cls):
             assert hash(clone) == hash(record)
 
 
-# (constructor call, exception, message), as the dataclass versions raised them.
+# (constructor call, exception, message), as the dataclass versions raised them,
+# except where `_record.integer` now words a check: "<name> must be an integer,
+# got <value>" and "<name> must be >= <least>, got <value>".
 ERRORS = [
     (lambda: PlacedPiece("triangle", (0, 0), sign=True), TypeError, "sign must be an integer, got True"),
     (lambda: PlacedPiece("triangle", (0, 0), size=1.5), TypeError, "size must be an integer, got 1.5"),
     (lambda: PlacedPiece("hexagon", (0, 0)), ValueError, "unknown piece kind 'hexagon'"),
     (lambda: PlacedPiece("triangle", (0, 0), sign=2), ValueError, "sign must be +1 or -1"),
-    (lambda: PlacedPiece("triangle", (0, 0), size=0), ValueError, "size must be >= 1"),
-    (lambda: PlacedPiece("vertex", (0, 0), multiplicity=0), ValueError, "multiplicity must be >= 1"),
+    (lambda: PlacedPiece("triangle", (0, 0), size=0), ValueError, "size must be >= 1, got 0"),
+    (lambda: PlacedPiece("vertex", (0, 0), multiplicity=0), ValueError,
+     "multiplicity must be >= 1, got 0"),
     (lambda: PlacedPiece("triangle", (0, 0), orientation="left"), ValueError,
      "orientation must be 'up' or 'down'"),
     (lambda: PlacementPlan(1, [PlacedPiece("triangle", (0, 0))]), ValueError,
      "piece PlacedPiece(kind='triangle', position=(0, 0), size=1, orientation='up', sign=1, "
      "multiplicity=1) does not live in dimension 1"),
     (lambda: TilePiece(True), TypeError, "size must be an integer, got True"),
-    (lambda: TilePiece(0), ValueError, "size must be >= 1, got 0"),
+    (lambda: TilePiece(-3), ValueError, "size must be >= 1, got -3"),
     (lambda: TilePiece(1, "left"), ValueError, "orientation must be 'up' or 'down', got 'left'"),
     (lambda: TilePiece(1, "up", -2), ValueError, "sign must be +1 or -1, got -2"),
-    (lambda: SliceBasisVector(0, ()), ValueError, "dim must be >= 1"),
+    (lambda: SliceBasisVector(0, ()), ValueError, "dim must be >= 1, got 0"),
     (lambda: SliceBasisVector(2, (1,)), ValueError, "need 2 slice coefficients, got 1"),
     (lambda: FormalCombination(2, False, ((1.5, SimplexLiteral(2, 1)),)), TypeError,
-     "expected an integer, got 1.5"),
+     "coefficient must be an integer, got 1.5"),
     (lambda: FormalCombination(2, False, ((1, (2, 1)),)), TypeError, "term (2, 1) is not a literal"),
     (lambda: FormalCombination(2, False, ((1, SimplexLiteral(3, 1)),)), ValueError,
      "literal SimplexLiteral(dim=3, scale=1, sign=1, extended=False) does not belong to the "
      "(dim=2, extended=False) family"),
-    (lambda: SimplexLiteral(0, 1), ValueError, "literal dimension must be >= 1"),
+    (lambda: SimplexLiteral(-1, 1), ValueError, "dim must be >= 1, got -1"),
     (lambda: SimplexLiteral(2, 1, sign=0), ValueError, "literal sign must be +1 or -1"),
-    (lambda: SimplexLiteral(2, 1.0), TypeError, "expected an integer, got 1.0"),
-    (lambda: SimplexLiteral(2, Fraction(1, 2)), TypeError, "expected an integer, got Fraction(1, 2)"),
+    (lambda: SimplexLiteral(2, 1.0), TypeError, "scale must be an integer, got 1.0"),
+    (lambda: SimplexLiteral(2, Fraction(1, 2)), TypeError,
+     "scale must be an integer, got Fraction(1, 2)"),
     (lambda: QSqrt3(0.5), TypeError, "floating point coefficients are not allowed"),
     (lambda: QSqrt3(1, 0.5), TypeError, "floating point coefficients are not allowed"),
 ]
