@@ -5,10 +5,12 @@ Exit codes: 0 on success, 1 when a `verify` run finds a counterexample,
 or integers); nothing is ever printed as a float.
 
 Every command estimates its work before it starts, and `_budget` refuses
-the work past that command's entry in LIMITS.  The `_cmd_*` handlers only
-raise: `main` is the one place that turns a ValueError (bad input, a
-refused budget, a number too long to print) or an OSError (`render --out`)
-into an `error: ...` line and exit 2.
+the work past that command's entry in LIMITS.  `verify` has one row per
+identity in IDENTITIES, and one loop checks every row's cases, which
+`_cases` also counts for the budget.  The `_cmd_*` handlers only raise:
+`main` is the one place that turns a ValueError (bad input, a refused
+budget, a number too long to print) or an OSError (`render --out`) into
+an `error: ...` line and exit 2.
 
 Each command imports the library modules it uses when it runs, so a
 process pays only for those.  A well-formed command line never loads
@@ -100,120 +102,80 @@ def _parse_range(text: str):
     return lo, hi
 
 
-def _grid(lo, hi, arity):
-    return itertools.product(range(lo, hi + 1), repeat=arity)
+# The two routes of a formal sum: names in `forms` and `ring`, looked up as a case runs.
+GEOMETRIC = ("evaluate", "embed_literal")  # the 2-d and 3-d product tables
+ORTHOGONAL = ("evaluate_orth", "literal_orth")  # powers of the scales
 
 
-def _check_closed2(lo, hi, dim):
-    from .forms import closed_sum, evaluate
-    from .ring import embed2
+def _sums_to(route, form):
+    """holds(case, m) of a formal-sum identity on `route`: form(forms, *case) gives
+    the signed sum of scaled simplices and the side of the one it evaluates to."""
+    def holds(case, m):
+        from . import forms, ring
 
-    for n, k, l in _grid(lo, hi, 3):
-        if evaluate(closed_sum((n, k, l), 2)) != embed2(n + k + l):
-            return f"(n,k,l)=({n},{k},{l})"
-    return None
+        combination, scale = form(forms, *case)
+        expected = ring.SimplexLiteral(combination.dim, scale, 1, combination.extended)
+        return getattr(forms, route[0])(combination) == getattr(ring, route[1])(expected)
 
-
-def _check_closed2_shift(lo, hi, dim):
-    from .forms import closed_sum_shifted, evaluate
-    from .ring import embed2
-
-    for n, k, l, t in _grid(lo, hi, 4):
-        if evaluate(closed_sum_shifted(n, k, l, t)) != embed2(n + k + l + t):
-            return f"(n,k,l,t)=({n},{k},{l},{t})"
-    return None
+    return holds
 
 
-def _check_closed3(lo, hi, dim):
-    from .forms import closed_sum, evaluate
-    from .ring import embed3
-
-    for values in _grid(lo, hi, 4):
-        if evaluate(closed_sum(values, 3)) != embed3(sum(values)):
-            return f"values={values}"
-    return None
-
-
-def _check_closed_nd(lo, hi, dim):
-    from .eulerian import embed_nd
-    from .forms import closed_sum, evaluate_orth
-
-    for values in _grid(lo, hi, dim + 1):
-        if evaluate_orth(closed_sum(values, dim)) != embed_nd(sum(values), dim):
-            return f"m={dim} values={values}"
-    return None
-
-
-def _check_mirror(lo, hi, dim):
-    from .forms import combination, evaluate
-
-    for t in range(lo, hi + 1):
-        left = evaluate(combination(2, False, [(3, t), (1, -3 * t)]))
-        right = evaluate(combination(2, False, [(3, -t), (1, 3 * t)]))
-        if left != right:
-            return f"t={t}"
-    return None
-
-
-def _check_star(lo, hi, dim):
-    from .forms import evaluate, star_product
-    from .ring import embed2
-
-    for n in range(max(lo, 3), hi + 1):
-        for m in range(lo, hi + 1):
-            if evaluate(star_product(n, m)) != embed2(n * m):
-                return f"(n,m)=({n},{m})"
-    return None
-
-
-def _check_worpitzky(lo, hi, dim):
+def _worpitzky(case, m):
     from .eulerian import worpitzky
 
-    for n in range(lo, hi + 1):
-        for m in range(1, 9):
-            if worpitzky(n, m) != n ** m:
-                return f"(n,m)=({n},{m})"
-    return None
+    return worpitzky(*case) == case[0] ** case[1]
 
 
-def _check_composite(lo, hi, dim):
+def _composite(case, m):
+    """z has a witness exactly when it is composite, and the witness factors z."""
     from .witnesses import _is_prime, composite_witness, factors_from_witness
 
-    for z in range(max(lo, 2), hi + 1):
-        w = composite_witness(z)
-        if (w is not None) != (not _is_prime(z)):
-            return f"z={z} witness={'present' if w else 'absent'}"
-        if w is not None:
-            pair = factors_from_witness(w)
-            if pair.p * pair.q != z or min(pair.p, pair.q) < 2:
-                return f"z={z} bad factors ({pair.p},{pair.q})"
-    return None
+    (z,) = case
+    w, prime = composite_witness(z), _is_prime(z)
+    if w is None or prime:
+        return w is None and prime
+    pair = factors_from_witness(w)
+    return pair.p * pair.q == z and min(pair.p, pair.q) >= 2
 
 
-def _closed_nd_size(lo, hi, m):
-    if m < 1:
-        raise ValueError(f"closed-nd needs m >= 1; got m = {m}")
-    # Powers past 2^64 are over every limit anyway, so the exponent is cut
-    # there: a huge m never builds a number with m bits.
-    power = min(m + 1, 64)
-    return (hi - lo + 1) ** power, (2 ** power - 2) * (m + 1)
-
-
-# name -> (check, size).  check(lo, hi, dim) returns the first counterexample
-# or None; size(lo, hi, dim) returns the number of cases and what one case
-# builds: its terms times the coefficients of each term.  The orthogonal
-# route of closed-nd costs about one coefficient more per term than the
-# geometric ones, and a composite case scans up to z^2/4 pairs, 16 to a unit.
+# name -> (names, axes, cost, holds), one row per identity.  `names` names a
+# case's values in the FAIL line, with m filled in.  axes(span, m) gives
+# (values, repeat) pairs, span being range(A, B + 1); the cases are their
+# product.  `cost` is what a case builds, its terms times the coefficients of
+# each term, or cost(span, m) where the range or m sets it.  The orthogonal
+# route costs about one coefficient per term more than the geometric one,
+# and a composite case scans up to z^2/4 pairs, 16 to a unit.
 IDENTITIES = {
-    "closed2": (_check_closed2, lambda lo, hi, m: ((hi - lo + 1) ** 3, 6 * 2)),
-    "closed2-shift": (_check_closed2_shift, lambda lo, hi, m: ((hi - lo + 1) ** 4, 7 * 2)),
-    "closed3": (_check_closed3, lambda lo, hi, m: ((hi - lo + 1) ** 4, 14 * 3)),
-    "closed-nd": (_check_closed_nd, _closed_nd_size),
-    "mirror": (_check_mirror, lambda lo, hi, m: (hi - lo + 1, 2 * 2 * 2)),
-    "star": (_check_star, lambda lo, hi, m: (max(0, hi - max(lo, 3) + 1) * (hi - lo + 1), 2 * 2)),
-    "worpitzky": (_check_worpitzky, lambda lo, hi, m: ((hi - lo + 1) * 8, 2 * 8)),
-    "composite": (_check_composite, lambda lo, hi, m: (max(0, hi - max(lo, 2) + 1), hi * hi // 64)),
+    "closed2": ("n,k,l", lambda span, m: [(span, 3)], 6 * 2,
+                _sums_to(GEOMETRIC, lambda forms, *v: (forms.closed_sum(v, 2), sum(v)))),
+    "closed2-shift": ("n,k,l,t", lambda span, m: [(span, 4)], 7 * 2,
+                      _sums_to(GEOMETRIC, lambda forms, *v: (forms.closed_sum_shifted(*v), sum(v)))),
+    "closed3": ("v0..v3", lambda span, m: [(span, 4)], 14 * 3,
+                _sums_to(GEOMETRIC, lambda forms, *v: (forms.closed_sum(v, 3), sum(v)))),
+    "closed-nd": ("v0..v{m}", lambda span, m: [(span, m + 1)],
+                  lambda span, m: (2 ** min(m + 1, 64) - 2) * (m + 1),
+                  _sums_to(ORTHOGONAL, lambda forms, *v: (forms.closed_sum(v, len(v) - 1), sum(v)))),
+    "mirror": ("t", lambda span, m: [(span, 1)], 2 * 2 * 2, _sums_to(GEOMETRIC, lambda forms, t: (
+        forms.combination(2, False, [(3, t), (1, -3 * t), (-3, -t), (-1, 3 * t)]), 0))),
+    "star": ("n,m", lambda span, m: [(range(max(span.start, 3), span.stop), 1), (span, 1)], 2 * 2,
+             _sums_to(GEOMETRIC, lambda forms, n, k: (forms.star_product(n, k), n * k))),
+    "worpitzky": ("n,m", lambda span, m: [(span, 1), (range(1, 9), 1)], 2 * 8, _worpitzky),
+    "composite": ("z", lambda span, m: [(range(max(span.start, 2), span.stop), 1)],
+                  lambda span, m: span[-1] ** 2 // 64, _composite),
 }
+
+
+def _cases(identity, lo, hi, m):
+    """How many cases `verify` checks over lo..hi: the product of the identity's axes.
+
+    An axis counts from its range's ends: len() of a range past sys.maxsize
+    overflows.  A count past 2^64 is over every limit anyway, so a repeat stops
+    at 64, as closed-nd's cost exponent does, and a huge m builds no m-bit number.
+    """
+    cases = 1
+    for values, repeat in IDENTITIES[identity][1](range(lo, hi + 1), m):
+        cases *= max(0, values.stop - values.start) ** min(repeat, 64)
+    return cases
 
 
 def _verify_units(identity, lo, hi, m):
@@ -222,9 +184,10 @@ def _verify_units(identity, lo, hi, m):
     Values longer than 256 bits multiply that by the square of their length
     in 256-bit words, as big-integer products do.
     """
-    cases, builds = IDENTITIES[identity][1](lo, hi, m)
+    cost = IDENTITIES[identity][2]
+    cost = cost(range(lo, hi + 1), m) if callable(cost) else cost
     words = 1 + max(-lo, hi).bit_length() // 256
-    return cases * (builds + CASE_COST) * words * words
+    return _cases(identity, lo, hi, m) * (cost + CASE_COST) * words * words
 
 
 # plan name -> (builder in `chains`, the options it takes)
@@ -439,16 +402,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    identity, m = args.identity, args.m
     lo, hi = _parse_range(args.span)
-    at_m = f" at m = {args.m}" if args.identity == "closed-nd" else ""
-    _budget(f"verify {args.identity} over {lo}..{hi}{at_m}",
-            _verify_units(args.identity, lo, hi, args.m), "verify")
-    counterexample = IDENTITIES[args.identity][0](lo, hi, args.m)
-    if counterexample is None:
-        print(f"PASS {args.identity} over {lo}..{hi}")
-        return 0
-    print(f"FAIL {args.identity}: first counterexample {counterexample}")
-    return 1
+    if identity == "closed-nd" and m < 1:
+        raise ValueError(f"closed-nd needs m >= 1; got m = {m}")
+    at_m = f" at m = {m}" if identity == "closed-nd" else ""
+    _budget(f"verify {identity} over {lo}..{hi}{at_m}",
+            _verify_units(identity, lo, hi, m), "verify")
+    names, axes, _, holds = IDENTITIES[identity]
+    grid = [values for values, repeat in axes(range(lo, hi + 1), m) for _ in range(repeat)]
+    for case in itertools.product(*grid):
+        if not holds(case, m):
+            values = ",".join(map(str, case))
+            print(f"FAIL {identity}: first counterexample ({names.format(m=m)})=({values})")
+            return 1
+    print(f"PASS {identity} over {lo}..{hi} ({_cases(identity, lo, hi, m)} cases)")
+    return 0
 
 
 def _cmd_factor(args) -> int:

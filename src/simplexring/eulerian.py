@@ -59,6 +59,7 @@ def falling_factorial(x, m: int):
 
 def binomial(a: int, m: int) -> int:
     """(a choose m) via the falling factorial; a may be any integer."""
+    a, m = integer(a, "a"), integer(m, "m", 0)
     num = falling_factorial(a, m)
     den = factorial(m)
     if num % den:

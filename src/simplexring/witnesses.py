@@ -167,8 +167,8 @@ def factors_from_witness(w: Witness) -> FactorPair:
 
 def tarry_escott_check(left, right) -> bool:
     """Do the two integer lists agree in their first and second power sums?"""
-    left = list(left)
-    right = list(right)
+    left = [integer(v, f"left[{i}]") for i, v in enumerate(left)]
+    right = [integer(v, f"right[{i}]") for i, v in enumerate(right)]
     return (sum(left) == sum(right)
             and sum(v * v for v in left) == sum(v * v for v in right))
 

@@ -32,6 +32,7 @@ from simplexring.chains import (
 )
 from simplexring.eulerian import (
     SliceBasisVector,
+    binomial,
     embed_nd,
     eulerian,
     eulerian_row,
@@ -66,6 +67,7 @@ from simplexring.witnesses import (
     composite_witness,
     factors_from_witness,
     is_one_sided_composite,
+    tarry_escott_check,
     witness_from_factors,
 )
 
@@ -150,6 +152,8 @@ BOUNDARIES = {
     "worpitzky.n": (lambda v: worpitzky(v, 3), "n", None, 3),
     "worpitzky.m": (lambda v: worpitzky(2, v), "m", 1, 3),
     "falling_factorial": (lambda v: falling_factorial(5, v), "m", 0, 3),
+    "binomial.a": (lambda v: binomial(v, 2), "a", None, 3),
+    "binomial.m": (lambda v: binomial(5, v), "m", 0, 3),
     "slice_decomposition.n": (lambda v: slice_decomposition(v, 3), "n", None, 3),
     "slice_decomposition.m": (lambda v: slice_decomposition(2, v), "m", 1, 3),
     "orthogonal_basis_matrix": (lambda v: orthogonal_basis_matrix(v), "m", 1, 3),
@@ -168,6 +172,8 @@ BOUNDARIES = {
     "witness_from_factors.m": (lambda v: witness_from_factors(1, 1, v, 1), "m", 1, 3),
     "witness_from_factors.n": (lambda v: witness_from_factors(1, 1, 1, v), "n", 1, 3),
     "is_one_sided_composite": (lambda v: is_one_sided_composite(v), "n", 1, 3),
+    "tarry_escott_check.left": (lambda v: tarry_escott_check((1, v), (v, 1)), "left[1]", None, 3),
+    "tarry_escott_check.right": (lambda v: tarry_escott_check((1, 3), (1, v)), "right[1]", None, 3),
     # expr
     "parse.dim": (lambda v: parse("<1>", v), "dim", None, 3),
 }
@@ -201,6 +207,8 @@ USED_TO_PASS = {
     "eulerian_row(True)": lambda: eulerian_row(True),
     "series_partial_sum(True)": lambda: series_partial_sum(True),
     "witness_from_factors(True, 1, 1, 1)": lambda: witness_from_factors(True, 1, 1, 1),
+    "binomial(4.0, 2)": lambda: binomial(4.0, 2),
+    "tarry_escott_check([1.5], [1.5])": lambda: tarry_escott_check([1.5], [1.5]),
 }
 
 

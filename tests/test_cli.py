@@ -8,6 +8,7 @@ import pytest
 
 from simplexring import cli
 from simplexring.chains import closed_triangle_plan
+from simplexring.forms import closed_sum, closed_sum_shifted, combination, star_product
 from simplexring.ring import element_from_json, embed2, embed20
 
 
@@ -65,12 +66,78 @@ def test_verify_all_identities_small(capsys):
 
 
 def test_verify_counterexample_exits_1(capsys, monkeypatch):
-    def always_wrong(lo, hi, dim):
-        return f"(n)=({lo})"
-    monkeypatch.setitem(cli.IDENTITIES, "mirror", (always_wrong, cli.IDENTITIES["mirror"][1]))
+    def always_wrong(case, m):
+        return False
+    _, axes, cost, _ = cli.IDENTITIES["mirror"]
+    monkeypatch.setitem(cli.IDENTITIES, "mirror", ("n", axes, cost, always_wrong))
     code, out, _ = _run(capsys, "verify", "--identity", "mirror", "--range=0..1")
     assert code == 1
     assert out.startswith("FAIL mirror: first counterexample (n)=(0)")
+
+
+# identity, range, m: the loop must check as many cases as the budget charged
+COUNTED = [
+    (identity, span, 4)
+    for identity in ("closed2", "closed2-shift", "closed3", "mirror", "worpitzky")
+    for span in ("0..0", "-2..1")
+] + [
+    ("star", span, 4) for span in ("-2..2", "0..2", "-1..4", "3..5", "4..4")
+] + [
+    ("composite", span, 4) for span in ("-3..1", "0..1", "-1..9", "2..9", "7..7")
+] + [
+    ("closed-nd", span, m) for m in (1, 2, 3) for span in ("0..0", "-1..1", "2..3")
+]
+
+
+@pytest.mark.parametrize("identity, span, m", COUNTED)
+def test_verify_checks_the_cases_it_charges(capsys, monkeypatch, identity, span, m):
+    names, axes, cost, holds = cli.IDENTITIES[identity]
+    seen = []
+    monkeypatch.setitem(cli.IDENTITIES, identity,
+                        (names, axes, cost, lambda case, m: seen.append(case) or holds(case, m)))
+    code, out, _ = _run(capsys, "verify", "--identity", identity, f"--range={span}", "--m", str(m))
+    lo, hi = cli._parse_range(span)
+    per_case = (cost(range(lo, hi + 1), m) if callable(cost) else cost) + cli.CASE_COST
+    assert code == 0 and out == f"PASS {identity} over {span} ({len(seen)} cases)\n"
+    assert cli._verify_units(identity, lo, hi, m) == len(seen) * per_case
+    assert len(set(seen)) == len(seen)
+
+
+def _one_simplex_off(real, comb):
+    return real(comb) + real(combination(comb.dim, comb.extended, [(1, 1)]))
+
+
+# identity, range, m, the function its predicate calls, the arguments on which
+# that function goes wrong, how it goes wrong, and how FAIL names the case
+WRONG_ONCE = [
+    ("closed2", "-2..2", 4, "forms.evaluate", (closed_sum((1, -1, 2), 2),), _one_simplex_off,
+     "(n,k,l)=(1,-1,2)"),
+    ("closed2-shift", "-1..1", 4, "forms.evaluate", (closed_sum_shifted(0, 1, -1, 1),),
+     _one_simplex_off, "(n,k,l,t)=(0,1,-1,1)"),
+    ("closed3", "-1..1", 4, "forms.evaluate", (closed_sum((1, 0, -1, 1), 3),), _one_simplex_off,
+     "(v0..v3)=(1,0,-1,1)"),
+    ("closed-nd", "0..1", 2, "forms.evaluate_orth", (closed_sum((1, 0, 1), 2),), _one_simplex_off,
+     "(v0..v2)=(1,0,1)"),
+    ("mirror", "-3..3", 4, "forms.evaluate",
+     (combination(2, False, [(3, 2), (1, -6), (-3, -2), (-1, 6)]),), _one_simplex_off, "(t)=(2)"),
+    ("star", "-1..5", 4, "forms.evaluate", (star_product(4, -1),), _one_simplex_off, "(n,m)=(4,-1)"),
+    ("worpitzky", "0..3", 4, "eulerian.worpitzky", (2, 5), lambda real, n, m: real(n, m) + 1,
+     "(n,m)=(2,5)"),
+    ("composite", "2..12", 4, "witnesses.composite_witness", (9,), lambda real, z: None, "(z)=(9)"),
+]
+
+
+@pytest.mark.parametrize("identity, span, m, function, bad, wrong, named", WRONG_ONCE,
+                         ids=[row[0] for row in WRONG_ONCE])
+def test_verify_names_the_case_its_check_gets_wrong(
+        capsys, monkeypatch, identity, span, m, function, bad, wrong, named):
+    module_name, name = function.split(".")
+    module = importlib.import_module(f"simplexring.{module_name}")
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: wrong(real, *args) if args == bad else real(*args))
+    code, out, err = _run(capsys, "verify", "--identity", identity, f"--range={span}", "--m", str(m))
+    assert code == 1 and err == ""
+    assert out == f"FAIL {identity}: first counterexample {named}\n"
 
 
 def test_verify_bad_range_exits_2(capsys):
@@ -111,10 +178,14 @@ def test_factor_cap(capsys):
 
 
 def _stub_check(monkeypatch, identity):
-    """Replace an identity's check, keeping its size, so the budget alone decides."""
+    """Replace an identity's predicate, keeping its axes and cost, so the budget alone decides.
+
+    The list returned gathers the (case, m) of every case the loop checks.
+    """
     calls = []
-    size = cli.IDENTITIES[identity][1]
-    monkeypatch.setitem(cli.IDENTITIES, identity, (lambda *span: calls.append(span), size))
+    names, axes, cost, _ = cli.IDENTITIES[identity]
+    monkeypatch.setitem(cli.IDENTITIES, identity,
+                        (names, axes, cost, lambda *case_m: calls.append(case_m) or True))
     return calls
 
 
@@ -139,10 +210,10 @@ def test_verify_closed_nd_m_cap(capsys, monkeypatch):
     # m = 15 and 2,228,197 at m = 16.  m = 15 runs for seconds, so its check is stubbed.
     calls = _stub_check(monkeypatch, "closed-nd")
     code, out, _ = _run(capsys, "verify", "--identity", "closed-nd", "--m", "15", "--range=1..1")
-    assert code == 0 and out.startswith("PASS closed-nd") and calls == [(1, 1, 15)]
+    assert code == 0 and out.startswith("PASS closed-nd") and calls == [((1,) * 16, 15)]
     code, out, err = _run(capsys, "verify", "--identity", "closed-nd", "--m", "16", "--range=1..1")
     assert code == 2 and out == "" and err.startswith("error:") and "2228197" in err
-    assert calls == [(1, 1, 15)]
+    assert calls == [((1,) * 16, 15)]
     monkeypatch.undo()
     code, out, _ = _run(capsys, "verify", "--identity", "closed-nd", "--m", "10", "--range=1..1")
     assert code == 0 and out.startswith("PASS closed-nd")
@@ -156,7 +227,8 @@ def test_verify_closed_nd_term_cap(capsys, monkeypatch):
     # 356^2 * 11 = 1,394,096 and 357^2 * 11 = 1,401,939.
     calls = _stub_check(monkeypatch, "closed-nd")
     code, out, _ = _run(capsys, "verify", "--identity", "closed-nd", "--m", "1", "--range=0..355")
-    assert code == 0 and out.startswith("PASS closed-nd") and calls == [(0, 355, 1)]
+    assert code == 0 and out.startswith("PASS closed-nd") and len(calls) == 356 ** 2
+    assert calls[-1] == ((355, 355), 1)
     code, out, err = _run(capsys, "verify", "--identity", "closed-nd", "--m", "1", "--range=0..356")
     assert code == 2 and out == "" and err.startswith("error:") and "1401939" in err
     # The default -6..6 at m = 4: 13^5 * (30 * 5 + 7).
@@ -306,10 +378,11 @@ BUDGET_EDGES = [
 def test_verify_budget_edges(capsys, monkeypatch, identity, inside, past):
     calls = _stub_check(monkeypatch, identity)
     code, out, _ = _run(capsys, "verify", "--identity", identity, f"--range={inside}")
-    assert code == 0 and out.startswith(f"PASS {identity}") and len(calls) == 1
+    checked = len(calls)
+    assert code == 0 and out == f"PASS {identity} over {inside} ({checked} cases)\n" and checked > 0
     code, out, err = _run(capsys, "verify", "--identity", identity, f"--range={past}")
     assert code == 2 and out == "" and err.startswith("error:") and "over the limit of 1400000" in err
-    assert len(calls) == 1
+    assert len(calls) == checked
 
 
 def test_verify_default_range_admitted(capsys, monkeypatch):
