@@ -49,7 +49,6 @@ _EXPORTS = {
         "triangle_window",
     ),
     "eulerian": (
-        "SliceBasisVector",
         "embed_nd",
         "eulerian",
         "eulerian_row",
@@ -75,6 +74,7 @@ _EXPORTS = {
     ),
     "render": ("RenderOptions", "chain_svg", "plan_svg", "to_svg"),
     "ring": (
+        "GeomElement",
         "GeomElement2",
         "GeomElement3",
         "OrthElement",

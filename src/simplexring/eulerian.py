@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from ._record import Record, integer
+from ._record import integer
 
 # `fractions` (with `decimal`) and `.ring` load inside the functions that use
 # them, so `slabs`, `worpitzky` and `eulerian` without `--volumes` load neither.
@@ -92,45 +92,12 @@ def slice_volumes(m: int) -> tuple:
     return tuple(Fraction(a, fact) for a in row)
 
 
-class SliceBasisVector(Record):
-    """Multiplicities of the m slice pieces inside a scaled m-simplex."""
-
-    __slots__ = ("dim", "coeffs")
-
-    def __init__(self, dim: int, coeffs: tuple):
-        dim = integer(dim, "dim", 1)
-        if len(coeffs) != dim:
-            raise ValueError(f"need {dim} slice coefficients, got {len(coeffs)}")
-        self._set(dim, coeffs)
-
-    def volume(self):
-        """Total volume, normalising the k-th unit piece to A(m, k-1).
-
-        With that normalisation the side-n simplex has volume exactly n^m.
-        """
-        row = eulerian_row(self.dim)
-        return sum(c * a for c, a in zip(self.coeffs, row))
-
-
-def slice_decomposition(n: int, m: int) -> SliceBasisVector:
-    """Side-n simplex over the slice pieces: piece k occurs C(n+m-k, m) times."""
-    from fractions import Fraction
+def slice_decomposition(n: int, m: int) -> GeomElement:
+    """Side-n simplex as a GeomElement(m): piece k occurs C(n+m-k, m) times."""
+    from .ring import GeomElement
 
     n, m = integer(n, "n"), integer(m, "m", 1)
-    fact = factorial(m)
-    coeffs = tuple(Fraction(falling_factorial(n + m - k, m), fact) for k in range(1, m + 1))
-    return SliceBasisVector(m, coeffs)
-
-
-def _poly_mul_linear(coeffs: list, a: int) -> list:
-    """Multiply a little-endian polynomial by (x + a)."""
-    from fractions import Fraction
-
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] += c * a
-        out[i + 1] += c
-    return out
+    return GeomElement(m, [binomial(n + m - k, m) for k in range(1, m + 1)])
 
 
 def orthogonal_basis_matrix(m: int) -> tuple:
@@ -138,8 +105,8 @@ def orthogonal_basis_matrix(m: int) -> tuple:
 
     Row j (ordered A_m down to A_1) holds the slice-piece coefficients of
     A_j, read off by expanding each piece multiplicity C(n+m-k, m) as a
-    polynomial in n.  Applying the matrix to slice_decomposition(n, m)
-    yields the power vector (n^m, ..., n).
+    polynomial in n.  So the transpose applied to the power vector
+    (n^m, ..., n) gives the slice counts, slice_decomposition(n, m).
     """
     from fractions import Fraction
 
@@ -148,36 +115,16 @@ def orthogonal_basis_matrix(m: int) -> tuple:
     # columns[k - 1][i] is the coefficient of n^i in C(n+m-k, m) = (n+m-k)_m / m!
     columns = []
     for k in range(1, m + 1):
-        poly = [Fraction(1)]
+        poly = [1]  # little-endian, times (n + m - k - j) for each j
         for j in range(m):
-            poly = _poly_mul_linear(poly, m - k - j)
-        columns.append([c / fact for c in poly])
-    return tuple(
-        tuple(columns[k][j] for k in range(m))
-        for j in range(m, 0, -1)
-    )
-
-
-def apply_basis_matrix(matrix, element: OrthElement) -> SliceBasisVector:
-    """Decompose an orthogonal-basis element into unit slice pieces.
-
-    Row j of the matrix is the slice combination whose orthogonal
-    coordinates are the j-th unit vector, so the slice coefficients of
-    `element` are the transpose of the matrix applied to its coordinates.
-    """
-    if element.has_a0:
-        raise ValueError("slice decomposition needs a boundary-free element")
-    m = element.dim
-    coeffs = tuple(
-        sum(matrix[j][k] * element.coeffs[j] for j in range(m))
-        for k in range(m)
-    )
-    return SliceBasisVector(m, coeffs)
+            poly = [(m - k - j) * c + d for c, d in zip(poly + [0], [0] + poly)]
+        columns.append(poly)
+    return tuple(tuple(Fraction(column[j], fact) for column in columns) for j in range(m, 0, -1))
 
 
 def embed_nd(n: int, m: int) -> OrthElement:
     """Side-n m-simplex in the orthogonal basis: (n^m, ..., n)."""
-    from .ring import OrthElement
+    from .ring import _powers
 
     n, m = integer(n, "n"), integer(m, "m", 1)
-    return OrthElement(m, False, tuple(n ** i for i in range(m, 0, -1)))
+    return _powers(m, False, n)

@@ -1,23 +1,22 @@
 """Exact ring arithmetic for scaled simplex numbers.
 
-A triangle scaled by an integer factor n splits into n(n+1)/2 upward and
-n(n-1)/2 downward unit triangles; a scaled tetrahedron splits into three
-kinds of slab pieces.  Treating the two (three) unit shapes as basis
-vectors gives small commutative rings in which the scaled shapes multiply
-like the integers they came from.  Every ring here also has an orthogonal
-idempotent basis (A_m, ..., A_1, optionally A_0) that diagonalises the
-product into a componentwise one.
+The m-simplex scaled by an integer n splits into m kinds of unit slice
+pieces: a triangle into n(n+1)/2 up and n(n-1)/2 down unit triangles, a
+tetrahedron into three kinds of slab pieces.  With the pieces as basis
+vectors, `GeomElement(m)` is a commutative ring in which the scaled shapes
+multiply like the integers they came from.  Every ring here also has an
+orthogonal idempotent basis (A_m, ..., A_1, optionally A_0) that
+diagonalises the product into a componentwise one.
 
-All coefficients are exact rationals (`fractions.Fraction`, checked by
-`_frac`).  Every integer argument (a scale, a dimension, a number of terms)
-goes through `_record.integer`, which takes an int or an integral Fraction
-and refuses anything else.  Floats are rejected at the boundary; nothing in
-this package computes with them.
+Coefficients are exact: an int or a `fractions.Fraction`, held as a Fraction
+(`_frac`).  Every integer argument (a scale, a dimension, a number of terms)
+goes through `_record.integer`.  Floats are refused at every boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from operator import add, mul, neg, sub
 
 from ._record import Record, integer
@@ -28,9 +27,13 @@ class RepresentationError(ValueError):
 
 
 def _frac(value) -> Fraction:
+    if type(value) is Fraction:  # an int (not a bool) or a Fraction; the common case first
+        return value
+    if type(value) is int or isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
     if isinstance(value, float):
         raise TypeError("floating point coefficients are not allowed")
-    return Fraction(value)
+    raise TypeError(f"coefficient must be an int or a Fraction, got {value!r}")
 
 
 class Element:
@@ -118,52 +121,118 @@ class Element:
 
 
 def _kind(value) -> str:
-    return type(value).__name__ + str(getattr(value, "_family", "") or "")
+    family = getattr(value, "_family", ())
+    return type(value).__name__ + (f"({', '.join(map(str, family))})" if family else "")
 
 
-class GeomElement2(Element):
-    """x copies of the unit up-triangle plus y copies of the unit down-triangle.
+def _axis(index: int):
+    """Coefficient `index` as an attribute, which elements of a lower dim lack."""
+    def get(self):
+        if index < len(self._coeffs):
+            return self._coeffs[index]
+        raise AttributeError(f"a dim-{len(self._coeffs)} element has no coefficient {index}")
 
-    The scaled triangle of side n is (n(n+1)/2, n(n-1)/2); negative sides
-    give the reflected shape.  Multiplication is the closed law
-    (x1, y1) * (x2, y2) = (x1*x2 + y1*y2, x1*y2 + x2*y1), under which the
-    side-n embedding is multiplicative: embed2(n) * embed2(m) = embed2(n*m).
+    return property(get)
+
+
+class GeomElement(Element):
+    """A dim-simplex shape counted in slice pieces: coefficient k counts piece k+1.
+
+    The side-n simplex holds piece k C(n+dim-k, dim) times.  The pieces are
+    the unit up- and down-triangle in 2-d, and <1>, the middle slab piece
+    <D1> and the reflected unit <e1> in 3-d.  The product table, derived per
+    dim on first use, makes the side-n embedding multiplicative.  `x`, `y`
+    and `z` name the first three coefficients, as far as there are any.
     """
 
     __slots__ = ()
-    basis, dim, has_a0 = "geom2", 2, False
-    _table = (
-        (((0, 1),), ((1, 1),)),
-        (((1, 1),), ((0, 1),)),
-    )
-    x = property(lambda self: self._coeffs[0])
-    y = property(lambda self: self._coeffs[1])
+    has_a0 = False
+    dim = property(lambda self: self._family[0])
+    basis = property(lambda self: f"geom{self._family[0]}")
+    _table = property(lambda self: _derived(_product_table, self._family[0]))
+    x, y, z = _axis(0), _axis(1), _axis(2)
 
-    def __init__(self, x, y):
-        super().__init__((x, y))
+    def __init__(self, dim: int, coeffs):
+        dim = integer(dim, "dim", 1)
+        super().__init__(coeffs, (dim,))
+        if len(self._coeffs) != dim:
+            raise ValueError(f"need {dim} slice coefficients, got {len(self._coeffs)}")
 
 
-class GeomElement3(Element):
-    """Tetrahedron-ring element over the basis (<1>, <D1>, <e1>).
+def GeomElement2(x, y) -> GeomElement:
+    """x unit up-triangles and y down: (x1, y1)(x2, y2) = (x1x2 + y1y2, x1y2 + x2y1)."""
+    return GeomElement(2, (x, y))
 
-    <1> is the unit tetrahedron, <D1> the middle slab piece, <e1> the
-    reflected unit.  The product table is <1> neutral, <e1>^2 = <1>,
-    <e1><D1> = <D1>, <D1>^2 = 4<1> + 2<D1> + 4<e1>.
+
+def GeomElement3(x, y, z) -> GeomElement:
+    """x<1> + y<D1> + z<e1>, where <e1>^2 = <1>, <e1><D1> = <D1>, <D1>^2 = 4<1> + 2<D1> + 4<e1>."""
+    return GeomElement(3, (x, y, z))
+
+
+# Tables derived per dim on first use, never at import: _TABLES[derive, dim]
+# is derive(dim), for derive in _orth_rows, _slice_rows and _product_table.
+_TABLES = {}
+
+
+def _derived(derive, dim: int):
+    try:
+        return _TABLES[derive, dim]
+    except KeyError:
+        table = _TABLES[derive, dim] = derive(dim)
+        return table
+
+
+def _pieces(dim: int) -> list:
+    """The orthogonal coordinates (A_dim, ..., A_1) of each slice piece, in integers.
+
+    The side-n shape, with coordinates (n^dim, ..., n), is the sum over k <= n
+    of C(n+dim-k, dim) * piece k, and C(dim, dim) = 1: forward substitution.
     """
+    pieces = []
+    for n in range(1, dim + 1):
+        coords = [n ** i for i in range(dim, 0, -1)]
+        for k, piece in enumerate(pieces, 1):
+            times = comb(n + dim - k, dim)
+            coords = [a - times * b for a, b in zip(coords, piece)]
+        pieces.append(coords)
+    return pieces
 
-    __slots__ = ()
-    basis, dim, has_a0 = "geom3", 3, False
-    _table = (
-        (((0, 1),), ((1, 1),), ((2, 1),)),
-        (((1, 1),), ((0, 4), (1, 2), (2, 4)), ((1, 1),)),
-        (((2, 1),), ((1, 1),), ((0, 1),)),
-    )
-    x = property(lambda self: self._coeffs[0])
-    y = property(lambda self: self._coeffs[1])
-    z = property(lambda self: self._coeffs[2])
 
-    def __init__(self, x, y, z):
-        super().__init__((x, y, z))
+def _sparse(values) -> tuple:
+    return tuple((k, v) for k, v in enumerate(values) if v)
+
+
+def _combine(rows, values) -> list:
+    """For each sparse row of (k, weight) pairs, the sum of weight * values[k]."""
+    out = []
+    for (k, w), *rest in rows:
+        total = values[k] if w == 1 else w * values[k]
+        for k, w in rest:
+            v = values[k]
+            total = total + v if w == 1 else total - v if w == -1 else total + w * v
+        out.append(total)
+    return out
+
+
+def _orth_rows(dim: int) -> tuple:
+    """to_orth as sparse rows: row j weighs each piece by its A_(dim-j) coordinate."""
+    return tuple(map(_sparse, zip(*_pieces(dim))))
+
+
+def _slice_rows(dim: int) -> tuple:
+    """from_orth as sparse rows: the transpose of `orthogonal_basis_matrix(dim)`."""
+    from .eulerian import orthogonal_basis_matrix
+
+    return tuple(map(_sparse, zip(*orthogonal_basis_matrix(dim))))
+
+
+def _product_table(dim: int) -> tuple:
+    """table[i][j]: piece i times piece j, the componentwise product of their
+    orthogonal coordinates taken back to slice pieces; its constants are integers."""
+    pieces, slices = _pieces(dim), _derived(_slice_rows, dim)
+    return tuple(tuple(tuple((k, integer(c, "structure constant"))
+                             for k, c in _sparse(_combine(slices, list(map(mul, p, q)))))
+                       for q in pieces) for p in pieces)
 
 
 class OrthElement(Element):
@@ -199,10 +268,10 @@ def _powers(dim: int, extended: bool, n: int) -> OrthElement:
     return OrthElement(dim, extended, powers)
 
 
-def embed2(n) -> GeomElement2:
+def embed2(n) -> GeomElement:
     """Side-n triangle as a geometric pair (n(n+1)/2, n(n-1)/2)."""
     n = integer(n, "n")
-    return GeomElement2(n * (n + 1) // 2, n * (n - 1) // 2)
+    return GeomElement(2, (n * (n + 1) // 2, n * (n - 1) // 2))
 
 
 def embed20(n) -> OrthElement:
@@ -210,51 +279,39 @@ def embed20(n) -> OrthElement:
     return _powers(2, True, integer(n, "n"))
 
 
-def embed3(n) -> GeomElement3:
+def embed3(n) -> GeomElement:
     """Side-n tetrahedron over (<1>, <D1>, <e1>).
 
     The reflected shapes come out automatically: embed3(-n) is the negated
     coefficient-reversal of embed3(n), e.g. embed3(-1) = (0, 0, -1).
     """
     n = integer(n, "n")
-    return GeomElement3(
+    return GeomElement(3, (
         n * (n + 1) * (n + 2) // 6,
         (n - 1) * n * (n + 1) // 6,
         (n - 2) * (n - 1) * n // 6,
-    )
+    ))
 
 
 def to_orth(elem) -> OrthElement:
     """Change of basis from a geometric element to the orthogonal one.
 
-    2-d: A_2 = (<1> + <-1>)/2, A_1 = (<1> - <-1>)/2, so (x, y) -> (x+y, x-y).
-    3-d: <1> -> (1,1,1), <D1> -> (4,0,-2), <e1> -> (1,-1,1).
+    Each piece counts its coordinates: in 2-d (x, y) -> (x+y, x-y), in 3-d
+    <1> -> (1,1,1), <D1> -> (4,0,-2) and <e1> -> (1,-1,1).
     """
-    if isinstance(elem, GeomElement2):
-        return OrthElement(2, False, (elem.x + elem.y, elem.x - elem.y))
-    if isinstance(elem, GeomElement3):
-        x, y, z = elem.x, elem.y, elem.z
-        return OrthElement(3, False, (x + 4 * y + z, x - z, x - 2 * y + z))
-    raise RepresentationError(f"cannot convert {type(elem).__name__} to the orthogonal basis")
+    if not isinstance(elem, GeomElement):
+        raise RepresentationError(f"cannot convert {type(elem).__name__} to the orthogonal basis")
+    dim = elem._family[0]
+    return OrthElement(dim, False, _combine(_derived(_orth_rows, dim), elem._coeffs))
 
 
-def from_orth(elem: OrthElement):
-    """Inverse of to_orth for plain 2-d and 3-d orthogonal elements."""
+def from_orth(elem: OrthElement) -> GeomElement:
+    """Inverse of to_orth for plain orthogonal elements of any dim."""
     if not isinstance(elem, OrthElement):
         raise RepresentationError(f"expected an orthogonal element, got {type(elem).__name__}")
     if elem.has_a0:
         raise RepresentationError("elements with an A_0 component have no plain geometric form")
-    if elem.dim == 2:
-        a2, a1 = elem.coeffs
-        return GeomElement2((a2 + a1) / 2, (a2 - a1) / 2)
-    if elem.dim == 3:
-        a3, a2, a1 = elem.coeffs
-        return GeomElement3(
-            a3 / 6 + a2 / 2 + a1 / 3,
-            a3 / 6 - a1 / 6,
-            a3 / 6 - a2 / 2 + a1 / 3,
-        )
-    raise RepresentationError(f"no geometric basis in dimension {elem.dim}")
+    return GeomElement(elem.dim, _combine(_derived(_slice_rows, elem.dim), elem.coeffs))
 
 
 # Named basis elements.
@@ -262,10 +319,6 @@ ONE2 = GeomElement2(1, 0)            # <1>, the neutral element
 ONE3 = GeomElement3(1, 0, 0)         # <1>
 D_UNIT = GeomElement3(0, 1, 0)       # <D1>
 E_UNIT = GeomElement3(0, 0, 1)       # <e1> = -embed3(-1)
-# The other two sign patterns over the 3-d idempotents; together with E_UNIT
-# they satisfy e*f*g = -<1> and give the alternative presentation of the ring.
-F_UNIT = from_orth(OrthElement(3, False, (-1, 1, 1)))
-G_UNIT = from_orth(OrthElement(3, False, (1, 1, -1)))
 
 
 class SimplexLiteral(Record):
@@ -347,7 +400,6 @@ def element_from_json(data: dict):
     coeffs = [Fraction(c) for c in data["coeffs"]]
     if basis == OrthElement.basis:
         return OrthElement(data["dim"], bool(data.get("a0", False)), coeffs)
-    for cls in (GeomElement2, GeomElement3):
-        if basis == cls.basis:
-            return cls(*coeffs)
+    if basis == f"geom{data['dim']}":
+        return GeomElement(data["dim"], coeffs)
     raise ValueError(f"unknown basis {basis!r}")

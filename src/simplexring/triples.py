@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record, integer
-from .ring import Element, GeomElement2, OrthElement, _frac, embed2
+from .ring import Element, GeomElement, OrthElement, _frac, embed2
 
 
 def _coercible(value) -> bool:
@@ -161,7 +161,7 @@ class Triple(Record):
         return f"Triple({self.n}, {self.k}, {self.l})"
 
 
-def triple_to_ring(t: Triple) -> GeomElement2:
+def triple_to_ring(t: Triple) -> GeomElement:
     """Ring value <n-k> - <k-l> of a triple."""
     return embed2(t.n - t.k) - embed2(t.k - t.l)
 

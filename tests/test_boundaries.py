@@ -31,7 +31,6 @@ from simplexring.chains import (
     triangle_window,
 )
 from simplexring.eulerian import (
-    SliceBasisVector,
     binomial,
     embed_nd,
     eulerian,
@@ -54,6 +53,7 @@ from simplexring.forms import (
     three_term_form,
 )
 from simplexring.ring import (
+    GeomElement,
     OrthElement,
     SimplexLiteral,
     embed2,
@@ -83,6 +83,7 @@ BOUNDARIES = {
     "SimplexLiteral.scale": (lambda v: SimplexLiteral(2, v), "scale", None, 3),
     "SimplexLiteral.sign": (lambda v: SimplexLiteral(2, 3, v), "sign", None, 1),
     "OrthElement.dim": (lambda v: OrthElement(v, False, (1, 2, 3)), "dim", 1, 3),
+    "GeomElement.dim": (lambda v: GeomElement(v, (1, 2, 3)), "dim", 1, 3),
     "series_partial_sum": (lambda v: series_partial_sum(v), "terms", 1, 3),
     # forms
     "FormalCombination.dim": (lambda v: FormalCombination(v, False, ()), "dim", 1, 3),
@@ -157,7 +158,6 @@ BOUNDARIES = {
     "slice_decomposition.n": (lambda v: slice_decomposition(v, 3), "n", None, 3),
     "slice_decomposition.m": (lambda v: slice_decomposition(2, v), "m", 1, 3),
     "orthogonal_basis_matrix": (lambda v: orthogonal_basis_matrix(v), "m", 1, 3),
-    "SliceBasisVector.dim": (lambda v: SliceBasisVector(v, (1, 2, 3)), "dim", 1, 3),
     "embed_nd.n": (lambda v: embed_nd(v, 3), "n", None, 3),
     "embed_nd.m": (lambda v: embed_nd(2, v), "m", 1, 3),
     # witnesses

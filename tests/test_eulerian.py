@@ -11,8 +11,6 @@ import pytest
 
 import simplexring
 from simplexring.eulerian import (
-    SliceBasisVector,
-    apply_basis_matrix,
     binomial,
     embed_nd,
     eulerian,
@@ -23,7 +21,7 @@ from simplexring.eulerian import (
     slice_volumes,
     worpitzky,
 )
-from simplexring.ring import OrthElement, embed2, embed3, to_orth
+from simplexring.ring import GeomElement, OrthElement, embed2, embed3, from_orth, to_orth
 
 
 def _ascent_count_oracle(m, k):
@@ -129,15 +127,21 @@ def test_slice_decomposition_counts():
 
 
 def test_slice_volume_is_power():
+    # with piece k weighed by A(m, k-1), the side-n simplex has volume n^m,
+    # which is also its A_m coordinate
     for m in range(1, 6):
+        row = eulerian_row(m)
         for n in range(-4, 8):
-            assert slice_decomposition(n, m).volume() == n ** m
+            vec = slice_decomposition(n, m)
+            assert sum(c * a for c, a in zip(vec.coeffs, row)) == n ** m == to_orth(vec).coeffs[0]
 
 
 def test_dim3_decomposition_matches_tetrahedron():
-    for n in range(0, 9):
+    for n in range(-4, 9):
         e = embed3(n)
         assert slice_decomposition(n, 3).coeffs == (e.x, e.y, e.z)
+        assert slice_decomposition(n, 3) == e
+        assert slice_decomposition(n, 2) == embed2(n)
 
 
 def test_basis_matrix_small_cases():
@@ -153,19 +157,17 @@ def test_basis_matrix_small_cases():
 
 
 def test_basis_matrix_inverts_slice_decomposition():
+    # from_orth applies the transposed basis matrix
     for m in range(1, 7):
-        matrix = orthogonal_basis_matrix(m)
         for n in range(-3, 7):
-            assert apply_basis_matrix(matrix, embed_nd(n, m)) == slice_decomposition(n, m)
+            assert from_orth(embed_nd(n, m)) == slice_decomposition(n, m)
 
 
 def test_basis_matrix_row_dim2_is_orth_change():
-    # in two dimensions the matrix reproduces the hand change of basis
-    matrix = orthogonal_basis_matrix(2)
+    # in two dimensions the transposed matrix takes (n^2, n) to the pair of embed2
+    (a, b), (c, d) = orthogonal_basis_matrix(2)
     for n in range(-5, 6):
-        orth = to_orth(embed2(n))
-        vec = apply_basis_matrix(matrix, orth)
-        assert vec.coeffs == (embed2(n).x, embed2(n).y)
+        assert (a * n * n + c * n, b * n * n + d * n) == (embed2(n).x, embed2(n).y)
 
 
 def test_embed_nd_powers():
@@ -184,7 +186,7 @@ def test_embed_nd_multiplicative():
 
 def test_slice_basis_vector_validation():
     with pytest.raises(ValueError):
-        SliceBasisVector(3, (1, 2))
+        GeomElement(3, (1, 2))
 
 
 def test_two_route_checks_survive_optimize_flag():

@@ -11,6 +11,7 @@ from simplexring.forms import closed_sum, evaluate, evaluate_orth
 from simplexring.ring import (
     ONE2,
     ONE3,
+    GeomElement,
     GeomElement2,
     GeomElement3,
     OrthElement,
@@ -41,6 +42,8 @@ def _orth(dim, has_a0):
 ALGEBRAS = {
     "geom2": _with_one(st.builds(GeomElement2, FRACTIONS, FRACTIONS), ONE2),
     "geom3": _with_one(st.builds(GeomElement3, FRACTIONS, FRACTIONS, FRACTIONS), ONE3),
+    "geom5": _with_one(st.builds(GeomElement, st.just(5), st.lists(FRACTIONS, min_size=5, max_size=5)),
+                       GeomElement(5, (1, 0, 0, 0, 0))),
     "orth": st.tuples(st.integers(1, 4), st.booleans()).flatmap(lambda f: _orth(*f)),
     "T": _with_one(st.builds(lambda *parts: TElement(parts), ROOTS, ROOTS, ROOTS, ROOTS), T_ONE),
 }
@@ -62,7 +65,7 @@ def test_ring_laws(name, data):
     assert hash(a * b) == hash(b * a)
 
 
-@pytest.mark.parametrize("name", ["geom2", "geom3"])
+@pytest.mark.parametrize("name", ["geom2", "geom3", "geom5"])
 @SETTINGS
 @given(data=st.data())
 def test_to_orth_is_a_ring_homomorphism(name, data):
@@ -77,7 +80,7 @@ def test_to_orth_is_a_ring_homomorphism(name, data):
 
 class _Unreadable:
     def __getitem__(self, index):
-        raise AssertionError("the orthogonal route read a geometric product table")
+        raise AssertionError("the orthogonal route read a derived table")
 
 
 def test_product_routes_stay_independent(monkeypatch):
@@ -91,17 +94,18 @@ def test_product_routes_stay_independent(monkeypatch):
     monkeypatch.setattr(ring, "from_orth", no_basis_change)
     assert evaluate(closed_sum(values, 3)) * evaluate(closed_sum(others, 3)) == embed3(15)
 
-    # <D1>^2 = 4<1> + 2<D1> + 5<e1> instead of 4<e1>
-    table = [list(row) for row in GeomElement3._table]
+    # <D1>^2 = 4<1> + 2<D1> + 5<e1> instead of 4<e1>, in the memoised 3-d table
+    key = (ring._product_table, 3)
+    table = [list(row) for row in ring._derived(*key)]
     table[1][1] = ((0, 4), (1, 2), (2, 5))
-    monkeypatch.setattr(GeomElement3, "_table", tuple(map(tuple, table)))
+    monkeypatch.setitem(ring._TABLES, key, tuple(map(tuple, table)))
     left, right = evaluate(closed_sum(values, 3)), evaluate(closed_sum(others, 3))
     # sums use no product, so only the product check sees the corrupt table
     assert (left, right) == (embed3(5), embed3(3))
     assert left * right != embed3(15)
 
-    monkeypatch.setattr(GeomElement2, "_table", _Unreadable())
-    monkeypatch.setattr(GeomElement3, "_table", _Unreadable())
+    # no table is derived or read, of any kind or dim
+    monkeypatch.setattr(ring, "_TABLES", _Unreadable())
     left, right = evaluate_orth(closed_sum(values, 3)), evaluate_orth(closed_sum(others, 3))
     assert left.coeffs == (125, 25, 5)
     assert (left * right).coeffs == (3375, 225, 15)

@@ -16,11 +16,10 @@ from fractions import Fraction
 import pytest
 
 from simplexring.chains import Chain, PlacedPiece, PlacementPlan, TilePiece, triangle_chain
-from simplexring.eulerian import SliceBasisVector, slice_decomposition
 from simplexring.expr import Expr, Group, Lit, Star, Term, parse
 from simplexring.forms import FormalCombination, closed_sum
 from simplexring.render import RenderOptions
-from simplexring.ring import SimplexLiteral
+from simplexring.ring import GeomElement, SimplexLiteral
 from simplexring.triples import QSqrt3, Triple
 from simplexring.witnesses import FactorPair, Witness, composite_witness, factors_from_witness
 
@@ -30,7 +29,6 @@ SIGNATURES = {
     PlacedPiece: "(kind, position, size=1, orientation='up', sign=1, multiplicity=1)",
     PlacementPlan: "(dim, pieces=())",
     TilePiece: "(size, orientation='up', sign=1)",
-    SliceBasisVector: "(dim, coeffs)",
     Lit: "(scale, suffix=None, negated=False)",
     Star: "(n, m)",
     Group: "(inner)",
@@ -55,7 +53,6 @@ SAMPLES = {
     PlacementPlan: [PlacementPlan(2, [PlacedPiece("vertex", (1, 1), multiplicity=2)]),
                     PlacementPlan(1), PlacementPlan(1, ())],
     TilePiece: [TilePiece(2), TilePiece(1, "down", -1), TilePiece(2, "up", 1)],
-    SliceBasisVector: [slice_decomposition(3, 2), SliceBasisVector(2, (Fraction(1, 2), 3))],
     Lit: [Lit(3), Lit(-2, "0", True), Lit(3, None, False)],
     Star: [Star(3, 2), Star(3, -2)],
     Group: [_TREE.terms[1][1].atom, Group(parse("<1>"))],
@@ -89,7 +86,7 @@ def _twins(cls, records):
 
 def test_every_record_class_is_covered():
     assert set(SIGNATURES) == set(SAMPLES)
-    assert len(SIGNATURES) == 15
+    assert len(SIGNATURES) == 14
 
 
 @pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
@@ -172,8 +169,9 @@ ERRORS = [
     (lambda: TilePiece(-3), ValueError, "size must be >= 1, got -3"),
     (lambda: TilePiece(1, "left"), ValueError, "orientation must be 'up' or 'down', got 'left'"),
     (lambda: TilePiece(1, "up", -2), ValueError, "sign must be +1 or -1, got -2"),
-    (lambda: SliceBasisVector(0, ()), ValueError, "dim must be >= 1, got 0"),
-    (lambda: SliceBasisVector(2, (1,)), ValueError, "need 2 slice coefficients, got 1"),
+    # GeomElement holds the slice counts SliceBasisVector held, and keeps its messages.
+    (lambda: GeomElement(0, ()), ValueError, "dim must be >= 1, got 0"),
+    (lambda: GeomElement(2, (1,)), ValueError, "need 2 slice coefficients, got 1"),
     (lambda: FormalCombination(2, False, ((1.5, SimplexLiteral(2, 1)),)), TypeError,
      "coefficient must be an integer, got 1.5"),
     (lambda: FormalCombination(2, False, ((1, (2, 1)),)), TypeError, "term (2, 1) is not a literal"),

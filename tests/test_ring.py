@@ -1,14 +1,19 @@
 """Element types, embeddings and basis changes."""
 
+import copy
+import inspect
+import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from simplexring import ring
+from simplexring.eulerian import orthogonal_basis_matrix, slice_decomposition
 from simplexring.ring import (
     D_UNIT,
     E_UNIT,
-    F_UNIT,
-    G_UNIT,
+    GeomElement,
     GeomElement2,
     GeomElement3,
     ONE2,
@@ -27,6 +32,7 @@ from simplexring.ring import (
     series_partial_sum,
     to_orth,
 )
+from simplexring.triples import QSqrt3
 
 
 def _tri(n):
@@ -128,10 +134,13 @@ def test_orth_embedding_is_powers():
 
 
 def test_mirror_units_square_to_one():
-    assert F_UNIT * F_UNIT == ONE3
-    assert G_UNIT * G_UNIT == ONE3
+    # the other two sign patterns over the 3-d idempotents
+    f_unit = from_orth(OrthElement(3, False, (-1, 1, 1)))
+    g_unit = from_orth(OrthElement(3, False, (1, 1, -1)))
+    assert f_unit * f_unit == ONE3
+    assert g_unit * g_unit == ONE3
     # their product is the reflected unit, the side -1 embedding
-    assert F_UNIT * G_UNIT == embed3(-1) == -E_UNIT
+    assert f_unit * g_unit == embed3(-1) == -E_UNIT
 
 
 def test_orth_element_componentwise():
@@ -168,6 +177,16 @@ def test_floats_rejected_everywhere():
         OrthElement(2, False, (1.5, 2))
     with pytest.raises(TypeError):
         embed2(2) * 0.5
+
+    # A coefficient is an int that is not a bool, or a Fraction; these were
+    # once converted to a Fraction without a word.
+    for bad in (True, "1/2", " 3 ", Decimal("0.1")):
+        for make in (lambda: GeomElement2(bad, 0), lambda: GeomElement(4, (1, 2, bad, 4)),
+                     lambda: OrthElement(2, False, (1, bad)), lambda: QSqrt3(bad),
+                     lambda: QSqrt3(1, bad)):
+            with pytest.raises(TypeError) as info:
+                make()
+            assert str(info.value) == f"coefficient must be an int or a Fraction, got {bad!r}"
 
 
 def test_embed_needs_integers():
@@ -224,3 +243,113 @@ def test_series_closed_form_matches_the_sum():
         assert element_to_json(element) == element_to_json(_series_oracle(terms)), terms
     with pytest.raises(ValueError):
         series_partial_sum(0)
+
+
+# --- the derived slice rings -------------------------------------------------
+# The 2-d and 3-d product tables and basis changes were once written by hand.
+# They stay here as oracle data for the tables `ring` derives from piece counts.
+HAND_TABLES = {
+    2: (
+        (((0, 1),), ((1, 1),)),
+        (((1, 1),), ((0, 1),)),
+    ),
+    3: (
+        (((0, 1),), ((1, 1),), ((2, 1),)),
+        (((1, 1),), ((0, 4), (1, 2), (2, 4)), ((1, 1),)),
+        (((2, 1),), ((1, 1),), ((0, 1),)),
+    ),
+}
+
+
+def _hand_to_orth(x, y, z=None):
+    if z is None:
+        return (x + y, x - y)
+    return (x + 4 * y + z, x - z, x - 2 * y + z)
+
+
+def _hand_from_orth(*coords):
+    if len(coords) == 2:
+        a2, a1 = coords
+        return ((a2 + a1) / 2, (a2 - a1) / 2)
+    a3, a2, a1 = coords
+    return (a3 / 6 + a2 / 2 + a1 / 3, a3 / 6 - a1 / 6, a3 / 6 - a2 / 2 + a1 / 3)
+
+
+COEFFS = [Fraction(3, 7), -2, Fraction(-5, 2), 0, 4, Fraction(1, 9), -1, 6]
+
+
+def _unit(dim, k):
+    return GeomElement(dim, [int(i == k) for i in range(dim)])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_derived_tables_equal_the_hand_tables(dim):
+    table = _unit(dim, 0)._table
+    assert table == HAND_TABLES[dim]
+    assert {type(c) for row in table for cell in row for _, c in cell} == {int}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_basis_changes_equal_the_hand_formulas(dim):
+    for start in range(len(COEFFS) - dim):
+        coeffs = [Fraction(c) for c in COEFFS[start:start + dim]]
+        assert to_orth(GeomElement(dim, coeffs)).coeffs == _hand_to_orth(*coeffs)
+        assert from_orth(OrthElement(dim, False, coeffs)).coeffs == _hand_from_orth(*coeffs)
+
+
+def test_the_8d_table_has_the_counted_constants():
+    table = ring._derived(ring._product_table, 8)
+    constants = [c for row in table for cell in row for _, c in cell]
+    assert (len(constants), max(map(abs, constants))) == (284, 8436)
+    assert {type(c) for c in constants} == {int}
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_piece_matrix_times_basis_matrix_transposed_is_identity(dim):
+    # column k of the piece matrix holds the orthogonal coordinates of piece k
+    pieces = [to_orth(_unit(dim, k)).coeffs for k in range(dim)]
+    matrix = orthogonal_basis_matrix(dim)
+    product = [[sum(pieces[k][i] * matrix[j][k] for k in range(dim)) for j in range(dim)]
+               for i in range(dim)]
+    assert product == [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_slice_counts_multiply_like_integers(dim):
+    for a in range(-4, 6):
+        for b in range(-4, 6):
+            product = slice_decomposition(a, dim) * slice_decomposition(b, dim)
+            assert product == slice_decomposition(a * b, dim)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_orth_round_trip_every_dim(dim):
+    x = GeomElement(dim, COEFFS[:dim])
+    assert from_orth(to_orth(x)) == x
+    assert to_orth(_unit(dim, 0)).coeffs == (1,) * dim  # the unit simplex is neutral
+    assert to_orth(x * x) == to_orth(x) * to_orth(x)
+
+
+def test_coordinate_names_stop_at_the_dim():
+    assert (embed3(3).x, embed3(3).y, embed3(3).z) == (10, 4, 1)
+    assert (embed2(3).x, embed2(3).y) == (6, 3)
+    assert not hasattr(embed2(1), "z")
+    assert not hasattr(GeomElement(1, (5,)), "y")
+    assert GeomElement(5, range(5)).z == 2
+
+
+def test_geom_element_reads_and_writes():
+    makers = (GeomElement, GeomElement2, GeomElement3)
+    signatures = [list(inspect.signature(make).parameters) for make in makers]
+    assert signatures == [["dim", "coeffs"], ["x", "y"], ["x", "y", "z"]]
+    assert GeomElement2(6, 3) == GeomElement(2, (6, 3)) == embed2(3)
+    assert copy.deepcopy(embed3(4)) == embed3(4)
+    assert pickle.loads(pickle.dumps(slice_decomposition(4, 5))) == slice_decomposition(4, 5)
+    assert repr(embed2(3)) == "GeomElement(2, 6, 3)"
+    assert (embed3(2).dim, embed3(2).basis, embed3(2).has_a0) == (3, "geom3", False)
+    x = GeomElement(5, COEFFS[:5])
+    assert element_to_json(x)["basis"] == "geom5"
+    assert element_from_json(element_to_json(x)) == x
+    with pytest.raises(RepresentationError, match=r"^cannot combine GeomElement\(2\) with "
+                                                  r"GeomElement\(3\)$"):
+        embed2(2) + embed3(2)

@@ -100,6 +100,36 @@ def test_command_reads_its_arguments_without_argparse(argv):
     assert not {"argparse", "gettext", "locale"} & _loaded_by(argv, "-S")
 
 
+@pytest.mark.parametrize("argv", [
+    COMMANDS["eval"][0],
+    COMMANDS["verify"][0],
+    ["verify", "--identity", "closed-nd", "--range=0..1", "--m", "4"],
+], ids=["eval", "verify-closed2", "verify-closed-nd"])
+def test_ring_commands_load_no_eulerian(argv):
+    # no geometric product or from_orth runs, so no table loads the basis matrix
+    assert "simplexring.eulerian" not in _loaded_by(argv, "-S")
+
+
+def test_ring_derives_each_table_on_first_use():
+    derived = _python(
+        "import json\n"
+        "from simplexring import ring\n"
+        "def derived():\n"
+        "    return sorted(f'{derive.__name__} {dim}' for derive, dim in ring._TABLES)\n"
+        "steps = [derived()]\n"
+        "ring.to_orth(ring.embed3(2))\n"
+        "steps.append(derived())\n"
+        "ring.embed2(2) * ring.embed2(3)\n"
+        "steps.append(derived())\n"
+        "print(json.dumps(steps))"
+    )
+    assert derived == [
+        [],
+        ["_orth_rows 3"],
+        ["_orth_rows 3", "_product_table 2", "_slice_rows 2"],
+    ]
+
+
 EULERIAN_ONLY = ["slabs", "worpitzky", "eulerian", "eulerian-text", "verify-worpitzky"]
 
 
