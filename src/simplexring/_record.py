@@ -19,7 +19,8 @@ own `__eq__`, `__hash__` and `repr`, and takes the rest from here.
 
 `integer` is the library's one rule for an integer argument (a scale, a
 side, a dimension, a coefficient, a witness entry): every boundary that
-takes one calls it.
+takes one calls it.  `flag` is the one rule for an on/off argument
+(`has_a0`, `extended`, `negated`, `annotate`).
 
 This module imports nothing, so a record costs no import at start-up.
 """
@@ -42,6 +43,17 @@ def integer(value, name: str, least=None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def flag(value, name: str) -> bool:
+    """`value` if it is True or False, else TypeError naming the argument.
+
+    1, 0, "yes" and None are refused: a flag is stored and written to JSON
+    as given, so only a bool may pass.
+    """
+    if value is True or value is False:
+        return value
+    raise TypeError(f"{name} must be a bool, got {value!r}")
 
 
 class Record:

@@ -33,7 +33,8 @@ LIMITS = {
     # Cases times the cost of a case (see IDENTITIES).  `closed3` over -6..6
     # comes to 1,399,489, and no identity runs longer at the limit.
     "verify": (1_400_000, "work units"),
-    # The witness scan is O(z^2); a prime near the limit takes seconds.
+    # The witness scan tries about z^2/12 pairs; a prime near the limit takes
+    # about 2 s.
     "factor": (10_000, "z"),
     # `eulerian` prints every row up to m, and row m holds numbers near m!.
     "eulerian": (100, "m"),
@@ -144,7 +145,7 @@ def _composite(case, m):
 # product.  `cost` is what a case builds, its terms times the coefficients of
 # each term, or cost(span, m) where the range or m sets it.  The orthogonal
 # route costs about one coefficient per term more than the geometric one,
-# and a composite case scans up to z^2/4 pairs, 16 to a unit.
+# and a composite case scans up to z^2/12 pairs, 16 to a unit.
 IDENTITIES = {
     "closed2": ("n,k,l", lambda span, m: [(span, 3)], 6 * 2,
                 _sums_to(GEOMETRIC, lambda forms, *v: (forms.closed_sum(v, 2), sum(v)))),
@@ -161,7 +162,7 @@ IDENTITIES = {
              _sums_to(GEOMETRIC, lambda forms, n, k: (forms.star_product(n, k), n * k))),
     "worpitzky": ("n,m", lambda span, m: [(span, 1), (range(1, 9), 1)], 2 * 8, _worpitzky),
     "composite": ("z", lambda span, m: [(range(max(span.start, 2), span.stop), 1)],
-                  lambda span, m: span[-1] ** 2 // 64, _composite),
+                  lambda span, m: span[-1] ** 2 // 192, _composite),
 }
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 import sys
 
-from ._record import Record, integer
+from ._record import Record, flag, integer
 from .ring import SimplexLiteral, embed_literal, representation
 from .forms import star_product, evaluate
 
@@ -45,7 +45,7 @@ class Lit(Record):
     __slots__ = ("scale", "suffix", "negated")  # suffix: None, "0" or "10"
 
     def __init__(self, scale: int, suffix: str | None = None, negated: bool = False):
-        self._set(scale, suffix, negated)
+        self._set(scale, suffix, flag(negated, "negated"))
 
 
 class Star(Record):
@@ -263,6 +263,7 @@ def evaluate_expression(expr: Expr, dim: int = 2, extended: bool = False):
     plain and boundary-carrying families (or dimensions) raises the usual
     representation error from the element arithmetic.
     """
+    extended = flag(extended, "extended")
     total = None
     for sign, term in expr.terms:
         value = term.coeff * _eval_atom(term.atom, dim, extended)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ._record import Record, integer
+from ._record import Record, flag, integer
 from .ring import OrthElement, SimplexLiteral, embed_literal, literal_orth, representation
 
 
@@ -30,6 +30,7 @@ class FormalCombination(Record):
 
     def __init__(self, dim: int, extended: bool, terms: tuple):
         dim = integer(dim, "dim", 1)
+        extended = flag(extended, "extended")
         terms = tuple((integer(c, "coefficient"), lit) for c, lit in terms)
         for coeff, lit in terms:
             if not isinstance(lit, SimplexLiteral):

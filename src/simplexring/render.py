@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record
+from ._record import Record, flag
 from .chains import UP, Chain, PlacementPlan, face_vertices, piece_cells
 
 SQRT3 = 3 ** 0.5
@@ -33,7 +33,8 @@ class RenderOptions(Record):
     """Drawing options; side is the number of pixels per lattice unit.
 
     side and margin are finite ints or floats (not bools) with side > 0
-    and margin >= 0; anything else raises TypeError or ValueError.
+    and margin >= 0, and annotate is a bool; anything else raises
+    TypeError or ValueError.
     """
 
     __slots__ = ("side", "margin", "positive", "positive_open", "negative", "cancelled", "annotate")
@@ -47,7 +48,7 @@ class RenderOptions(Record):
             raise ValueError(f"side must be > 0, got {side!r}")
         if margin < 0:
             raise ValueError(f"margin must be >= 0, got {margin!r}")
-        self._set(side, margin, positive, positive_open, negative, cancelled, annotate)
+        self._set(side, margin, positive, positive_open, negative, cancelled, flag(annotate, "annotate"))
 
 
 def _fmt(x: float) -> str:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb
 from operator import add, mul, neg, sub
 
-from ._record import Record, integer
+from ._record import Record, flag, integer
 
 
 class RepresentationError(ValueError):
@@ -250,7 +250,7 @@ class OrthElement(Element):
 
     def __init__(self, dim: int, has_a0: bool, coeffs):
         dim = integer(dim, "dim", 1)
-        super().__init__(coeffs, (dim, has_a0))
+        super().__init__(coeffs, (dim, flag(has_a0, "has_a0")))
         size = dim + (1 if has_a0 else 0)
         if len(self._coeffs) != size:
             raise ValueError(f"expected {size} coefficients, got {len(self._coeffs)}")
@@ -337,7 +337,7 @@ class SimplexLiteral(Record):
             sign = integer(sign, "sign")
         if sign not in (1, -1):
             raise ValueError("literal sign must be +1 or -1")
-        self._set(integer(dim, "dim", 1), integer(scale, "scale"), sign, extended)
+        self._set(integer(dim, "dim", 1), integer(scale, "scale"), sign, flag(extended, "extended"))
 
 
 _ZERO2 = GeomElement2(0, 0)

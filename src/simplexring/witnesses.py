@@ -8,6 +8,12 @@ i.e. when the side-z triangle is a signed sum of four strictly smaller
 ones.  Both directions are constructive: a factorization z = (x+y)(m+n)
 yields a witness, and a witness yields a factor pair by splitting
 t = b - c - d over the divisors of c and d.
+
+With u = z - a and v = z - b the two constraints read u + v + c + d = z
+and uv = cd.  So (d - c)^2 = (c + d)^2 - 4uv, which is negative for every
+b < ceil(sqrt(4zu)) - u: the search for the smallest witness starts each
+row there and visits about z^2/12 pairs (a, b), those with
+sqrt(u) + sqrt(v) <= sqrt(z) and v <= u, in place of all z^2/4.
 """
 
 from __future__ import annotations
@@ -72,6 +78,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# A perfect square is one of these 12 residues mod 64; the scan sends only
+# discriminants with such a residue on to isqrt.
+_SQUARE_MOD64 = bytes(map({k * k % 64 for k in range(64)}.__contains__, range(64)))
+
+
+def _least_b(z: int, a: int) -> int:
+    """First b of row a: c + d >= 2, b >= a and (z + u - v)^2 >= 4zu, i.e. disc >= 0."""
+    u = z - a
+    return max(a, z + 2 - a, isqrt(4 * z * u - 1) + 1 - u)
+
+
 def composite_witness(z: int) -> Witness | None:
     """Lexicographically smallest witness (a, b, c, d) with a <= b, c <= d.
 
@@ -79,19 +96,26 @@ def composite_witness(z: int) -> Witness | None:
     For fixed (a, b) the pair {c, d} is pinned down by its sum and sum of
     squares, so scanning (a, b) in ascending order and solving the quadratic
     already yields the minimal tuple.
+
+    With u = z - a and v = z - b a witness has uv = cd, so the
+    discriminant (d - c)^2 is (c + d)^2 - 4uv.  It is negative for every b
+    below `_least_b(z, a)`, so each row starts there (the module docstring
+    gives the bound).  A discriminant whose residue mod 64 is not a square
+    never reaches `isqrt`, and a root r of s^2 - 4uv has the parity of
+    s = c + d, so c and d come out whole.
     """
     z = integer(z, "z", 2)
     zsq = z * z
+    squares = _SQUARE_MOD64
     for a in range(1, z):
-        # c + d = a + b - z must be at least 2, so b >= z + 2 - a.
-        for b in range(max(a, z + 2 - a), z):
+        u4 = 4 * (z - a)
+        for b in range(_least_b(z, a), z):
             s = a + b - z
-            q = a * a + b * b - zsq
-            disc = 2 * q - s * s
-            if disc < 0:
+            disc = s * s - u4 * (z - b)
+            if not squares[disc & 63]:
                 continue
             r = isqrt(disc)
-            if r * r != disc or (s - r) % 2:
+            if r * r != disc:
                 continue
             c = (s - r) // 2
             d = (s + r) // 2

@@ -6,13 +6,16 @@ raises TypeError naming the argument.  Where an argument has a least value,
 a smaller one raises ValueError naming it.  The table below lists each
 integer boundary once, as (make, name, least, good): `make(v)` passes v as
 that argument, and `good` is a value it accepts.
+
+Every on/off argument follows `_record.flag`: True and False pass, and
+anything else (1, 0, "yes", None) raises TypeError naming the argument.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from simplexring._record import integer
+from simplexring._record import flag, integer
 from simplexring.chains import (
     Chain,
     PlacedPiece,
@@ -40,7 +43,7 @@ from simplexring.eulerian import (
     slice_decomposition,
     worpitzky,
 )
-from simplexring.expr import evaluate_expression, parse
+from simplexring.expr import Lit, evaluate_expression, parse
 from simplexring.forms import (
     FormalCombination,
     arithmetic_form,
@@ -61,6 +64,7 @@ from simplexring.ring import (
     embed20,
     series_partial_sum,
 )
+from simplexring.render import RenderOptions
 from simplexring.triples import Triple
 from simplexring.witnesses import (
     Witness,
@@ -191,6 +195,36 @@ def test_integer_boundary(boundary):
         with pytest.raises(ValueError) as info:
             make(least - 1)
         assert str(info.value) == f"{name} must be >= {least}, got {least - 1}"
+
+
+# id -> (make, name): make(v) passes v as that flag, and make(True) is valid.
+FLAGS = {
+    "OrthElement.has_a0": (lambda v: OrthElement(2, v, (4, 2, 1)), "has_a0"),
+    "SimplexLiteral.extended": (lambda v: SimplexLiteral(2, 3, 1, v), "extended"),
+    "FormalCombination.extended": (lambda v: FormalCombination(2, v, ()), "extended"),
+    "closed_sum.extended": (lambda v: closed_sum((1, 2, 3), 2, extended=v), "extended"),
+    "Lit.negated": (lambda v: Lit(3, negated=v), "negated"),
+    "evaluate_expression.extended": (
+        lambda v: evaluate_expression(parse("<1>_0"), 2, v), "extended"),
+    "RenderOptions.annotate": (lambda v: RenderOptions(annotate=v), "annotate"),
+}
+
+
+@pytest.mark.parametrize("boundary", FLAGS)
+def test_flag_boundary(boundary):
+    make, name = FLAGS[boundary]
+    for bad in (1, 0, "yes", None):
+        with pytest.raises(TypeError) as info:
+            make(bad)
+        assert str(info.value) == f"{name} must be a bool, got {bad!r}"
+    make(True)
+
+
+def test_the_flag_rule():
+    assert flag(True, "f") is True and flag(False, "f") is False
+    for bad in (1, 0, "yes", None, 1.0, (True,)):
+        with pytest.raises(TypeError, match="^f must be a bool, got "):
+            flag(bad, "f")
 
 
 # Each of these returned an answer before every boundary called the rule.

@@ -190,19 +190,19 @@ def _stub_check(monkeypatch, identity):
 
 
 def test_verify_composite_cap(capsys):
-    # A case costs hi^2 // 64 + 7 for the top z = hi: 2..447 is 446 * 3129 =
-    # 1,395,534 work units and 2..448 is 447 * 3143 = 1,404,921, around the
+    # A case costs hi^2 // 192 + 7 for the top z = hi: 2..645 is 644 * 2173 =
+    # 1,399,412 work units and 2..646 is 645 * 2180 = 1,406,100, around the
     # verify limit of 1,400,000.
     assert cli.LIMITS["verify"][0] == 1_400_000
-    code, out, _ = _run(capsys, "verify", "--identity", "composite", "--range=2..447")
+    code, out, _ = _run(capsys, "verify", "--identity", "composite", "--range=2..645")
     assert code == 0 and out.startswith("PASS composite")
-    code, out, err = _run(capsys, "verify", "--identity", "composite", "--range=2..448")
-    assert code == 2 and out == "" and "1404921" in err and "1400000" in err
-    # A single z up to 9465 fits (9465^2 // 64 + 7 = 1,399,791).
-    code, out, _ = _run(capsys, "verify", "--identity", "composite", "--range=9465..9465")
+    code, out, err = _run(capsys, "verify", "--identity", "composite", "--range=2..646")
+    assert code == 2 and out == "" and "1406100" in err and "1400000" in err
+    # A single z up to 16395 fits (16395^2 // 192 + 7 = 1,399,986).
+    code, out, _ = _run(capsys, "verify", "--identity", "composite", "--range=16395..16395")
     assert code == 0 and out.startswith("PASS composite")
-    code, out, _ = _run(capsys, "verify", "--identity", "composite", "--range=9466..9466")
-    assert code == 2 and out == ""
+    code, out, err = _run(capsys, "verify", "--identity", "composite", "--range=16396..16396")
+    assert code == 2 and out == "" and "1400157" in err
 
 
 def test_verify_closed_nd_m_cap(capsys, monkeypatch):

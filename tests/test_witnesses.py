@@ -1,12 +1,17 @@
 """Composite witnesses and the factor constructions, checked against brute force."""
 
 import itertools
+import json
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
 from simplexring.witnesses import (
+    _SQUARE_MOD64,
     Witness,
     WitnessError,
+    _least_b,
     composite_witness,
     factor_report,
     factors_from_witness,
@@ -38,6 +43,64 @@ def _brute_witness(z):
                 if a * a + b * b - c * c - d * d == z * z:
                     return (a, b, c, d)
     return None
+
+
+def _full_scan(z):
+    """Smallest witness tuple by the unpruned scan of every (a, b) with c + d >= 2."""
+    zsq = z * z
+    for a in range(1, z):
+        for b in range(max(a, z + 2 - a), z):
+            s = a + b - z
+            q = a * a + b * b - zsq
+            disc = 2 * q - s * s
+            if disc < 0:
+                continue
+            r = isqrt(disc)
+            if r * r != disc or (s - r) % 2:
+                continue
+            c = (s - r) // 2
+            d = (s + r) // 2
+            if c < 1 or d > z - 1:
+                continue
+            if a * a + b * b - c * c - d * d == zsq:
+                return (a, b, c, d)
+    return None
+
+
+def _disc(z, a, b):
+    s = a + b - z
+    return 2 * (a * a + b * b - z * z) - s * s
+
+
+def test_pruned_scan_matches_full_scan():
+    for z in range(2, 501):
+        w = composite_witness(z)
+        assert (None if w is None else w.as_tuple()) == _full_scan(z), z
+
+
+def test_pinned_witnesses():
+    # bench/pinned.json holds the minimal witness of 185 z in 1000..4000.
+    path = Path(__file__).resolve().parent.parent / "bench" / "pinned.json"
+    pinned = json.loads(path.read_text(encoding="utf-8"))["witnesses"]
+    assert len(pinned) == 185
+    for z, witness in pinned.items():
+        assert list(composite_witness(int(z)).as_tuple()) == witness, z
+
+
+def test_square_residue_table():
+    assert len(_SQUARE_MOD64) == 64
+    assert {i for i in range(64) if _SQUARE_MOD64[i]} == {i * i % 64 for i in range(64)}
+
+
+def test_scan_starts_at_the_first_real_discriminant():
+    # Every b the scan visits has disc >= 0, so isqrt never sees a negative,
+    # and the b just below the start (when c + d >= 2 there) has disc < 0.
+    for z in range(2, 201):
+        for a in range(1, z):
+            least = _least_b(z, a)
+            assert all(_disc(z, a, b) >= 0 for b in range(least, z)), (z, a)
+            if least - 1 >= max(a, z + 2 - a):
+                assert _disc(z, a, least - 1) < 0, (z, a)
 
 
 def test_witness_exists_exactly_for_composites():
