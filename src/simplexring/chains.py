@@ -435,13 +435,11 @@ def chain_face_total(chain: Chain) -> int:
 
 
 def tetrahedron_slabs(n: int) -> tuple:
-    """Slab piece counts of the side-n tetrahedron; (1,4,1)-weighted sum n^3."""
+    """Slab piece counts C(n+3-k, 3) of the side-n tetrahedron; (1,4,1)-weighted sum n^3."""
+    from .eulerian import binomial
+
     n = integer(n, "n", 1)
-    return (
-        n * (n + 1) * (n + 2) // 6,
-        (n - 1) * n * (n + 1) // 6,
-        (n - 2) * (n - 1) * n // 6,
-    )
+    return tuple(binomial(n + 3 - k, 3) for k in (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------

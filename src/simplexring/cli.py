@@ -104,7 +104,7 @@ def _parse_range(text: str):
 
 
 # The two routes of a formal sum: names in `forms` and `ring`, looked up as a case runs.
-GEOMETRIC = ("evaluate", "embed_literal")  # the 2-d and 3-d product tables
+GEOMETRIC = ("evaluate", "embed_literal")  # slice counts of the plain family
 ORTHOGONAL = ("evaluate_orth", "literal_orth")  # powers of the scales
 
 

@@ -94,10 +94,10 @@ def slice_volumes(m: int) -> tuple:
 
 def slice_decomposition(n: int, m: int) -> GeomElement:
     """Side-n simplex as a GeomElement(m): piece k occurs C(n+m-k, m) times."""
-    from .ring import GeomElement
+    from .ring import GeomElement, _counts
 
     n, m = integer(n, "n"), integer(m, "m", 1)
-    return GeomElement(m, [binomial(n + m - k, m) for k in range(1, m + 1)])
+    return GeomElement(m, _counts(m, n))
 
 
 def orthogonal_basis_matrix(m: int) -> tuple:

@@ -9,7 +9,7 @@ describes a physical layout, not just a number.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from math import prod
 
 from ._record import Record, flag, integer
 from .ring import OrthElement, SimplexLiteral, embed_literal, literal_orth, representation
@@ -80,8 +80,8 @@ def evaluate(comb: FormalCombination):
 def evaluate_orth(comb: FormalCombination) -> OrthElement:
     """Ring value through the orthogonal basis only (power embedding).
 
-    Independent of the 2-d/3-d geometric product tables, which makes it the
-    second route of the dual-route checks.
+    Reads no slice count and no product table, which makes it the second
+    route of the dual-route checks in every dim.
     """
     total = OrthElement.zero(comb.dim, comb.extended)
     for coeff, lit in comb.terms:
@@ -147,23 +147,24 @@ def star_product(n: int, m: int) -> FormalCombination:
     return combination(2, False, [(n * (n - 1) // 2, 2 * m), (-n * (n - 2), m)])
 
 
-def arithmetic_form(n: int, dim: int) -> FormalCombination:
-    """<n> written over the unit scales only.
+def _interpolation(n: int, top: int, size: int) -> list:
+    """(weight, node) for the nodes i = top, ..., top-size+1: their Lagrange weights at n.
 
-    dim 2: (n(n-1)/2)<2> - n(n-2)<1>.
-    dim 3: the Lagrange weights on scales 3, 2, 1 (the <0> node drops out
-    of the plain family), with the middle term negative.
+    On consecutive integer nodes each weight is an integer, so the division is exact.
     """
-    n = integer(n, "n")
-    if dim == 2:
-        return combination(2, False, [(n * (n - 1) // 2, 2), (-n * (n - 2), 1)])
-    if dim == 3:
-        return combination(3, False, [
-            (n * (n - 1) * (n - 2) // 6, 3),
-            (-(n * (n - 1) * (n - 3) // 2), 2),
-            (n * (n - 2) * (n - 3) // 2, 1),
-        ])
-    raise ValueError(f"arithmetic_form is defined for dim 2 and 3, not {dim}")
+    nodes = range(top, top - size, -1)
+    return [(prod(n - j for j in nodes if j != i) // prod(i - j for j in nodes if j != i), i)
+            for i in nodes]
+
+
+def arithmetic_form(n: int, dim: int) -> FormalCombination:
+    """<n> written over the unit scales dim, ..., 1.
+
+    The weights interpolate on the nodes dim, ..., 0, and the <0> node drops
+    out of the plain family.  dim 2: (n(n-1)/2)<2> - n(n-2)<1>.
+    """
+    n, dim = integer(n, "n"), integer(dim, "dim", 1)
+    return combination(dim, False, _interpolation(n, dim, dim + 1)[:-1])
 
 
 def three_term_form(n: int, k: int) -> FormalCombination:
@@ -173,15 +174,10 @@ def three_term_form(n: int, k: int) -> FormalCombination:
     k-1, k, k+1 evaluated at n.
     """
     n, k = integer(n, "n"), integer(k, "k")
-    d = n - k
-    return combination(2, True, [
-        (d * (d + 1) // 2, k + 1),
-        (-(d - 1) * (d + 1), k),
-        (d * (d - 1) // 2, k - 1),
-    ])
+    return combination(2, True, _interpolation(n, k + 1, 3))
 
 
 def segment_form(n: int, k: int) -> FormalCombination:
     """Segment family <n>_10 over the window <k+1>_10, <k>_10."""
     n, k = integer(n, "n"), integer(k, "k")
-    return combination(1, True, [(n - k, k + 1), (-(n - k - 1), k)])
+    return combination(1, True, _interpolation(n, k + 1, 2))

@@ -16,7 +16,7 @@ goes through `_record.integer`.  Floats are refused at every boundary.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import factorial, prod
 from operator import add, mul, neg, sub
 
 from ._record import Record, flag, integer
@@ -182,17 +182,23 @@ def _derived(derive, dim: int):
         return table
 
 
+def _counts(dim: int, n: int) -> list:
+    """How often the side-n shape holds piece k, C(n+dim-k, dim), for k = 1..dim:
+    a falling product over dim!, so the division is exact for every n."""
+    fact = factorial(dim)
+    return [prod(range(top, top - dim, -1)) // fact for top in range(n + dim - 1, n - 1, -1)]
+
+
 def _pieces(dim: int) -> list:
     """The orthogonal coordinates (A_dim, ..., A_1) of each slice piece, in integers.
 
     The side-n shape, with coordinates (n^dim, ..., n), is the sum over k <= n
-    of C(n+dim-k, dim) * piece k, and C(dim, dim) = 1: forward substitution.
+    of `_counts(dim, n)[k-1]` * piece k, and C(dim, dim) = 1: forward substitution.
     """
     pieces = []
     for n in range(1, dim + 1):
         coords = [n ** i for i in range(dim, 0, -1)]
-        for k, piece in enumerate(pieces, 1):
-            times = comb(n + dim - k, dim)
+        for times, piece in zip(_counts(dim, n), pieces):
             coords = [a - times * b for a, b in zip(coords, piece)]
         pieces.append(coords)
     return pieces
@@ -270,8 +276,7 @@ def _powers(dim: int, extended: bool, n: int) -> OrthElement:
 
 def embed2(n) -> GeomElement:
     """Side-n triangle as a geometric pair (n(n+1)/2, n(n-1)/2)."""
-    n = integer(n, "n")
-    return GeomElement(2, (n * (n + 1) // 2, n * (n - 1) // 2))
+    return GeomElement(2, _counts(2, integer(n, "n")))
 
 
 def embed20(n) -> OrthElement:
@@ -285,12 +290,7 @@ def embed3(n) -> GeomElement:
     The reflected shapes come out automatically: embed3(-n) is the negated
     coefficient-reversal of embed3(n), e.g. embed3(-1) = (0, 0, -1).
     """
-    n = integer(n, "n")
-    return GeomElement(3, (
-        n * (n + 1) * (n + 2) // 6,
-        (n - 1) * n * (n + 1) // 6,
-        (n - 2) * (n - 1) * n // 6,
-    ))
+    return GeomElement(3, _counts(3, integer(n, "n")))
 
 
 def to_orth(elem) -> OrthElement:
@@ -340,27 +340,23 @@ class SimplexLiteral(Record):
         self._set(integer(dim, "dim", 1), integer(scale, "scale"), sign, flag(extended, "extended"))
 
 
-_ZERO2 = GeomElement2(0, 0)
-_ZERO3 = GeomElement3(0, 0, 0)
-
-
 def representation(dim: int, extended: bool):
     """(zero, embed) of the ring a (dim, extended) literal family lives in.
 
-    Plain 2-d and 3-d literals use the geometric bases; every other family
-    (the extended ones, segments, higher dimensions) uses the orthogonal
-    basis, where embed(n) has coefficients (n^dim, ..., n (, 1)).
+    A plain family of any dim lives in the slice ring `GeomElement(dim)`,
+    where embed(n) counts each piece C(n+dim-k, dim) times.  An extended
+    family carries A_0 and lives in the orthogonal basis, where embed(n)
+    has coefficients (n^dim, ..., n, 1).
     """
-    if not extended and dim == 2:
-        return _ZERO2, embed2
-    if not extended and dim == 3:
-        return _ZERO3, embed3
-    return OrthElement.zero(dim, extended), lambda n: _powers(dim, extended, n)
+    dim, extended = integer(dim, "dim", 1), flag(extended, "extended")
+    zero = OrthElement.zero(dim, True) if extended else GeomElement(dim, (0,) * dim)
+    return zero, lambda n: embed_literal(SimplexLiteral(dim, n, 1, extended))
 
 
 def embed_literal(lit: SimplexLiteral):
-    """Ring value of a literal in the representation of its family."""
-    value = representation(lit.dim, lit.extended)[1](lit.scale)
+    """Ring value of a literal in its family's ring: slice counts, or powers if extended."""
+    dim, n = lit.dim, lit.scale
+    value = _powers(dim, True, n) if lit.extended else GeomElement(dim, _counts(dim, n))
     return -value if lit.sign < 0 else value
 
 
@@ -396,10 +392,15 @@ def element_to_json(elem) -> dict:
 
 def element_from_json(data: dict):
     """Inverse of element_to_json."""
-    basis = data["basis"]
-    coeffs = [Fraction(c) for c in data["coeffs"]]
+    basis, coeffs = data["basis"], data["coeffs"]
+    if not isinstance(coeffs, (list, tuple)):  # a string would be read digit by digit
+        raise TypeError(f"coeffs must be a list, got {coeffs!r}")
+    for c in coeffs:  # a "p/q" string or an int, never a float or a bool
+        if type(c) is not str and type(c) is not int:
+            raise TypeError(f"a JSON coefficient must be a string or an int, got {c!r}")
+    coeffs = list(map(Fraction, coeffs))
     if basis == OrthElement.basis:
-        return OrthElement(data["dim"], bool(data.get("a0", False)), coeffs)
+        return OrthElement(data["dim"], flag(data.get("a0", False), "a0"), coeffs)
     if basis == f"geom{data['dim']}":
         return GeomElement(data["dim"], coeffs)
     raise ValueError(f"unknown basis {basis!r}")

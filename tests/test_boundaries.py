@@ -9,6 +9,9 @@ that argument, and `good` is a value it accepts.
 
 Every on/off argument follows `_record.flag`: True and False pass, and
 anything else (1, 0, "yes", None) raises TypeError naming the argument.
+
+`ring.element_from_json` reads outside data: its coefficients come in a
+list, each a string or an int that is not a bool.
 """
 
 from fractions import Fraction
@@ -57,11 +60,14 @@ from simplexring.forms import (
 )
 from simplexring.ring import (
     GeomElement,
+    GeomElement2,
     OrthElement,
     SimplexLiteral,
+    element_from_json,
     embed2,
     embed3,
     embed20,
+    representation,
     series_partial_sum,
 )
 from simplexring.render import RenderOptions
@@ -89,6 +95,7 @@ BOUNDARIES = {
     "OrthElement.dim": (lambda v: OrthElement(v, False, (1, 2, 3)), "dim", 1, 3),
     "GeomElement.dim": (lambda v: GeomElement(v, (1, 2, 3)), "dim", 1, 3),
     "series_partial_sum": (lambda v: series_partial_sum(v), "terms", 1, 3),
+    "representation.dim": (lambda v: representation(v, False)[0], "dim", 1, 3),
     # forms
     "FormalCombination.dim": (lambda v: FormalCombination(v, False, ()), "dim", 1, 3),
     "FormalCombination.coefficient": (
@@ -104,6 +111,7 @@ BOUNDARIES = {
     "star_product.n": (lambda v: star_product(v, 2), "n", None, 3),
     "star_product.m": (lambda v: star_product(4, v), "m", None, 3),
     "arithmetic_form": (lambda v: arithmetic_form(v, 3), "n", None, 3),
+    "arithmetic_form.dim": (lambda v: arithmetic_form(5, v), "dim", 1, 3),
     "three_term_form.n": (lambda v: three_term_form(v, 1), "n", None, 3),
     "three_term_form.k": (lambda v: three_term_form(5, v), "k", None, 3),
     "segment_form.n": (lambda v: segment_form(v, 1), "n", None, 3),
@@ -200,6 +208,9 @@ def test_integer_boundary(boundary):
 # id -> (make, name): make(v) passes v as that flag, and make(True) is valid.
 FLAGS = {
     "OrthElement.has_a0": (lambda v: OrthElement(2, v, (4, 2, 1)), "has_a0"),
+    "element_from_json.a0": (lambda v: element_from_json(
+        {"basis": "orth", "dim": 2, "a0": v, "coeffs": ["4", "2", "1"]}), "a0"),
+    "representation.extended": (lambda v: representation(2, v), "extended"),
     "SimplexLiteral.extended": (lambda v: SimplexLiteral(2, 3, 1, v), "extended"),
     "FormalCombination.extended": (lambda v: FormalCombination(2, v, ()), "extended"),
     "closed_sum.extended": (lambda v: closed_sum((1, 2, 3), 2, extended=v), "extended"),
@@ -243,6 +254,11 @@ USED_TO_PASS = {
     "witness_from_factors(True, 1, 1, 1)": lambda: witness_from_factors(True, 1, 1, 1),
     "binomial(4.0, 2)": lambda: binomial(4.0, 2),
     "tarry_escott_check([1.5], [1.5])": lambda: tarry_escott_check([1.5], [1.5]),
+    "arithmetic_form(4, 2.0)": lambda: arithmetic_form(4, 2.0),
+    "element_from_json(coeffs=[0.1])":
+        lambda: element_from_json({"basis": "geom1", "dim": 1, "coeffs": [0.1]}),
+    "element_from_json(coeffs=[True, 1])":
+        lambda: element_from_json({"basis": "geom2", "dim": 2, "coeffs": [True, 1]}),
 }
 
 
@@ -250,6 +266,20 @@ USED_TO_PASS = {
 def test_non_integers_that_used_to_pass_raise(case):
     with pytest.raises(TypeError):
         USED_TO_PASS[case]()
+
+
+@pytest.mark.parametrize("bad", [0.1, True, None, [1]], ids=repr)
+def test_json_coefficients_are_strings_or_ints(bad):
+    with pytest.raises(TypeError) as info:
+        element_from_json({"basis": "geom2", "dim": 2, "coeffs": [bad, "1/2"]})
+    assert str(info.value) == f"a JSON coefficient must be a string or an int, got {bad!r}"
+
+
+def test_json_coefficients_are_a_list():
+    read = element_from_json({"basis": "geom2", "dim": 2, "coeffs": [3, "1/2"]})
+    assert read == GeomElement2(3, Fraction(1, 2))
+    with pytest.raises(TypeError, match="^coeffs must be a list, got '12'$"):
+        element_from_json({"basis": "geom2", "dim": 2, "coeffs": "12"})
 
 
 def test_the_rule():

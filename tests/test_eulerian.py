@@ -126,6 +126,14 @@ def test_slice_decomposition_counts():
                 assert vec.coeffs[k - 1] == math.comb(n + m - k, m)
 
 
+def test_reflection_reverses_the_slice_counts():
+    # the side -n simplex holds the side-n one's pieces in reverse order, times (-1)^m
+    for m in range(1, 9):
+        for n in range(0, 7):
+            forward = slice_decomposition(n, m).coeffs
+            assert slice_decomposition(-n, m).coeffs == tuple((-1) ** m * c for c in reversed(forward))
+
+
 def test_slice_volume_is_power():
     # with piece k weighed by A(m, k-1), the side-n simplex has volume n^m,
     # which is also its A_m coordinate

@@ -1,6 +1,7 @@
 """Formal combinations, closed addition laws and interpolation forms."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,8 @@ from simplexring.forms import (
     star_product,
     three_term_form,
 )
-from simplexring.eulerian import embed_nd
-from simplexring.ring import OrthElement, SimplexLiteral, embed2, embed3, embed_literal
+from simplexring.eulerian import embed_nd, slice_decomposition
+from simplexring.ring import OrthElement, SimplexLiteral, embed2, embed3, embed_literal, to_orth
 from simplexring.triples import Triple
 
 
@@ -85,6 +86,18 @@ def test_closed_sum_higher_dims_orth():
         assert evaluate_orth(form) == embed_nd(sum(vals), 5)
 
 
+def test_two_routes_agree_in_every_dim():
+    # slice counts on one route, powers of the scales on the other
+    rng = random.Random(4)
+    for m in range(1, 9):
+        for _ in range(4):
+            values = [rng.randint(-6, 6) for _ in range(m + 1)]
+            form = closed_sum(values, m)
+            natural = evaluate(form)
+            assert natural == slice_decomposition(sum(values), m)
+            assert to_orth(natural) == evaluate_orth(form)
+
+
 def test_closed_sum_size_validation():
     with pytest.raises(ValueError):
         closed_sum((1, 2), 2)
@@ -139,6 +152,12 @@ def test_arithmetic_form_dim2():
 def test_arithmetic_form_dim3():
     for n in range(-5, 8):
         assert evaluate(arithmetic_form(n, 3)) == embed3(n)
+
+
+def test_arithmetic_form_in_every_dim():
+    for m in range(1, 7):
+        for n in range(-6, 7):
+            assert evaluate(arithmetic_form(n, m)) == slice_decomposition(n, m)
 
 
 def test_arithmetic_form_dim3_frozen_coefficients():
@@ -223,5 +242,4 @@ def test_evaluate_orth_agrees_with_natural_route():
     for vals in itertools.product(range(-3, 4), repeat=3):
         form = closed_sum(vals, 2)
         natural = evaluate(form)
-        from simplexring.ring import to_orth
         assert evaluate_orth(form) == to_orth(natural)

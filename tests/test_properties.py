@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexring import ring
+from simplexring.eulerian import slice_decomposition
 from simplexring.forms import closed_sum, evaluate, evaluate_orth
 from simplexring.ring import (
     ONE2,
@@ -15,7 +16,6 @@ from simplexring.ring import (
     GeomElement2,
     GeomElement3,
     OrthElement,
-    embed3,
     from_orth,
     to_orth,
 )
@@ -83,29 +83,42 @@ class _Unreadable:
         raise AssertionError("the orthogonal route read a derived table")
 
 
-def test_product_routes_stay_independent(monkeypatch):
-    values, others = (2, -1, 3, 1), (1, 1, 0, 1)  # sums 5 and 3
-    assert evaluate(closed_sum(values, 3)) * evaluate(closed_sum(others, 3)) == embed3(15)
+def _routes_stay_independent(monkeypatch, dim):
+    pad = (0,) * (dim - 3)
+    values, others = (2, -1, 3, 1) + pad, (1, 1, 0, 1) + pad  # sums 5 and 3
+
+    def embed(n):
+        return slice_decomposition(n, dim)
+
+    assert evaluate(closed_sum(values, dim)) * evaluate(closed_sum(others, dim)) == embed(15)
 
     def no_basis_change(elem):
         raise AssertionError("the geometric product went through the orthogonal basis")
 
     monkeypatch.setattr(ring, "to_orth", no_basis_change)
     monkeypatch.setattr(ring, "from_orth", no_basis_change)
-    assert evaluate(closed_sum(values, 3)) * evaluate(closed_sum(others, 3)) == embed3(15)
+    assert evaluate(closed_sum(values, dim)) * evaluate(closed_sum(others, dim)) == embed(15)
 
-    # <D1>^2 = 4<1> + 2<D1> + 5<e1> instead of 4<e1>, in the memoised 3-d table
-    key = (ring._product_table, 3)
+    # one more of the last piece in piece 2 times piece 2, in the memoised table
+    # (in 3-d: <D1>^2 = 4<1> + 2<D1> + 5<e1> instead of 4<e1>)
+    key = (ring._product_table, dim)
     table = [list(row) for row in ring._derived(*key)]
-    table[1][1] = ((0, 4), (1, 2), (2, 5))
+    *rest, (k, c) = table[1][1]
+    table[1][1] = (*rest, (k, c + 1))
     monkeypatch.setitem(ring._TABLES, key, tuple(map(tuple, table)))
-    left, right = evaluate(closed_sum(values, 3)), evaluate(closed_sum(others, 3))
+    left, right = evaluate(closed_sum(values, dim)), evaluate(closed_sum(others, dim))
     # sums use no product, so only the product check sees the corrupt table
-    assert (left, right) == (embed3(5), embed3(3))
-    assert left * right != embed3(15)
+    assert (left, right) == (embed(5), embed(3))
+    assert left * right != embed(15)
 
     # no table is derived or read, of any kind or dim
     monkeypatch.setattr(ring, "_TABLES", _Unreadable())
-    left, right = evaluate_orth(closed_sum(values, 3)), evaluate_orth(closed_sum(others, 3))
-    assert left.coeffs == (125, 25, 5)
-    assert (left * right).coeffs == (3375, 225, 15)
+    left, right = evaluate_orth(closed_sum(values, dim)), evaluate_orth(closed_sum(others, dim))
+    assert left.coeffs == tuple(5 ** i for i in range(dim, 0, -1))
+    assert (left * right).coeffs == tuple(15 ** i for i in range(dim, 0, -1))
+
+
+def test_product_routes_stay_independent():
+    for dim in (3, 5):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _routes_stay_independent(monkeypatch, dim)

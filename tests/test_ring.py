@@ -206,7 +206,7 @@ def test_literal_dispatch():
     assert embed_literal(SimplexLiteral(3, 4)) == embed3(4)
     assert embed_literal(SimplexLiteral(2, 3, sign=-1)) == -embed2(3)
     assert embed_literal(SimplexLiteral(2, 3, extended=True)) == embed20(3)
-    assert embed_literal(SimplexLiteral(4, 2)) == OrthElement(4, False, (16, 8, 4, 2))
+    assert to_orth(embed_literal(SimplexLiteral(4, 2))) == OrthElement(4, False, (16, 8, 4, 2))
     assert embed_literal(SimplexLiteral(1, 7, extended=True)) == OrthElement(1, True, (7, 1))
 
 
