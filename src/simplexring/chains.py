@@ -37,7 +37,11 @@ class Chain(Record):
     """Finitely supported integer multiplicities on lattice cells.
 
     Immutable once built; zero entries are dropped so equality is equality
-    of supports with multiplicities, which are ints (`integer`).
+    of supports with multiplicities, which are ints (`integer`).  Each cell
+    is a tuple of its kind and its coordinates, each an int (`integer`):
+    ("face", r, c, "up" or "down"), ("edge", (r1, c1), (r2, c2)),
+    ("vertex", r, c) in 2-d and ("point", i), ("interval", i) in 1-d.
+    Any other cell raises TypeError or ValueError naming it.
     """
 
     __slots__ = ("dim", "_cells")
@@ -46,16 +50,21 @@ class Chain(Record):
         dim = integer(dim, "dim")
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        tags = ("interval", "point") if dim == 1 else ("face", "edge", "vertex")
         store = {}
         for cell, mult in dict(cells or {}).items():
-            if cell[0] not in tags:
-                raise ValueError(f"cell {cell!r} does not live in dimension {dim}")
+            cell = _checked_cell(cell, dim)
             if type(mult) is not int:
                 mult = integer(mult, f"multiplicity of {cell!r}")
             if mult:
                 store[cell] = mult
         self._set(dim, store)
+
+    @classmethod
+    def _trusted(cls, dim: int, cells: dict) -> "Chain":
+        # cells and int multiplicities of checked pieces or chains
+        out = object.__new__(cls)
+        out._set(dim, {cell: mult for cell, mult in cells.items() if mult})
+        return out
 
     def multiplicity(self, cell) -> int:
         return self._cells.get(cell, 0)
@@ -78,16 +87,17 @@ class Chain(Record):
         out = dict(self._cells)
         for cell, mult in other._cells.items():
             out[cell] = out.get(cell, 0) + mult
-        return Chain(self.dim, out)
+        return Chain._trusted(self.dim, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Chain(self.dim, {cell: -m for cell, m in self._cells.items()})
+        return Chain._trusted(self.dim, {cell: -m for cell, m in self._cells.items()})
 
     def __mul__(self, factor: int):
-        return Chain(self.dim, {cell: m * factor for cell, m in self._cells.items()})
+        factor = integer(factor, "factor")
+        return Chain._trusted(self.dim, {cell: m * factor for cell, m in self._cells.items()})
 
     __rmul__ = __mul__
 
@@ -104,6 +114,39 @@ class Chain(Record):
 
     def __repr__(self):
         return f"Chain(dim={self.dim}, cells={len(self._cells)})"
+
+
+# The coordinates after each cell kind's tag: "i" an integer, "p" a pair of
+# integers, "o" an orientation.
+_CELL_SHAPES = {
+    1: {"point": "i", "interval": "i"},
+    2: {"face": "iio", "edge": "pp", "vertex": "ii"},
+}
+
+
+def _checked_cell(cell, dim: int) -> tuple:
+    """The cell with each coordinate run through `integer`; see Chain."""
+    if type(cell) is not tuple or not cell or type(cell[0]) is not str:
+        raise TypeError(f"cell {cell!r} is not a tuple of a kind and coordinates")
+    shape = _CELL_SHAPES[dim].get(cell[0])
+    if shape is None:
+        raise ValueError(f"cell {cell!r} does not live in dimension {dim}")
+    if len(cell) != len(shape) + 1:
+        raise ValueError(f"cell {cell!r} needs {len(shape)} coordinates")
+    name = f"a coordinate of cell {cell!r}"
+    out = [cell[0]]
+    for part, x in zip(shape, cell[1:]):
+        if part == "o":
+            if x not in (UP, DOWN):
+                raise ValueError(f"cell {cell!r} has orientation {x!r}, not 'up' or 'down'")
+        elif part == "p":
+            if type(x) is not tuple or len(x) != 2:
+                raise TypeError(f"cell {cell!r} has {x!r} for a pair of integers")
+            x = (integer(x[0], name), integer(x[1], name))
+        else:
+            x = integer(x, name)
+        out.append(x)
+    return tuple(out)
 
 
 class PlacedPiece(Record):
@@ -263,27 +306,27 @@ def interior_cells(faces) -> dict:
     return cells
 
 
-def piece_cells(piece: PlacedPiece) -> dict:
-    """The unit cells of a piece, each at multiplicity 1 before sign and multiplicity."""
+def piece_cells(piece: PlacedPiece):
+    """The unit cells of a piece, each once: each has multiplicity 1 before sign and multiplicity.
+
+    A triangle's are its `triangle_face_cells` tuple, a closed or open
+    triangle's the keys of `closure_cells` or `interior_cells`, and any
+    other piece's a tuple.
+    """
+    p = piece.position
     if piece.kind == "point":
-        return {("point", piece.position): 1}
+        return (("point", p),)
     if piece.kind == "segment":
-        p = piece.position
-        cells = {("interval", p + i): 1 for i in range(piece.size)}
-        for i in range(piece.size + 1):
-            cells[("point", p + i)] = 1
-        return cells
+        return (*[("interval", p + i) for i in range(piece.size)],
+                *[("point", p + i) for i in range(piece.size + 1)])
     if piece.kind == "open_segment":
-        p = piece.position
-        cells = {("interval", p + i): 1 for i in range(piece.size)}
-        for i in range(1, piece.size):
-            cells[("point", p + i)] = 1
-        return cells
+        return (*[("interval", p + i) for i in range(piece.size)],
+                *[("point", p + i) for i in range(1, piece.size)])
     if piece.kind == "vertex":
-        return {("vertex",) + tuple(piece.position): 1}
-    faces = triangle_face_cells(piece.size, piece.orientation, piece.position)
+        return (("vertex", *p),)
+    faces = triangle_face_cells(piece.size, piece.orientation, p)
     if piece.kind == "triangle":
-        return {face: 1 for face in faces}
+        return faces
     if piece.kind == "closed_triangle":
         return closure_cells(faces)
     return interior_cells(faces)
@@ -292,11 +335,12 @@ def piece_cells(piece: PlacedPiece) -> dict:
 def realize(plan: PlacementPlan) -> Chain:
     """Sum the placed pieces into a chain; piece kinds must match plan.dim."""
     total: dict = {}
+    get = total.get
     for piece in plan.pieces:
         weight = piece.sign * piece.multiplicity
-        for cell, mult in piece_cells(piece).items():
-            total[cell] = total.get(cell, 0) + weight * mult
-    return Chain(plan.dim, total)
+        for cell in piece_cells(piece):
+            total[cell] = get(cell, 0) + weight
+    return Chain._trusted(plan.dim, total)
 
 
 def covered_cells(plan: PlacementPlan) -> frozenset:
@@ -337,13 +381,14 @@ def open_segment_plan_open_units(n: int) -> PlacementPlan:
 
 def closed_triangle_chain(n: int, position=(0, 0)) -> Chain:
     """The boundary-carrying side-n triangle: every cell at multiplicity one."""
-    return Chain(2, closure_cells(triangle_face_cells(integer(n, "n"), UP, _pair(position))))
+    faces = triangle_face_cells(integer(n, "n"), UP, _pair(position))
+    return Chain._trusted(2, closure_cells(faces))
 
 
 def triangle_chain(n: int, orientation: str = UP, position=(0, 0)) -> Chain:
     """Face-only side-n triangle chain."""
     faces = triangle_face_cells(integer(n, "n"), orientation, _pair(position))
-    return Chain(2, dict.fromkeys(faces, 1))
+    return Chain._trusted(2, dict.fromkeys(faces, 1))
 
 
 def closed_triangle_plan(n: int) -> PlacementPlan:

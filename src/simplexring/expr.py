@@ -20,7 +20,7 @@ import re
 import sys
 
 from ._record import Record, flag, integer
-from .ring import SimplexLiteral, embed_literal, representation
+from .ring import SimplexLiteral, embed_literal, zero
 from .forms import star_product, evaluate
 
 
@@ -269,4 +269,4 @@ def evaluate_expression(expr: Expr, dim: int = 2, extended: bool = False):
         value = term.coeff * _eval_atom(term.atom, dim, extended)
         value = -value if sign < 0 else value
         total = value if total is None else total + value
-    return total if total is not None else representation(dim, extended)[0]
+    return total if total is not None else zero(dim, extended)

@@ -12,7 +12,7 @@ import itertools
 from math import prod
 
 from ._record import Record, flag, integer
-from .ring import OrthElement, SimplexLiteral, embed_literal, literal_orth, representation
+from .ring import OrthElement, SimplexLiteral, embed_literal, literal_orth, zero
 
 
 class StarDomainError(ValueError):
@@ -71,7 +71,7 @@ def combination(dim, extended, coeff_scale_pairs) -> FormalCombination:
 
 def evaluate(comb: FormalCombination):
     """Ring value of a combination in the family's natural representation."""
-    total = representation(comb.dim, comb.extended)[0]
+    total = zero(comb.dim, comb.extended)
     for coeff, lit in comb.terms:
         total = total + coeff * embed_literal(lit)
     return total
@@ -140,11 +140,15 @@ def pairwise_sum(values) -> FormalCombination:
 
 
 def star_product(n: int, m: int) -> FormalCombination:
-    """The star form of <n*m>: (n(n-1)/2)<2m> - n(n-2)<m>, defined for n > 2."""
+    """The star form of <n*m>: (n(n-1)/2)<2m> - n(n-2)<m>, defined for n > 2.
+
+    The weights are arithmetic_form's in dim 2, with each scale times m.
+    """
     n, m = integer(n, "n"), integer(m, "m")
     if n <= 2:
         raise StarDomainError(f"star_product needs n > 2, got {n}")
-    return combination(2, False, [(n * (n - 1) // 2, 2 * m), (-n * (n - 2), m)])
+    weights = _interpolation(n, 2, 3)[:-1]
+    return combination(2, False, [(weight, node * m) for weight, node in weights])
 
 
 def _interpolation(n: int, top: int, size: int) -> list:

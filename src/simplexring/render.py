@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record, flag
-from .chains import UP, Chain, PlacementPlan, face_vertices, piece_cells
+from .chains import DOWN, UP, Chain, PlacementPlan, face_vertices, piece_cells
 
 SQRT3 = 3 ** 0.5
 
@@ -74,6 +74,47 @@ def _sort_key(cell) -> str:
         (r1, c1), (r2, c2) = cell[1], cell[2]
         return f"1edge,{r1},{c1},{r2},{c2}"
     return f"{_RANK[kind]}{kind}," + ",".join(map(str, cell[1:]))
+
+
+_TRIANGLES = ("triangle", "closed_triangle", "open_triangle")
+
+
+def _faces_in_draw_order(size: int, orientation: str, position) -> list:
+    """The faces of a triangle piece in `_sort_key` order, with no key per face.
+
+    The key orders faces by row, then by column, each compared as a decimal
+    string ("-1" < "-10" < "0" < "1" < "10" < "2": the ',' after a number
+    sorts below every digit), then "down" before "up".  Each row of a
+    triangle holds one run of columns per orientation, so the walk sorts the
+    piece's rows and columns once and keeps, in each row, its runs.
+    """
+    r0, c0 = position
+    if size == 1:  # most pieces of a closed_triangle_plan: no sort at all
+        return [("face", r0, c0, orientation)]
+    low = c0 if orientation == UP else c0 - size + 1
+    columns = sorted(range(low, low + size), key=str)
+    faces = []
+    append = faces.append
+    for r in sorted(range(r0, r0 + size), key=str):
+        if orientation == UP:
+            # up faces at columns c0..last, down faces at c0..last-1
+            last = c0 + size - 1 - (r - r0)
+            for c in columns:
+                if c < last:
+                    append(("face", r, c, DOWN))
+                    append(("face", r, c, UP))
+                elif c == last:
+                    append(("face", r, c, UP))
+        else:
+            # down faces at columns first..c0, up faces at first+1..c0
+            first = c0 - (r - r0)
+            for c in columns:
+                if c > first:
+                    append(("face", r, c, DOWN))
+                    append(("face", r, c, UP))
+                elif c == first:
+                    append(("face", r, c, DOWN))
+    return faces
 
 
 class _Axis(dict):
@@ -168,8 +209,9 @@ class _Canvas:
     def ordered(self, cells) -> list:
         """The cells in draw order; each key is made once per render."""
         keys = self.keys
-        missing = set(cells).difference(keys)
-        keys.update(zip(missing, map(_sort_key, missing)))
+        for cell in cells:
+            if cell not in keys:
+                keys[cell] = _sort_key(cell)
         return sorted(cells, key=keys.__getitem__)
 
     def label(self, x, y, text, color):
@@ -211,24 +253,29 @@ class _Canvas:
         ])
 
 
+def _draw_face(canvas: _Canvas, cell, style: _Style):
+    _, r, c, orientation = cell
+    xs, ys = canvas.xs, canvas.ys
+    k = 2 * c + r
+    if orientation == UP:
+        y = ys[r]
+        canvas.body.append(
+            f'<polygon points="{xs[k]},{y} {xs[k + 2]},{y} {xs[k + 1]},{ys[r + 1]}{style.face}')
+    else:
+        y = ys[r + 1]
+        canvas.body.append(
+            f'<polygon points="{xs[k + 2]},{ys[r]} {xs[k + 1]},{y} {xs[k + 3]},{y}{style.face}')
+    if style.label is not None:
+        pts = [canvas.at(v) for v in face_vertices(cell)]
+        canvas.label(sum(p[0] for p in pts) / 3, sum(p[1] for p in pts) / 3,
+                     style.label, "#ffffff")
+
+
 def _draw_cell(canvas: _Canvas, cell, style: _Style):
     kind = cell[0]
     xs, ys = canvas.xs, canvas.ys
     if kind == "face":
-        _, r, c, orientation = cell
-        k = 2 * c + r
-        if orientation == UP:
-            y = ys[r]
-            canvas.body.append(
-                f'<polygon points="{xs[k]},{y} {xs[k + 2]},{y} {xs[k + 1]},{ys[r + 1]}{style.face}')
-        else:
-            y = ys[r + 1]
-            canvas.body.append(
-                f'<polygon points="{xs[k + 2]},{ys[r]} {xs[k + 1]},{y} {xs[k + 3]},{y}{style.face}')
-        if style.label is not None:
-            pts = [canvas.at(v) for v in face_vertices(cell)]
-            canvas.label(sum(p[0] for p in pts) / 3, sum(p[1] for p in pts) / 3,
-                         style.label, "#ffffff")
+        _draw_face(canvas, cell, style)
     elif kind == "edge":
         _, (r1, c1), (r2, c2) = cell
         canvas.body.append(
@@ -272,14 +319,27 @@ def plan_svg(plan: PlacementPlan, options: RenderOptions = None) -> str:
     by pieces whose total multiplicity is zero get the green marker.  Each
     piece's cells are computed once and summed here, as realize() would;
     every cell of a piece has one multiplicity, so one style draws them all.
+    A triangle piece's faces come in draw order from a row walk
+    (`_faces_in_draw_order`); only its other cells are sorted.
     """
     canvas = _Canvas(options or RenderOptions())
     total = {}
     get = total.get
     for piece in plan.pieces:
+        kind = piece.kind
         weight = piece.sign * piece.multiplicity
-        style = canvas.style(weight, piece.kind in ("open_triangle", "open_segment"))
-        for cell in canvas.ordered(piece_cells(piece)):
+        style = canvas.style(weight, kind in ("open_triangle", "open_segment"))
+        if kind in _TRIANGLES:
+            for cell in _faces_in_draw_order(piece.size, piece.orientation, piece.position):
+                _draw_face(canvas, cell, style)
+                total[cell] = get(cell, 0) + weight
+            if kind == "triangle":
+                continue
+            # faces sort before every other kind, so the rest follow the walk
+            cells = [cell for cell in piece_cells(piece) if cell[0] != "face"]
+        else:
+            cells = piece_cells(piece)
+        for cell in canvas.ordered(cells):
             _draw_cell(canvas, cell, style)
             total[cell] = get(cell, 0) + weight
     cancelled = canvas.style(0)

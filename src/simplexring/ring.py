@@ -340,17 +340,16 @@ class SimplexLiteral(Record):
         self._set(integer(dim, "dim", 1), integer(scale, "scale"), sign, flag(extended, "extended"))
 
 
-def representation(dim: int, extended: bool):
-    """(zero, embed) of the ring a (dim, extended) literal family lives in.
+def zero(dim: int, extended: bool):
+    """The zero of the ring a (dim, extended) literal family lives in.
 
     A plain family of any dim lives in the slice ring `GeomElement(dim)`,
-    where embed(n) counts each piece C(n+dim-k, dim) times.  An extended
-    family carries A_0 and lives in the orthogonal basis, where embed(n)
-    has coefficients (n^dim, ..., n, 1).
+    where `embed_literal` counts each piece C(n+dim-k, dim) times.  An
+    extended family carries A_0 and lives in the orthogonal basis, where
+    `embed_literal` gives the coefficients (n^dim, ..., n, 1).
     """
     dim, extended = integer(dim, "dim", 1), flag(extended, "extended")
-    zero = OrthElement.zero(dim, True) if extended else GeomElement(dim, (0,) * dim)
-    return zero, lambda n: embed_literal(SimplexLiteral(dim, n, 1, extended))
+    return OrthElement.zero(dim, True) if extended else GeomElement(dim, (0,) * dim)
 
 
 def embed_literal(lit: SimplexLiteral):

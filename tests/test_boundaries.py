@@ -12,6 +12,9 @@ anything else (1, 0, "yes", None) raises TypeError naming the argument.
 
 `ring.element_from_json` reads outside data: its coefficients come in a
 list, each a string or an int that is not a bool.
+
+A `Chain` cell is a tuple of its kind and coordinates, each coordinate
+following the integer rule; any other cell raises an error naming it.
 """
 
 from fractions import Fraction
@@ -67,8 +70,8 @@ from simplexring.ring import (
     embed2,
     embed3,
     embed20,
-    representation,
     series_partial_sum,
+    zero,
 )
 from simplexring.render import RenderOptions
 from simplexring.triples import Triple
@@ -95,7 +98,7 @@ BOUNDARIES = {
     "OrthElement.dim": (lambda v: OrthElement(v, False, (1, 2, 3)), "dim", 1, 3),
     "GeomElement.dim": (lambda v: GeomElement(v, (1, 2, 3)), "dim", 1, 3),
     "series_partial_sum": (lambda v: series_partial_sum(v), "terms", 1, 3),
-    "representation.dim": (lambda v: representation(v, False)[0], "dim", 1, 3),
+    "zero.dim": (lambda v: zero(v, False), "dim", 1, 3),
     # forms
     "FormalCombination.dim": (lambda v: FormalCombination(v, False, ()), "dim", 1, 3),
     "FormalCombination.coefficient": (
@@ -124,6 +127,7 @@ BOUNDARIES = {
     "Chain.dim": (lambda v: Chain(v, {}), "dim", None, 2),
     "Chain.multiplicity": (
         lambda v: Chain(2, {UP_FACE: v}), f"multiplicity of {UP_FACE!r}", None, 3),
+    "Chain.factor": (lambda v: Chain(2, {UP_FACE: 1}) * v, "factor", None, 3),
     "PlacedPiece.size": (lambda v: PlacedPiece("triangle", (0, 0), size=v), "size", 1, 3),
     "PlacedPiece.sign": (lambda v: PlacedPiece("triangle", (0, 0), sign=v), "sign", None, 1),
     "PlacedPiece.multiplicity": (
@@ -210,7 +214,7 @@ FLAGS = {
     "OrthElement.has_a0": (lambda v: OrthElement(2, v, (4, 2, 1)), "has_a0"),
     "element_from_json.a0": (lambda v: element_from_json(
         {"basis": "orth", "dim": 2, "a0": v, "coeffs": ["4", "2", "1"]}), "a0"),
-    "representation.extended": (lambda v: representation(2, v), "extended"),
+    "zero.extended": (lambda v: zero(2, v), "extended"),
     "SimplexLiteral.extended": (lambda v: SimplexLiteral(2, 3, 1, v), "extended"),
     "FormalCombination.extended": (lambda v: FormalCombination(2, v, ()), "extended"),
     "closed_sum.extended": (lambda v: closed_sum((1, 2, 3), 2, extended=v), "extended"),
@@ -249,6 +253,8 @@ USED_TO_PASS = {
     "combination(2.0, ...)": lambda: combination(2.0, False, [(1, 2)]),
     "evaluate_expression(..., 2.0)": lambda: evaluate_expression(parse("<1>"), 2.0),
     "Chain(True, {})": lambda: Chain(True, {}),
+    "Chain(2, {('face', 0.5, 0, 'up'): 1})": lambda: Chain(2, {("face", 0.5, 0, "up"): 1}),
+    "triangle_chain(1) * True": lambda: triangle_chain(1) * True,
     "eulerian_row(True)": lambda: eulerian_row(True),
     "series_partial_sum(True)": lambda: series_partial_sum(True),
     "witness_from_factors(True, 1, 1, 1)": lambda: witness_from_factors(True, 1, 1, 1),
@@ -266,6 +272,49 @@ USED_TO_PASS = {
 def test_non_integers_that_used_to_pass_raise(case):
     with pytest.raises(TypeError):
         USED_TO_PASS[case]()
+
+
+# (dim, cell, error): Chain(dim, {cell: 1}) raises error, naming the cell.
+BAD_CELLS = [
+    (2, ("face", 0.5, 0, "up"), TypeError),
+    (2, ("face", 0, True, "down"), TypeError),
+    (2, ("face", "0", 0, "up"), TypeError),
+    (2, ("face", 0, 0, "left"), ValueError),
+    (2, ("face", 0, 0), ValueError),
+    (2, ("face", 0, 0, "up", 1), ValueError),
+    (2, ("edge", (0, 0), (0, 1.5)), TypeError),
+    (2, ("edge", (Fraction(1, 2), 0), (0, 1)), TypeError),
+    (2, ("edge", (0, 0), (0, 1, 2)), TypeError),
+    (2, ("edge", 0, 1), TypeError),
+    (2, ("edge", (0, 0)), ValueError),
+    (2, ("vertex", 0, 2.0), TypeError),
+    (2, ("vertex", None, 0), TypeError),
+    (2, ("vertex", 0), ValueError),
+    (2, ("point", 0), ValueError),
+    (1, ("point", 1.0), TypeError),
+    (1, ("point", 0, 1), ValueError),
+    (1, ("interval", False), TypeError),
+    (1, ("interval",), ValueError),
+    (1, ("face", 0, 0, "up"), ValueError),
+    (2, "face", TypeError),
+    (2, (), TypeError),
+    (2, (0, 0), TypeError),
+]
+
+
+@pytest.mark.parametrize("dim, cell, error", BAD_CELLS,
+                         ids=[f"dim{dim} {cell!r}" for dim, cell, _ in BAD_CELLS])
+def test_bad_cells_raise_naming_the_cell(dim, cell, error):
+    with pytest.raises(error) as info:
+        Chain(dim, {cell: 1})
+    assert repr(cell) in str(info.value)
+
+
+def test_cell_coordinates_follow_the_integer_rule():
+    half = Fraction(4, 2)
+    assert Chain(2, {("face", half, -1, "up"): 1}) == Chain(2, {("face", 2, -1, "up"): 1})
+    assert Chain(2, {("edge", (half, 0), (2, 1)): 1}) == Chain(2, {("edge", (2, 0), (2, 1)): 1})
+    assert Chain(1, {("interval", half): 1}).cells() == {("interval", 2): 1}
 
 
 @pytest.mark.parametrize("bad", [0.1, True, None, [1]], ids=repr)

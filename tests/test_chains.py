@@ -251,13 +251,19 @@ def test_face_edges_are_sorted_vertex_pairs():
 
 
 def test_piece_cells_are_unit_multiplicities():
-    # plan_svg draws all of a piece's cells in one style, the piece's weight
+    # piece_cells lists each cell once, so each has multiplicity 1 in its
+    # piece: realize adds the piece's weight per cell and plan_svg draws all
+    # of them in one style.  Each is a cell that Chain's check keeps as it is.
     for kind, position in (("point", 2), ("segment", -1), ("open_segment", 3), ("vertex", (1, 2)),
                            ("triangle", (0, 1)), ("closed_triangle", (2, -1)), ("open_triangle", (1, 1))):
         for size in (1, 2, 4):
             for orientation in (UP, DOWN):
-                cells = piece_cells(PlacedPiece(kind, position, size=size, orientation=orientation))
-                assert set(cells.values()) == {1}, (kind, size, orientation)
+                piece = PlacedPiece(kind, position, size=size, orientation=orientation)
+                cells = piece_cells(piece)
+                assert len(set(cells)) == len(cells), (kind, size, orientation)
+                unit = dict.fromkeys(cells, 1)
+                assert Chain(piece.dim, unit).cells() == unit
+                assert realize(PlacementPlan(piece.dim, (piece,))).cells() == unit
 
 
 def _faces_one_by_one(size, orientation, position):

@@ -138,6 +138,15 @@ def test_star_product_layout():
     assert form.term_multiset() == [(-15, 7, 1), (10, 14, 1)]
 
 
+def test_star_product_weights_are_the_hand_formula():
+    # star_product reads its weights from the interpolation rule; the
+    # formula written out by hand must give the same terms in the same order
+    for n in range(3, 41):
+        for m in range(-40, 41):
+            hand = combination(2, False, [(n * (n - 1) // 2, 2 * m), (-n * (n - 2), m)])
+            assert star_product(n, m) == hand, (n, m)
+
+
 def test_star_product_domain():
     for bad in (2, 1, 0, -3):
         with pytest.raises(StarDomainError):

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from simplexring import chains
+from simplexring import chains, render
 from simplexring.chains import (
     Chain,
     DOWN,
     UP,
+    PlacedPiece,
+    PlacementPlan,
     closed_triangle_chain,
     closed_triangle_plan,
     covered_cells,
@@ -22,9 +24,11 @@ from simplexring.chains import (
     open_segment_plan_units,
     parallelogram_plan,
     partition_plan,
+    piece_cells,
     realize,
     segment_sum_plan,
     triangle_chain,
+    triangle_face_cells,
 )
 from simplexring.render import RenderOptions, chain_svg, plan_svg, to_svg
 
@@ -230,3 +234,61 @@ def test_sort_key_orders_as_rank_then_repr():
     rng = random.Random(5)
     rng.shuffle(cells)
     assert sorted(cells, key=_sort_key) == sorted(cells, key=lambda c: (_RANK[c[0]], repr(c)))
+
+
+def test_face_walk_is_the_sorted_order():
+    # The row walk must list a triangle's faces exactly as sorting them by
+    # the draw-order key does, for anchors on both sides of zero and rows
+    # and columns of one and two digits.
+    anchors = range(-13, 12)
+    for size in range(1, 14):
+        for orientation in (UP, DOWN):
+            for r in anchors:
+                for c in anchors:
+                    faces = triangle_face_cells(size, orientation, (r, c))
+                    want = sorted(faces, key=render._sort_key)
+                    assert render._faces_in_draw_order(size, orientation, (r, c)) == want
+
+
+def _plan_svg_reference(plan, options=None):
+    """plan_svg as it was before the row walk: each piece's cells sorted by key."""
+    canvas = render._Canvas(options or RenderOptions())
+    total = {}
+    for piece in plan.pieces:
+        weight = piece.sign * piece.multiplicity
+        style = canvas.style(weight, piece.kind in ("open_triangle", "open_segment"))
+        for cell in canvas.ordered(piece_cells(piece)):
+            render._draw_cell(canvas, cell, style)
+            total[cell] = total.get(cell, 0) + weight
+    cancelled = canvas.style(0)
+    for cell in canvas.ordered([cell for cell, mult in total.items() if not mult]):
+        render._draw_cell(canvas, cell, cancelled)
+    return canvas.render()
+
+
+def _random_plan(rng):
+    """A plan of overlapping pieces with anchors from -15 to 15 and multiplicities to 3."""
+    if rng.random() < 0.2:
+        kinds, dim = ("point", "segment", "open_segment"), 1
+    else:
+        kinds, dim = ("triangle", "closed_triangle", "open_triangle", "vertex"), 2
+    pieces = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice(kinds)
+        position = rng.randint(-15, 15)
+        if dim == 2:
+            position = (position, rng.randint(-15, 15))
+        pieces.append(PlacedPiece(kind, position, size=rng.randint(1, 12),
+                                  orientation=rng.choice((UP, DOWN)), sign=rng.choice((1, -1)),
+                                  multiplicity=rng.choice((1, 1, 2, 3))))
+    return PlacementPlan(dim, pieces)
+
+
+@pytest.mark.parametrize("annotate", [True, False])
+def test_plan_svg_matches_the_sorting_reference(annotate):
+    # The pinned plans all have non-negative anchors; these do not.
+    rng = random.Random(7)
+    options = RenderOptions(annotate=annotate)
+    for _ in range(150):
+        plan = _random_plan(rng)
+        assert plan_svg(plan, options) == _plan_svg_reference(plan, options), plan
