@@ -50,14 +50,14 @@ class Chain(Record):
         dim = integer(dim, "dim")
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
+        # each cell is checked before it is hashed; a later pair for a cell wins, as in dict()
         store = {}
-        for cell, mult in dict(cells or {}).items():
+        for cell, mult in cells.items() if hasattr(cells, "items") else cells or ():
             cell = _checked_cell(cell, dim)
             if type(mult) is not int:
                 mult = integer(mult, f"multiplicity of {cell!r}")
-            if mult:
-                store[cell] = mult
-        self._set(dim, store)
+            store[cell] = mult
+        self._set(dim, {cell: mult for cell, mult in store.items() if mult})
 
     @classmethod
     def _trusted(cls, dim: int, cells: dict) -> "Chain":
@@ -126,6 +126,9 @@ _CELL_SHAPES = {
 
 def _checked_cell(cell, dim: int) -> tuple:
     """The cell with each coordinate run through `integer`; see Chain."""
+    if (type(cell) is tuple and len(cell) == 4 and cell[0] == "face" and dim == 2
+            and type(cell[1]) is type(cell[2]) is int and cell[3] in (UP, DOWN)):
+        return cell  # a face as the lattice writes it, the most common cell
     if type(cell) is not tuple or not cell or type(cell[0]) is not str:
         raise TypeError(f"cell {cell!r} is not a tuple of a kind and coordinates")
     shape = _CELL_SHAPES[dim].get(cell[0])
@@ -133,20 +136,38 @@ def _checked_cell(cell, dim: int) -> tuple:
         raise ValueError(f"cell {cell!r} does not live in dimension {dim}")
     if len(cell) != len(shape) + 1:
         raise ValueError(f"cell {cell!r} needs {len(shape)} coordinates")
-    name = f"a coordinate of cell {cell!r}"
     out = [cell[0]]
-    for part, x in zip(shape, cell[1:]):
-        if part == "o":
-            if x not in (UP, DOWN):
-                raise ValueError(f"cell {cell!r} has orientation {x!r}, not 'up' or 'down'")
-        elif part == "p":
-            if type(x) is not tuple or len(x) != 2:
-                raise TypeError(f"cell {cell!r} has {x!r} for a pair of integers")
-            x = (integer(x[0], name), integer(x[1], name))
-        else:
-            x = integer(x, name)
-        out.append(x)
+    try:  # the cell's repr is made only for an error
+        for part, x in zip(shape, cell[1:]):
+            if part == "o":
+                x = _orientation(x)
+            elif part == "p":
+                if type(x) is not tuple or len(x) != 2:
+                    raise TypeError(f"{x!r} is not a pair of integers")
+                x = (integer(x[0], "a coordinate"), integer(x[1], "a coordinate"))
+            else:
+                x = integer(x, "a coordinate")
+            out.append(x)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"cell {cell!r}: {exc}") from None
     return tuple(out)
+
+
+def _orientation(value, name: str = "orientation") -> str:
+    if value not in (UP, DOWN):
+        raise ValueError(f"{name} must be 'up' or 'down', got {value!r}")
+    return value
+
+
+def _shape(size, orientation, sign) -> tuple:
+    """A piece's size (an integer >= 1), orientation and sign (+1 or -1), checked."""
+    if type(size) is not int or size < 1:
+        size = integer(size, "size", 1)
+    if type(sign) is not int:
+        sign = integer(sign, "sign")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    return size, _orientation(orientation), sign
 
 
 class PlacedPiece(Record):
@@ -164,9 +185,8 @@ class PlacedPiece(Record):
 
     def __init__(self, kind: str, position: tuple, size: int = 1, orientation: str = UP,
                  sign: int = 1, multiplicity: int = 1):
-        if not (type(size) is type(sign) is type(multiplicity) is int
-                and size > 0 and multiplicity > 0):
-            size, sign = integer(size, "size", 1), integer(sign, "sign")
+        size, orientation, sign = _shape(size, orientation, sign)
+        if type(multiplicity) is not int or multiplicity < 1:
             multiplicity = integer(multiplicity, "multiplicity", 1)
         if kind in _KINDS_1D:
             if type(position) is not int:
@@ -176,10 +196,6 @@ class PlacedPiece(Record):
         elif not (type(position) is tuple and len(position) == 2
                   and type(position[0]) is type(position[1]) is int):
             position = _pair(position)
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if orientation not in (UP, DOWN):
-            raise ValueError("orientation must be 'up' or 'down'")
         self._set(kind, position, size, orientation, sign, multiplicity)
 
     @property
@@ -242,76 +258,77 @@ def vertex_adjacent_faces(v):
 
 
 def triangle_face_cells(size: int, orientation: str, position) -> tuple:
-    """All s^2 faces of a side-s triangle at the given anchor."""
-    if orientation not in (UP, DOWN):
-        raise ValueError(f"unknown orientation {orientation!r}")
+    """All s^2 faces of a side-s triangle at the given anchor, in the order of their reprs.
+
+    That order, which render draws in, is by row, then by column, each
+    compared as a decimal string ("-1" < "-10" < "0" < "1" < "10" < "2":
+    the ',' after a number sorts below every digit), then "down" before
+    "up".  Row r0 + i of a triangle spans the columns from c0 to `lone`,
+    c0 + s - 1 - i (up) or c0 - i (down): `lone` holds one face of the
+    triangle's orientation and every other column a down and an up face.
+    So the walk sorts the rows and columns once and keeps each row's span.
+    """
+    orientation = _orientation(orientation)
     r0, c0 = position
+    # the tuples are face_cell's, built inline: plans and searches make many
+    if size == 1:  # most pieces of a closed_triangle_plan: no sort at all
+        return (("face", r0, c0, orientation),)
+    low = c0 if orientation == UP else c0 - size + 1
+    columns = sorted(range(low, low + size), key=str)
     faces = []
     append = faces.append
-    # the tuples are face_cell's, built inline: plans and searches make many
-    if orientation == UP:
-        for i in range(size):
-            r, end = r0 + i, c0 + size - i
-            for c in range(c0, end):
-                append(("face", r, c, UP))
-            for c in range(c0, end - 1):
-                append(("face", r, c, DOWN))
-    else:
-        for i in range(size):
-            r = r0 + i
-            for c in range(c0 - i, c0 + 1):
-                append(("face", r, c, DOWN))
-            for c in range(c0 - i + 1, c0 + 1):
-                append(("face", r, c, UP))
+    for r in sorted(range(r0, r0 + size), key=str):
+        i = r - r0
+        lone = c0 + size - 1 - i if orientation == UP else c0 - i
+        lo, hi = (c0, lone) if orientation == UP else (lone, c0)
+        for c in columns:
+            if lo <= c <= hi:
+                if c == lone:
+                    append(("face", r, c, orientation))
+                else:
+                    append(("face", r, c, DOWN))
+                    append(("face", r, c, UP))
     return tuple(faces)
 
 
-def closure_cells(faces) -> dict:
-    """Faces plus every edge and vertex on them, all at multiplicity one."""
-    cells = {face: 1 for face in faces}
+def closure_cells(faces) -> tuple:
+    """Every edge and vertex on the faces, each once."""
+    cells = {}
     for face in faces:
         for edge in face_edges(face):
-            cells[edge] = 1
+            cells[edge] = None
         for v in face_vertices(face):
-            cells[("vertex",) + v] = 1
-    return cells
+            cells[("vertex",) + v] = None
+    return tuple(cells)
 
 
-def interior_cells(faces) -> dict:
-    """Topological interior: faces, interior edges, interior vertices.
+def interior_cells(faces) -> tuple:
+    """The interior edges and vertices of the faces' region, each once.
 
     An edge is interior when both its adjacent faces belong to the region;
     a vertex when all six incident faces do.  A unit triangle therefore
-    contributes its face only.
+    has none.
     """
     region = set(faces)
     if len(region) == 1:
-        return dict.fromkeys(region, 1)
-    cells = {face: 1 for face in faces}
-    seen_edges = set()
-    seen_verts = set()
+        return ()
+    cells = {}
     for face in faces:
         for edge in face_edges(face):
-            if edge in seen_edges:
-                continue
-            seen_edges.add(edge)
-            if all(f in region for f in edge_adjacent_faces(edge)):
-                cells[edge] = 1
+            if edge not in cells:
+                cells[edge] = all(f in region for f in edge_adjacent_faces(edge))
         for v in face_vertices(face):
-            if v in seen_verts:
-                continue
-            seen_verts.add(v)
-            if all(f in region for f in vertex_adjacent_faces(v)):
-                cells[("vertex",) + v] = 1
-    return cells
+            vertex = ("vertex",) + v
+            if vertex not in cells:
+                cells[vertex] = all(f in region for f in vertex_adjacent_faces(v))
+    return tuple(cell for cell, inner in cells.items() if inner)
 
 
-def piece_cells(piece: PlacedPiece):
+def piece_cells(piece: PlacedPiece) -> tuple:
     """The unit cells of a piece, each once: each has multiplicity 1 before sign and multiplicity.
 
-    A triangle's are its `triangle_face_cells` tuple, a closed or open
-    triangle's the keys of `closure_cells` or `interior_cells`, and any
-    other piece's a tuple.
+    A triangle piece lists its `triangle_face_cells` first, in their order,
+    then, closed or open, the `closure_cells` or `interior_cells` of them.
     """
     p = piece.position
     if piece.kind == "point":
@@ -328,8 +345,8 @@ def piece_cells(piece: PlacedPiece):
     if piece.kind == "triangle":
         return faces
     if piece.kind == "closed_triangle":
-        return closure_cells(faces)
-    return interior_cells(faces)
+        return faces + closure_cells(faces)
+    return faces + interior_cells(faces)
 
 
 def realize(plan: PlacementPlan) -> Chain:
@@ -382,7 +399,7 @@ def open_segment_plan_open_units(n: int) -> PlacementPlan:
 def closed_triangle_chain(n: int, position=(0, 0)) -> Chain:
     """The boundary-carrying side-n triangle: every cell at multiplicity one."""
     faces = triangle_face_cells(integer(n, "n"), UP, _pair(position))
-    return Chain._trusted(2, closure_cells(faces))
+    return Chain._trusted(2, dict.fromkeys(faces + closure_cells(faces), 1))
 
 
 def triangle_chain(n: int, orientation: str = UP, position=(0, 0)) -> Chain:
@@ -400,21 +417,13 @@ def closed_triangle_plan(n: int) -> PlacementPlan:
     point units in total.
     """
     n = integer(n, "n", 1)
-    pieces = []
-    up_faces = set()
-    for r in range(n):
-        for c in range(n - r):
-            pieces.append(PlacedPiece("closed_triangle", (r, c)))
-            up_faces.add(face_cell(r, c, UP))
-    for r in range(n - 1):
-        for c in range(n - 1 - r):
-            pieces.append(PlacedPiece("open_triangle", (r, c), orientation=DOWN))
+    pieces = [PlacedPiece("closed_triangle", (r, c)) for r in range(n) for c in range(n - r)]
+    pieces += [PlacedPiece("open_triangle", (r, c), orientation=DOWN)
+               for r in range(n - 1) for c in range(n - 1 - r)]
     for r in range(n + 1):
         for c in range(n + 1 - r):
-            incidence = sum(
-                1 for f in vertex_adjacent_faces((r, c))
-                if f[3] == UP and f in up_faces
-            )
+            # the closed up units at (r, c), (r, c - 1) and (r - 1, c) that hold the vertex
+            incidence = (r + c < n) + (c > 0) + (r > 0)
             if incidence > 1:
                 pieces.append(
                     PlacedPiece("vertex", (r, c), sign=-1, multiplicity=incidence - 1)
@@ -501,13 +510,7 @@ class TilePiece(Record):
     __slots__ = ("size", "orientation", "sign")
 
     def __init__(self, size: int, orientation: str = UP, sign: int = 1):
-        if not (type(size) is type(sign) is int and size > 0):
-            size, sign = integer(size, "size", 1), integer(sign, "sign")
-        if orientation not in (UP, DOWN):
-            raise ValueError(f"orientation must be 'up' or 'down', got {orientation!r}")
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
-        self._set(size, orientation, sign)
+        self._set(*_shape(size, orientation, sign))
 
 
 def triangle_window(n: int, position=(0, 0)) -> frozenset:
@@ -516,12 +519,12 @@ def triangle_window(n: int, position=(0, 0)) -> frozenset:
 
 
 def _window_cells(window) -> frozenset:
-    cells = frozenset(window)
+    """The window's cells, each checked as a Chain checks it; all must be faces."""
+    cells = frozenset(_checked_cell(cell, 2) for cell in window)
     if not cells:
         raise ValueError("the window must hold at least one face cell")
     for cell in cells:
-        if not (type(cell) is tuple and len(cell) == 4 and cell[0] == "face"
-                and type(cell[1]) is int and type(cell[2]) is int and cell[3] in (UP, DOWN)):
+        if cell[0] != "face":
             raise ValueError(f"window cell {cell!r} is not a face cell")
     return cells
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record, flag
-from .chains import DOWN, UP, Chain, PlacementPlan, face_vertices, piece_cells
+from .chains import UP, Chain, PlacementPlan, face_vertices, piece_cells
 
 SQRT3 = 3 ** 0.5
 
@@ -74,47 +74,6 @@ def _sort_key(cell) -> str:
         (r1, c1), (r2, c2) = cell[1], cell[2]
         return f"1edge,{r1},{c1},{r2},{c2}"
     return f"{_RANK[kind]}{kind}," + ",".join(map(str, cell[1:]))
-
-
-_TRIANGLES = ("triangle", "closed_triangle", "open_triangle")
-
-
-def _faces_in_draw_order(size: int, orientation: str, position) -> list:
-    """The faces of a triangle piece in `_sort_key` order, with no key per face.
-
-    The key orders faces by row, then by column, each compared as a decimal
-    string ("-1" < "-10" < "0" < "1" < "10" < "2": the ',' after a number
-    sorts below every digit), then "down" before "up".  Each row of a
-    triangle holds one run of columns per orientation, so the walk sorts the
-    piece's rows and columns once and keeps, in each row, its runs.
-    """
-    r0, c0 = position
-    if size == 1:  # most pieces of a closed_triangle_plan: no sort at all
-        return [("face", r0, c0, orientation)]
-    low = c0 if orientation == UP else c0 - size + 1
-    columns = sorted(range(low, low + size), key=str)
-    faces = []
-    append = faces.append
-    for r in sorted(range(r0, r0 + size), key=str):
-        if orientation == UP:
-            # up faces at columns c0..last, down faces at c0..last-1
-            last = c0 + size - 1 - (r - r0)
-            for c in columns:
-                if c < last:
-                    append(("face", r, c, DOWN))
-                    append(("face", r, c, UP))
-                elif c == last:
-                    append(("face", r, c, UP))
-        else:
-            # down faces at columns first..c0, up faces at first+1..c0
-            first = c0 - (r - r0)
-            for c in columns:
-                if c > first:
-                    append(("face", r, c, DOWN))
-                    append(("face", r, c, UP))
-                elif c == first:
-                    append(("face", r, c, DOWN))
-    return faces
 
 
 class _Axis(dict):
@@ -319,28 +278,23 @@ def plan_svg(plan: PlacementPlan, options: RenderOptions = None) -> str:
     by pieces whose total multiplicity is zero get the green marker.  Each
     piece's cells are computed once and summed here, as realize() would;
     every cell of a piece has one multiplicity, so one style draws them all.
-    A triangle piece's faces come in draw order from a row walk
-    (`_faces_in_draw_order`); only its other cells are sorted.
+    A triangle piece's s^2 faces lead its cells, already in draw order
+    (`chains.triangle_face_cells`); only its other cells are sorted.
     """
     canvas = _Canvas(options or RenderOptions())
     total = {}
     get = total.get
     for piece in plan.pieces:
-        kind = piece.kind
         weight = piece.sign * piece.multiplicity
-        style = canvas.style(weight, kind in ("open_triangle", "open_segment"))
-        if kind in _TRIANGLES:
-            for cell in _faces_in_draw_order(piece.size, piece.orientation, piece.position):
-                _draw_face(canvas, cell, style)
-                total[cell] = get(cell, 0) + weight
-            if kind == "triangle":
-                continue
-            # faces sort before every other kind, so the rest follow the walk
-            cells = [cell for cell in piece_cells(piece) if cell[0] != "face"]
-        else:
-            cells = piece_cells(piece)
-        for cell in canvas.ordered(cells):
+        style = canvas.style(weight, piece.kind in ("open_triangle", "open_segment"))
+        cells = piece_cells(piece)
+        # faces sort before every other kind, so the rest follow them
+        faces = piece.size ** 2 if cells[0][0] == "face" else 0
+        for cell in cells[:faces]:
+            _draw_face(canvas, cell, style)
+        for cell in canvas.ordered(cells[faces:]):
             _draw_cell(canvas, cell, style)
+        for cell in cells:
             total[cell] = get(cell, 0) + weight
     cancelled = canvas.style(0)
     for cell in canvas.ordered([cell for cell, mult in total.items() if not mult]):

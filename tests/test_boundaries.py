@@ -14,7 +14,11 @@ anything else (1, 0, "yes", None) raises TypeError naming the argument.
 list, each a string or an int that is not a bool.
 
 A `Chain` cell is a tuple of its kind and coordinates, each coordinate
-following the integer rule; any other cell raises an error naming it.
+following the integer rule; any other cell raises an error naming it.  A
+tiling window's cells follow the same rule, and must be faces.
+
+An orientation is "up" or "down" and a piece's sign +1 or -1, one rule
+each wherever they are taken; anything else raises ValueError naming it.
 """
 
 from fractions import Fraction
@@ -34,9 +38,12 @@ from simplexring.chains import (
     open_segment_plan_units,
     parallelogram_plan,
     partition_plan,
+    realize,
     segment_sum_plan,
     tetrahedron_slabs,
+    tiling_search,
     triangle_chain,
+    triangle_face_cells,
     triangle_window,
 )
 from simplexring.eulerian import (
@@ -299,15 +306,85 @@ BAD_CELLS = [
     (2, "face", TypeError),
     (2, (), TypeError),
     (2, (0, 0), TypeError),
+    # unhashable, so only a list of pairs can hold them
+    (2, ("edge", [0, 0], (0, 1)), TypeError),
+    (2, ["face", 0, 0, "up"], TypeError),
 ]
+
+
+def _hashable(cell):
+    try:
+        hash(cell)
+    except TypeError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("dim, cell, error", BAD_CELLS,
                          ids=[f"dim{dim} {cell!r}" for dim, cell, _ in BAD_CELLS])
 def test_bad_cells_raise_naming_the_cell(dim, cell, error):
-    with pytest.raises(error) as info:
-        Chain(dim, {cell: 1})
-    assert repr(cell) in str(info.value)
+    # in a list of pairs, in a dict where the cell can be a key, and as a
+    # 2-d cell in a tiling window: each checks the cell before hashing it
+    makes = [lambda: Chain(dim, [(cell, 1)])]
+    if _hashable(cell):
+        makes.append(lambda: Chain(dim, {cell: 1}))
+    if dim == 2:
+        makes.append(lambda: tiling_search(Chain(2), [TilePiece(1)], [UP_FACE, cell]))
+    for make in makes:
+        with pytest.raises(error) as info:
+            make()
+        assert repr(cell) in str(info.value)
+
+
+@pytest.mark.parametrize("cell", [("edge", (0, 0), (0, 1)), ("vertex", 0, 0)], ids=repr)
+def test_a_window_holds_only_faces(cell):
+    with pytest.raises(ValueError) as info:
+        tiling_search(Chain(2), [TilePiece(1)], {UP_FACE, cell})
+    assert str(info.value) == f"window cell {cell!r} is not a face cell"
+
+
+def test_window_coordinates_follow_the_integer_rule():
+    # a window reads Fraction(0) as 0, as a Chain does
+    target = Chain(2, {UP_FACE: 1})
+    window = {("face", Fraction(0), Fraction(4, 4) - 1, "up")}
+    assert realize(tiling_search(target, [TilePiece(1)], window)) == target
+
+
+# id -> (make, name): make(v) passes v as that orientation, and make("down") is valid.
+ORIENTATIONS = {
+    "PlacedPiece": (lambda v: PlacedPiece("triangle", (0, 0), orientation=v), "orientation"),
+    "TilePiece": (lambda v: TilePiece(1, v), "orientation"),
+    "triangle_face_cells": (lambda v: triangle_face_cells(2, v, (0, 0)), "orientation"),
+    "triangle_chain": (lambda v: triangle_chain(2, v), "orientation"),
+    "Chain.cell": (lambda v: Chain(2, {("face", 0, 0, v): 1}), "cell ('face', 0, 0, {v!r}): orientation"),
+}
+
+
+@pytest.mark.parametrize("boundary", ORIENTATIONS)
+def test_orientation_boundary(boundary):
+    make, name = ORIENTATIONS[boundary]
+    for bad in ("left", "UP", None, 1):
+        with pytest.raises(ValueError) as info:
+            make(bad)
+        assert str(info.value) == f"{name.format(v=bad)} must be 'up' or 'down', got {bad!r}"
+    make("down")
+
+
+# id -> make: make(v) passes v as a piece's sign, and make(-1) is valid.
+SIGNS = {
+    "PlacedPiece": lambda v: PlacedPiece("vertex", (0, 0), sign=v),
+    "TilePiece": lambda v: TilePiece(1, "up", v),
+}
+
+
+@pytest.mark.parametrize("boundary", SIGNS)
+def test_sign_boundary(boundary):
+    make = SIGNS[boundary]
+    for bad in (0, 2, -2, Fraction(4, 2)):
+        with pytest.raises(ValueError) as info:
+            make(bad)
+        assert str(info.value) == f"sign must be +1 or -1, got {int(bad)}"
+    assert make(Fraction(-3, 3)).sign == -1
 
 
 def test_cell_coordinates_follow_the_integer_rule():

@@ -37,6 +37,7 @@ from simplexring.chains import (
     triangle_window,
     vertex_adjacent_faces,
 )
+from simplexring.render import _sort_key
 
 
 def _up_faces_oracle(n, r0=0, c0=0):
@@ -89,26 +90,27 @@ def test_vertex_has_six_faces():
 
 
 def test_closure_of_one_face_is_seven_cells():
-    up = closure_cells([face_cell(0, 0, UP)])
-    assert sum(1 for c in up if c[0] == "face") == 1
+    # the face itself, counted apart, and the 3 edges and 3 vertices it adds
+    face = face_cell(0, 0, UP)
+    up = closure_cells([face])
+    assert len(set(up)) == len(up) == 6 and face not in up
     assert sum(1 for c in up if c[0] == "edge") == 3
     assert sum(1 for c in up if c[0] == "vertex") == 3
-    assert all(m == 1 for m in up.values())
 
 
 def test_interior_of_single_face_is_bare():
-    only = interior_cells([face_cell(0, 0, DOWN)])
-    assert only == {face_cell(0, 0, DOWN): 1}
+    assert interior_cells([face_cell(0, 0, DOWN)]) == ()
 
 
 def test_interior_of_triangle_counts():
     # side-3 up triangle: 9 faces, 9 interior edges, 1 interior vertex
     faces = triangle_face_cells(3, UP, (0, 0))
     inner = interior_cells(faces)
-    kinds = {}
+    kinds = {"face": len(set(faces))}
     for cell in inner:
         kinds[cell[0]] = kinds.get(cell[0], 0) + 1
     assert kinds == {"face": 9, "edge": 9, "vertex": 1}
+    assert len(set(inner)) == len(inner)
 
 
 def test_closed_triangle_chain_counts():
@@ -267,7 +269,7 @@ def test_piece_cells_are_unit_multiplicities():
 
 
 def _faces_one_by_one(size, orientation, position):
-    """The face loop triangle_face_cells had before it built its tuples inline."""
+    """A triangle's faces, row by row: the oracle for the set triangle_face_cells lists."""
     r0, c0 = position
     faces = []
     for i in range(size):
@@ -282,10 +284,24 @@ def _faces_one_by_one(size, orientation, position):
 
 @pytest.mark.parametrize("orientation", [UP, DOWN])
 def test_triangle_face_cells_order(orientation):
+    # the faces of the row loop, each once, in the order of their reprs
     for size in range(1, 9):
         for position in ((0, 0), (3, -2), (-4, 7)):
-            assert (triangle_face_cells(size, orientation, position)
-                    == _faces_one_by_one(size, orientation, position))
+            faces = triangle_face_cells(size, orientation, position)
+            assert sorted(faces) == sorted(_faces_one_by_one(size, orientation, position))
+            assert list(faces) == sorted(faces, key=_sort_key)
+
+
+def test_piece_cells_lead_with_the_faces():
+    # plan_svg draws a triangle piece's first s^2 cells as they come
+    for kind in ("triangle", "closed_triangle", "open_triangle"):
+        for size in (1, 2, 5):
+            for orientation in (UP, DOWN):
+                piece = PlacedPiece(kind, (3, -4), size=size, orientation=orientation)
+                cells = piece_cells(piece)
+                faces = size * size
+                assert cells[:faces] == triangle_face_cells(size, orientation, (3, -4))
+                assert all(cell[0] != "face" for cell in cells[faces:])
 
 
 @pytest.mark.parametrize("field, bad", [

@@ -1,10 +1,16 @@
 """Command line behaviour: output shapes, exit codes, file writing."""
 
+import contextlib
 import importlib
+import io
 import json
 import sys
+from datetime import timedelta
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexring import cli
 from simplexring.chains import closed_triangle_plan
@@ -492,3 +498,81 @@ def test_parser_holds_one_command_only_when_named():
     assert commands("slabs") == [["slabs"]]
     for first in (None, "-h", "--help", "nope"):
         assert commands(first) == [list(cli.SYNTAX)]
+
+
+# --- the command line, fuzzed ----------------------------------------------
+
+# Ints as text, from tiny to past the digit limit, where `int` refuses them.
+TINY = st.integers(-3, 12).map(str)
+INT_TEXTS = st.one_of(
+    TINY,
+    st.integers(-10 ** 40, 10 ** 40).map(str),
+    st.integers(DIGITS - 3, DIGITS + 40).map(lambda digits: "9" * digits),
+    st.sampled_from(["", "x", "1.5", "-", "0x10", " 7", "٣"]),
+)
+EXPRESSIONS = st.one_of(
+    st.builds("<{}>".format, INT_TEXTS),
+    st.builds("{}*star({},{}) - <{}>_0".format, INT_TEXTS, INT_TEXTS, INT_TEXTS, INT_TEXTS),
+    st.lists(st.one_of(st.sampled_from(["<", ">", "_0", "star(", ",", "(", ")", "+", "-", "*", " "]),
+                       INT_TEXTS), max_size=12).map("".join),
+)
+# Each example must stay small: under these limits the refusals run the same
+# code, and the work a command may start takes milliseconds.
+SMALL_LIMITS = {"verify": (20_000, "work units"), "factor": (500, "z"), "render": (2_000, "unit cells")}
+
+
+def _value(flag, options, out_dir):
+    if "choices" in options:
+        return st.sampled_from([*map(str, options["choices"]), "nope", "1"])
+    if flag == "--range":
+        return st.one_of(st.builds("{}..{}".format, TINY, TINY), st.builds("{}..{}".format, INT_TEXTS, INT_TEXTS),
+                         INT_TEXTS)
+    if flag == "--out":
+        # stdout, a new file, a folder and a file in a folder that is not there
+        return st.sampled_from(["-", str(out_dir / "plan.svg"), str(out_dir), str(out_dir / "no" / "x")])
+    if flag == "expression":
+        return EXPRESSIONS
+    return st.one_of(st.integers(1, 6).map(str), INT_TEXTS)  # often a size that does work
+
+
+@st.composite
+def _argv(draw, out_dir):
+    """A command of SYNTAX and each of its arguments present or missing, in
+    `--flag value` or `--flag=value` form, now and then shuffled or with a
+    stray argument."""
+    command = draw(st.sampled_from(sorted(cli.SYNTAX)))
+    argv = [command]
+    for flag, options in cli.SYNTAX[command][1]:
+        if not draw(st.sampled_from([True, True, True, False])):  # a quarter go missing
+            continue
+        if options.get("action") == "store_true":
+            argv.append(flag)
+            continue
+        value = draw(_value(flag, options, out_dir))
+        if not flag.startswith("--"):
+            argv.append(value)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    if draw(st.sampled_from([False] * 7 + [True])):
+        argv[1:] = draw(st.permutations(argv[1:]))
+    if draw(st.sampled_from([False] * 7 + [True])):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "stray", "-h", "--"])))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=10))
+@given(data=st.data())
+def test_any_command_line_exits_0_1_or_2(tmp_path_factory, data):
+    # No argv built from SYNTAX may end in a traceback or any exit but
+    # 0 (done), 1 (a counterexample) or 2 (refused), nor run past the deadline.
+    argv = data.draw(_argv(tmp_path_factory.getbasetemp()), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(cli.LIMITS, SMALL_LIMITS), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error:", "usage:"))

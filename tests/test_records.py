@@ -148,20 +148,25 @@ def test_copy_deepcopy_and_pickle_round_trip(cls):
 
 # (constructor call, exception, message), as the dataclass versions raised them,
 # except where `_record.integer` now words a check: "<name> must be an integer,
-# got <value>" and "<name> must be >= <least>, got <value>".
+# got <value>" and "<name> must be >= <least>, got <value>", and where a piece's
+# one sign and orientation rule does, as TilePiece's did: "..., got <value>".
 ERRORS = [
     (lambda: PlacedPiece("triangle", (0, 0), sign=True), TypeError, "sign must be an integer, got True"),
     (lambda: PlacedPiece("triangle", (0, 0), size=1.5), TypeError, "size must be an integer, got 1.5"),
     (lambda: PlacedPiece("hexagon", (0, 0)), ValueError, "unknown piece kind 'hexagon'"),
-    (lambda: PlacedPiece("triangle", (0, 0), sign=2), ValueError, "sign must be +1 or -1"),
+    # This row and the orientation row below keep their ids, which name the
+    # messages PlacedPiece had before it shared TilePiece's rule.
+    pytest.param(lambda: PlacedPiece("triangle", (0, 0), sign=2), ValueError,
+                 "sign must be +1 or -1, got 2", id="<lambda>-ValueError-sign must be +1 or -1"),
     # Its id keeps the old message: a 100-character test name cut from the
     # new one would read the same as TilePiece's size case below.
     pytest.param(lambda: PlacedPiece("triangle", (0, 0), size=0), ValueError,
                  "size must be >= 1, got 0", id="<lambda>-ValueError-size must be >= 1"),
     (lambda: PlacedPiece("vertex", (0, 0), multiplicity=0), ValueError,
      "multiplicity must be >= 1, got 0"),
-    (lambda: PlacedPiece("triangle", (0, 0), orientation="left"), ValueError,
-     "orientation must be 'up' or 'down'"),
+    pytest.param(lambda: PlacedPiece("triangle", (0, 0), orientation="left"), ValueError,
+                 "orientation must be 'up' or 'down', got 'left'",
+                 id="<lambda>-ValueError-orientation must be 'up' or 'down'"),
     (lambda: PlacementPlan(1, [PlacedPiece("triangle", (0, 0))]), ValueError,
      "piece PlacedPiece(kind='triangle', position=(0, 0), size=1, orientation='up', sign=1, "
      "multiplicity=1) does not live in dimension 1"),

@@ -221,7 +221,7 @@ def test_search_is_deterministic():
     (lambda: tiling_search(Chain(2), [], frozenset()), ValueError),
     (lambda: tiling_search(Chain(2), [TilePiece(1)], {("vertex", 0, 0)}), ValueError),
     (lambda: tiling_search(Chain(2), [TilePiece(1)], {("face", 0, 0, "left")}), ValueError),
-    (lambda: tiling_search(Chain(2), [TilePiece(1)], {("face", 0.0, 0, UP)}), ValueError),
+    (lambda: tiling_search(Chain(2), [TilePiece(1)], {("face", 0.0, 0, UP)}), TypeError),
 ])
 def test_bad_pieces_and_windows_are_refused(build, error):
     with pytest.raises(error):
