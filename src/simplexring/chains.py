@@ -238,25 +238,6 @@ def face_edges(face):
     return (("edge", a, b), ("edge", a, c), ("edge", b, c))
 
 
-def edge_adjacent_faces(edge):
-    """The two faces sharing an edge, classified by the edge direction."""
-    _, (r1, c1), (r2, c2) = edge
-    if r1 == r2:  # horizontal
-        return (face_cell(r1, c1, UP), face_cell(r1 - 1, c1, DOWN))
-    if c1 == c2:  # rising left side
-        return (face_cell(r1, c1, UP), face_cell(r1, c1 - 1, DOWN))
-    # falling right side: (r, c) -- (r+1, c-1)
-    return (face_cell(r1, c2, UP), face_cell(r1, c2, DOWN))
-
-
-def vertex_adjacent_faces(v):
-    r, c = v
-    return (
-        face_cell(r, c, UP), face_cell(r, c - 1, UP), face_cell(r - 1, c, UP),
-        face_cell(r, c - 1, DOWN), face_cell(r - 1, c, DOWN), face_cell(r - 1, c - 1, DOWN),
-    )
-
-
 def triangle_face_cells(size: int, orientation: str, position) -> tuple:
     """All s^2 faces of a side-s triangle at the given anchor, in the order of their reprs.
 
@@ -291,44 +272,37 @@ def triangle_face_cells(size: int, orientation: str, position) -> tuple:
     return tuple(faces)
 
 
-def closure_cells(faces) -> tuple:
-    """Every edge and vertex on the faces, each once."""
-    cells = {}
-    for face in faces:
-        for edge in face_edges(face):
-            cells[edge] = None
-        for v in face_vertices(face):
-            cells[("vertex",) + v] = None
-    return tuple(cells)
+def _edges_and_vertices(faces, size: int, orientation: str, position, closed: bool) -> tuple:
+    """The edges and vertices a side-s triangle adds to its faces, each once.
 
-
-def interior_cells(faces) -> tuple:
-    """The interior edges and vertices of the faces' region, each once.
-
-    An edge is interior when both its adjacent faces belong to the region;
-    a vertex when all six incident faces do.  A unit triangle therefore
-    has none.
+    Closed, they are all of its edges and vertices; open, only the inner
+    ones.  The faces of the triangle's own orientation hold each of its
+    edges once, and those of the other orientation hold its inner edges.
+    Row i = 0..s of its vertices is (r0 + i, c) for c from c0 to c0 + s - i
+    (up) or from c0 + 1 - i to c0 + 1 (down); the inner vertices lie off the
+    three sides, in rows 1..s-1 and off both ends of their row.
     """
-    region = set(faces)
-    if len(region) == 1:
-        return ()
-    cells = {}
-    for face in faces:
-        for edge in face_edges(face):
-            if edge not in cells:
-                cells[edge] = all(f in region for f in edge_adjacent_faces(edge))
-        for v in face_vertices(face):
-            vertex = ("vertex",) + v
-            if vertex not in cells:
-                cells[vertex] = all(f in region for f in vertex_adjacent_faces(v))
-    return tuple(cell for cell, inner in cells.items() if inner)
+    if size <= 1:  # a unit piece, as every closed_triangle_plan piece is, or a side <= 0
+        if not (closed and faces):
+            return ()
+        a, b, c = face_vertices(faces[0])
+        return (("edge", a, b), ("edge", a, c), ("edge", b, c),
+                ("vertex", *a), ("vertex", *b), ("vertex", *c))
+    edged = orientation if closed else (DOWN if orientation == UP else UP)
+    cells = [edge for face in faces if face[3] == edged for edge in face_edges(face)]
+    r0, c0 = position
+    trim = 0 if closed else 1
+    for i in range(trim, size + 1 - trim):
+        lo, hi = (c0, c0 + size - i) if orientation == UP else (c0 + 1 - i, c0 + 1)
+        cells += [("vertex", r0 + i, c) for c in range(lo + trim, hi + 1 - trim)]
+    return tuple(cells)
 
 
 def piece_cells(piece: PlacedPiece) -> tuple:
     """The unit cells of a piece, each once: each has multiplicity 1 before sign and multiplicity.
 
     A triangle piece lists its `triangle_face_cells` first, in their order,
-    then, closed or open, the `closure_cells` or `interior_cells` of them.
+    then, closed or open, the edges and vertices it adds to them.
     """
     p = piece.position
     if piece.kind == "point":
@@ -344,9 +318,8 @@ def piece_cells(piece: PlacedPiece) -> tuple:
     faces = triangle_face_cells(piece.size, piece.orientation, p)
     if piece.kind == "triangle":
         return faces
-    if piece.kind == "closed_triangle":
-        return faces + closure_cells(faces)
-    return faces + interior_cells(faces)
+    closed = piece.kind == "closed_triangle"
+    return faces + _edges_and_vertices(faces, piece.size, piece.orientation, p, closed)
 
 
 def realize(plan: PlacementPlan) -> Chain:
@@ -398,8 +371,10 @@ def open_segment_plan_open_units(n: int) -> PlacementPlan:
 
 def closed_triangle_chain(n: int, position=(0, 0)) -> Chain:
     """The boundary-carrying side-n triangle: every cell at multiplicity one."""
-    faces = triangle_face_cells(integer(n, "n"), UP, _pair(position))
-    return Chain._trusted(2, dict.fromkeys(faces + closure_cells(faces), 1))
+    n, position = integer(n, "n"), _pair(position)
+    faces = triangle_face_cells(n, UP, position)
+    cells = faces + _edges_and_vertices(faces, n, UP, position, True)
+    return Chain._trusted(2, dict.fromkeys(cells, 1))
 
 
 def triangle_chain(n: int, orientation: str = UP, position=(0, 0)) -> Chain:
@@ -534,7 +509,8 @@ def _window_placements(tile: TilePiece, window: frozenset):
 
     A side-s triangle spans s rows from its anchor row, and s columns from
     its anchor column (up) or up to it (down), so only anchors whose span
-    fits the window's bounding box are tried.
+    fits the window's bounding box are tried.  The tile's faces are built
+    once at (0, 0) and moved to each anchor.
     """
     rs = [cell[1] for cell in window]
     cs = [cell[2] for cell in window]
@@ -542,10 +518,11 @@ def _window_placements(tile: TilePiece, window: frozenset):
     lo_c, hi_c = min(cs), max(cs) - reach
     if tile.orientation == DOWN:
         lo_c, hi_c = lo_c + reach, hi_c + reach
+    shape = [face[1:] for face in triangle_face_cells(tile.size, tile.orientation, (0, 0))]
     spots = []
     for r in range(min(rs), max(rs) - reach + 1):
         for c in range(lo_c, hi_c + 1):
-            faces = triangle_face_cells(tile.size, tile.orientation, (r, c))
+            faces = [("face", r + dr, c + dc, o) for dr, dc, o in shape]
             if all(f in window for f in faces):
                 spots.append(((r, c), faces))
     return spots
@@ -641,13 +618,17 @@ def tiling_search(
     works - the search is complete, so None is a proof of impossibility
     within the window.  Raises SearchSpaceError if the number of placement
     combinations of all the pieces exceeds cap; a window that is not a
-    non-empty set of face cells raises ValueError.
+    non-empty set of face cells raises ValueError.  cap follows `integer`
+    with least 0, and a piece that is not a TilePiece raises TypeError.
     """
     if target.dim != 2:
         raise ValueError("tiling search works on 2-d chains")
+    cap = integer(cap, "cap", 0)
     window = _window_cells(window)
     counted = {}
     for tile in pieces:
+        if not isinstance(tile, TilePiece):
+            raise TypeError(f"piece {tile!r} is not a TilePiece")
         counted[tile] = counted.get(tile, 0) + 1
     groups = [(tile, counted[tile], _window_placements(tile, window))
               for tile in sorted(counted, key=lambda t: (-t.size, t.orientation, -t.sign))]

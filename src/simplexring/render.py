@@ -29,11 +29,22 @@ def _check_finite(name: str, value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_colour(name: str, value):
+    # written into an SVG attribute as is, so only these shapes may pass
+    if type(value) is not str:
+        raise TypeError(f"{name} must be a str, got {value!r}")
+    hex_code = value[:1] == "#" and len(value) in (4, 7) and all(
+        ch in "0123456789abcdefABCDEF" for ch in value[1:])
+    if not (hex_code or value.isascii() and value.isalpha()):
+        raise ValueError(f"{name} must be #rgb, #rrggbb or a colour name, got {value!r}")
+
+
 class RenderOptions(Record):
     """Drawing options; side is the number of pixels per lattice unit.
 
     side and margin are finite ints or floats (not bools) with side > 0
-    and margin >= 0, and annotate is a bool; anything else raises
+    and margin >= 0, each colour is a str, "#" and 3 or 6 hex digits or a
+    name of ASCII letters, and annotate is a bool; anything else raises
     TypeError or ValueError.
     """
 
@@ -48,6 +59,9 @@ class RenderOptions(Record):
             raise ValueError(f"side must be > 0, got {side!r}")
         if margin < 0:
             raise ValueError(f"margin must be >= 0, got {margin!r}")
+        for name, colour in (("positive", positive), ("positive_open", positive_open),
+                             ("negative", negative), ("cancelled", cancelled)):
+            _check_colour(name, colour)
         self._set(side, margin, positive, positive_open, negative, cancelled, flag(annotate, "annotate"))
 
 

@@ -169,6 +169,9 @@ BOUNDARIES = {
         lambda v: triangle_chain(2, "down", (0, v)), "position[1]", None, 3),
     "triangle_window.n": (lambda v: triangle_window(v), "n", None, 3),
     "triangle_window.position": (lambda v: triangle_window(2, (v, 1)), "position[0]", None, 3),
+    "tiling_search.cap": (
+        lambda v: tiling_search(triangle_chain(1), [TilePiece(1)], triangle_window(1), cap=v),
+        "cap", 0, 3),
     # eulerian
     "eulerian_row": (lambda v: eulerian_row(v), "m", 1, 3),
     "eulerian.m": (lambda v: eulerian(v, 1), "m", 1, 3),
@@ -341,6 +344,13 @@ def test_a_window_holds_only_faces(cell):
     with pytest.raises(ValueError) as info:
         tiling_search(Chain(2), [TilePiece(1)], {UP_FACE, cell})
     assert str(info.value) == f"window cell {cell!r} is not a face cell"
+
+
+@pytest.mark.parametrize("piece", [(1, "up", 1), PlacedPiece("triangle", (0, 0)), None], ids=repr)
+def test_tiling_pieces_are_tile_pieces(piece):
+    with pytest.raises(TypeError) as info:
+        tiling_search(Chain(2, {UP_FACE: 1}), [TilePiece(1), piece], {UP_FACE})
+    assert str(info.value) == f"piece {piece!r} is not a TilePiece"
 
 
 def test_window_coordinates_follow_the_integer_rule():

@@ -15,14 +15,11 @@ from simplexring.chains import (
     chain_face_total,
     closed_triangle_chain,
     closed_triangle_plan,
-    closure_cells,
     difference_plan,
-    edge_adjacent_faces,
     face_cell,
     face_edges,
     face_vertices,
     hexagon_plan,
-    interior_cells,
     open_segment_plan_open_units,
     open_segment_plan_units,
     parallelogram_plan,
@@ -35,7 +32,6 @@ from simplexring.chains import (
     triangle_chain,
     triangle_face_cells,
     triangle_window,
-    vertex_adjacent_faces,
 )
 from simplexring.render import _sort_key
 
@@ -77,40 +73,87 @@ def test_down_triangle_tip_anchor():
     }
 
 
-def test_face_incidence_is_consistent():
-    for face in [face_cell(0, 0, UP), face_cell(2, 1, DOWN), face_cell(-1, 3, UP)]:
-        for edge in face_edges(face):
-            assert face in edge_adjacent_faces(edge)
-        for vertex in face_vertices(face):
-            assert face in vertex_adjacent_faces(vertex)
-
-
-def test_vertex_has_six_faces():
-    assert len(vertex_adjacent_faces((2, 3))) == 6
-
-
 def test_closure_of_one_face_is_seven_cells():
-    # the face itself, counted apart, and the 3 edges and 3 vertices it adds
+    # the face itself and the 3 edges and 3 vertices it adds
     face = face_cell(0, 0, UP)
-    up = closure_cells([face])
-    assert len(set(up)) == len(up) == 6 and face not in up
+    cells = piece_cells(PlacedPiece("closed_triangle", (0, 0)))
+    up = cells[1:]
+    assert cells[0] == face and len(set(up)) == len(up) == 6 and face not in up
     assert sum(1 for c in up if c[0] == "edge") == 3
     assert sum(1 for c in up if c[0] == "vertex") == 3
 
 
 def test_interior_of_single_face_is_bare():
-    assert interior_cells([face_cell(0, 0, DOWN)]) == ()
+    piece = PlacedPiece("open_triangle", (0, 0), orientation=DOWN)
+    assert piece_cells(piece) == (face_cell(0, 0, DOWN),)
 
 
 def test_interior_of_triangle_counts():
     # side-3 up triangle: 9 faces, 9 interior edges, 1 interior vertex
-    faces = triangle_face_cells(3, UP, (0, 0))
-    inner = interior_cells(faces)
-    kinds = {"face": len(set(faces))}
-    for cell in inner:
+    cells = piece_cells(PlacedPiece("open_triangle", (0, 0), size=3))
+    kinds = {}
+    for cell in cells:
         kinds[cell[0]] = kinds.get(cell[0], 0) + 1
     assert kinds == {"face": 9, "edge": 9, "vertex": 1}
-    assert len(set(inner)) == len(inner)
+    assert len(set(cells)) == len(cells)
+
+
+def _half_planes(size, orientation, position):
+    """The triangle's three half-plane margins at a point in doubled coordinates (2r, 2c).
+
+    Each margin is >= 0 on the closed triangle and > 0 strictly inside it.
+    An up triangle is r >= r0, c >= c0, (r - r0) + (c - c0) <= s; a down
+    one, anchored at its tip face, is r <= r0 + s, c <= c0 + 1,
+    (r - r0) + (c - c0 - 1) >= 0.
+    """
+    r0, c0, s = 2 * position[0], 2 * position[1], 2 * size
+    if orientation == UP:
+        return lambda r, c: (r - r0, c - c0, s - (r - r0) - (c - c0))
+    return lambda r, c: (r0 + s - r, c0 + 2 - c, (r - r0) + (c - c0 - 2))
+
+
+def _cells_by_half_planes(size, orientation, position, closed):
+    """The edges and vertices a closed or open triangle piece adds, found geometrically.
+
+    Closed keeps an edge whose two ends lie in the closed triangle and a
+    vertex that does; open keeps an edge whose midpoint, and a vertex that,
+    lies strictly inside (an integer margin > 0 is one >= 1).  Candidates
+    are every edge and vertex of a box around the triangle.
+    """
+    margins = _half_planes(size, orientation, position)
+    least = 0 if closed else 1
+    r0, c0 = position
+    cells = set()
+    for r in range(r0 - 2, r0 + size + 3):
+        for c in range(c0 - size - 3, c0 + size + 4):
+            # the three edges from (r, c) to a later vertex, each a sorted pair
+            for end in ((r, c + 1), (r + 1, c), (r + 1, c - 1)):
+                if closed:
+                    points = ((2 * r, 2 * c), (2 * end[0], 2 * end[1]))
+                else:
+                    points = ((r + end[0], c + end[1]),)  # the doubled midpoint
+                if all(min(margins(*point)) >= least for point in points):
+                    cells.add(("edge", (r, c), end))
+            if min(margins(2 * r, 2 * c)) >= least:
+                cells.add(("vertex", r, c))
+    return cells
+
+
+@pytest.mark.parametrize("orientation", [UP, DOWN])
+def test_triangle_edges_and_vertices_match_the_half_planes(orientation):
+    for size in range(1, 13):
+        for position in ((0, 0), (-3, 5), (4, -7), (-6, -2)):
+            faces = triangle_face_cells(size, orientation, position)
+            for kind, closed in (("closed_triangle", True), ("open_triangle", False)):
+                cells = piece_cells(PlacedPiece(kind, position, size=size, orientation=orientation))
+                added = cells[size * size:]
+                assert cells[:size * size] == faces
+                assert len(set(added)) == len(added)
+                assert set(added) == _cells_by_half_planes(size, orientation, position, closed)
+            if orientation == UP:
+                closed = _cells_by_half_planes(size, UP, position, True)
+                assert closed_triangle_chain(size, position) == Chain(
+                    2, dict.fromkeys((*faces, *closed), 1))
 
 
 def test_closed_triangle_chain_counts():

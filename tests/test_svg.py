@@ -214,6 +214,28 @@ def test_render_options_reject_bad_lengths(field, value, error):
         RenderOptions(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["positive", "positive_open", "negative", "cancelled"])
+@pytest.mark.parametrize("value, error", [
+    ('red" onload="alert(1)', ValueError), ("#12", ValueError), ("#12345", ValueError),
+    ("#1234567", ValueError), ("#ggg", ValueError), ("333333", ValueError), ("", ValueError),
+    ("rgb(1,2,3)", ValueError), ("dark red", ValueError), ("r\u00e9d", ValueError),
+    ("#\uff11\uff12\uff13", ValueError), (None, TypeError), (0x333333, TypeError),
+    (b"#333", TypeError),
+])
+def test_render_options_reject_bad_colours(field, value, error):
+    # a colour is written into an SVG attribute unescaped
+    with pytest.raises(error, match=f"^{field} must be "):
+        RenderOptions(**{field: value})
+
+
+def test_render_options_take_hex_codes_and_colour_names():
+    opts = RenderOptions(positive="#AbC", positive_open="seagreen", negative="Red",
+                         cancelled="#0a0B0c")
+    text = plan_svg(closed_triangle_plan(2), opts)
+    assert 'fill="#AbC"' in text
+    assert RenderOptions(positive="#333333") == RenderOptions()
+
+
 def test_render_options_take_ints_and_a_zero_margin():
     text = chain_svg(triangle_chain(1), RenderOptions(side=10, margin=0))
     assert 'width="10.00" height="8.66"' in text
