@@ -17,6 +17,10 @@ Record gives every such class what a frozen dataclass would:
 A class whose equality is not field equality (`Chain`, `Triple`) keeps its
 own `__eq__`, `__hash__` and `repr`, and takes the rest from here.
 
+One slot is not a field: `chains.PlacementPlan` inherits `_totals`, where
+`chains.walk` keeps a plan's cell totals, from a base class.  Only a class's
+own `__slots__` are read here, so `==`, `hash`, `repr`, copy and pickle never see it.
+
 `integer` is the library's one rule for an integer argument (a scale, a
 side, a dimension, a coefficient, a witness entry): every boundary that
 takes one calls it.  `flag` is the one rule for an on/off argument

@@ -209,7 +209,11 @@ def _pair(position) -> tuple:
     return (integer(position[0], "position[0]"), integer(position[1], "position[1]"))
 
 
-class PlacementPlan(Record):
+class _Walked(Record):
+    __slots__ = ("_totals",)  # the cell totals of walk(), a slot but not a field (see _record)
+
+
+class PlacementPlan(_Walked):
     __slots__ = ("dim", "pieces")
 
     def __init__(self, dim: int, pieces: tuple = ()):
@@ -322,23 +326,29 @@ def piece_cells(piece: PlacedPiece) -> tuple:
     return faces + _edges_and_vertices(faces, piece.size, piece.orientation, p, closed)
 
 
-def realize(plan: PlacementPlan) -> Chain:
-    """Sum the placed pieces into a chain; piece kinds must match plan.dim."""
-    total: dict = {}
+def walk(plan: PlacementPlan, visit=None) -> dict:
+    """The plan's signed cell totals, zeros included, from one pass over its pieces.
+
+    Each piece's `piece_cells` are made once and shown to visit(piece,
+    weight = sign * multiplicity, cells), if given.  The plan keeps the
+    totals, not as a field, for realize() as long as it lives: do not change them.
+    """
+    total = {}
     get = total.get
     for piece in plan.pieces:
         weight = piece.sign * piece.multiplicity
-        for cell in piece_cells(piece):
+        cells = piece_cells(piece)
+        if visit is not None:
+            visit(piece, weight, cells)
+        for cell in cells:
             total[cell] = get(cell, 0) + weight
-    return Chain._trusted(plan.dim, total)
+    object.__setattr__(plan, "_totals", total)
+    return total
 
 
-def covered_cells(plan: PlacementPlan) -> frozenset:
-    """Every cell touched by any piece, cancelled or not."""
-    touched = set()
-    for piece in plan.pieces:
-        touched.update(piece_cells(piece))
-    return frozenset(touched)
+def realize(plan: PlacementPlan) -> Chain:
+    """Sum the placed pieces into a chain: the totals the plan kept from a walk, else a new walk."""
+    return Chain._trusted(plan.dim, getattr(plan, "_totals", None) or walk(plan))
 
 
 # ---------------------------------------------------------------------------

@@ -253,12 +253,11 @@ SYNTAX = {
 
 
 def _is_value(text: str) -> bool:
-    """Whether argparse reads `text` as a value: no leading '-', or a negative int.
-
-    argparse also takes '-', '-1.5' and text with a space as values; those
-    are left to it.
+    """Whether argparse reads `text` as a value: no leading '-', a negative int, or text
+    with a space that no option can begin ('-h', '--', '-='); '-' and '-1.5' go to argparse.
     """
-    return not text.startswith("-") or (text[1:].isdigit() and text.isascii())
+    return (not text.startswith("-") or (text[1:].isdigit() and text.isascii())
+            or (" " in text and text[1] not in "-h="))
 
 
 _BAD = object()
@@ -483,6 +482,7 @@ def _cmd_render(args) -> int:
     plan = getattr(chains, builder)(*params)
     _budget(what, sum(piece.size ** 2 for piece in plan.pieces), "render")
     text = render.to_svg(plan)
+    del plan  # with the cell totals it keeps (chains.walk), before the write
     if args.out == "-":
         sys.stdout.write(text)
         return 0

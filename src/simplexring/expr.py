@@ -244,13 +244,9 @@ def unparse(node) -> str:
 
 def _eval_atom(atom: Lit | Star | Group, dim: int, extended: bool):
     if isinstance(atom, Lit):
-        if atom.suffix == "10":
-            lit = SimplexLiteral(1, atom.scale, -1 if atom.negated else 1, True)
-        elif atom.suffix == "0":
-            lit = SimplexLiteral(dim, atom.scale, -1 if atom.negated else 1, True)
-        else:
-            lit = SimplexLiteral(dim, atom.scale, -1 if atom.negated else 1, extended)
-        return embed_literal(lit)
+        # _10: the boundary-carrying segments, _0: this dim's boundary-carrying family
+        family = {"10": (1, True), "0": (dim, True)}.get(atom.suffix, (dim, extended))
+        return embed_literal(SimplexLiteral(family[0], atom.scale, -1 if atom.negated else 1, family[1]))
     if isinstance(atom, Star):
         return evaluate(star_product(atom.n, atom.m))
     return evaluate_expression(atom.inner, dim, extended)

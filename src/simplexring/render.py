@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record, flag
-from .chains import UP, Chain, PlacementPlan, face_vertices, piece_cells
+from .chains import UP, Chain, PlacementPlan, face_vertices, walk
 
 SQRT3 = 3 ** 0.5
 
@@ -187,10 +187,11 @@ class _Canvas:
                 keys[cell] = _sort_key(cell)
         return sorted(cells, key=keys.__getitem__)
 
-    def label(self, x, y, text, color):
-        self.labels.append((x, y, text, color))
-
-    def render(self) -> str:
+    def render(self, cancelled=()) -> str:
+        """The document, once the `cancelled` cells are drawn with the green marker."""
+        style = self.style(0)
+        for cell in self.ordered(cancelled):
+            _draw_cell(self, cell, style)
         if not self.body and not self.labels:
             min_x = min_y = 0.0
             max_x = max_y = 1.0
@@ -240,8 +241,8 @@ def _draw_face(canvas: _Canvas, cell, style: _Style):
             f'<polygon points="{xs[k + 2]},{ys[r]} {xs[k + 1]},{y} {xs[k + 3]},{y}{style.face}')
     if style.label is not None:
         pts = [canvas.at(v) for v in face_vertices(cell)]
-        canvas.label(sum(p[0] for p in pts) / 3, sum(p[1] for p in pts) / 3,
-                     style.label, "#ffffff")
+        canvas.labels.append((sum(p[0] for p in pts) / 3, sum(p[1] for p in pts) / 3,
+                           style.label, "#ffffff"))
 
 
 def _draw_cell(canvas: _Canvas, cell, style: _Style):
@@ -259,7 +260,7 @@ def _draw_cell(canvas: _Canvas, cell, style: _Style):
         canvas.body.append(f'<circle cx="{xs[2 * c + r]}" cy="{ys[r]}"{style.vertex}')
         if style.label is not None:
             x, y = canvas.at((r, c))
-            canvas.label(x + 5, y + 5, style.label, style.color)
+            canvas.labels.append((x + 5, y + 5, style.label, style.color))
     elif kind == "interval":
         side = canvas.options.side
         p1 = canvas.point(cell[1] * side + 3, 0.0)
@@ -269,7 +270,7 @@ def _draw_cell(canvas: _Canvas, cell, style: _Style):
         p = canvas.point(cell[1] * canvas.options.side, 0.0)
         canvas.body.append(f'<circle cx="{p[2]}" cy="{p[3]}"{style.point}')
         if style.label is not None:
-            canvas.label(p[0] + 5, p[1] + 8, style.label, style.color)
+            canvas.labels.append((p[0] + 5, p[1] + 8, style.label, style.color))
 
 
 def chain_svg(chain: Chain, options: RenderOptions = None, covered=frozenset()) -> str:
@@ -278,10 +279,7 @@ def chain_svg(chain: Chain, options: RenderOptions = None, covered=frozenset()) 
     cells = chain.cells()
     for cell in canvas.ordered(cells):
         _draw_cell(canvas, cell, canvas.style(cells[cell]))
-    cancelled = canvas.style(0)
-    for cell in canvas.ordered([cell for cell in covered if cell not in cells]):
-        _draw_cell(canvas, cell, cancelled)
-    return canvas.render()
+    return canvas.render([cell for cell in covered if cell not in cells])
 
 
 def plan_svg(plan: PlacementPlan, options: RenderOptions = None) -> str:
@@ -289,31 +287,23 @@ def plan_svg(plan: PlacementPlan, options: RenderOptions = None) -> str:
 
     Closed pieces draw with their boundary, open pieces lighter; point and
     vertex pieces become dots with multiplicity annotations.  Cells touched
-    by pieces whose total multiplicity is zero get the green marker.  Each
-    piece's cells are computed once and summed here, as realize() would;
-    every cell of a piece has one multiplicity, so one style draws them all.
-    A triangle piece's s^2 faces lead its cells, already in draw order
+    by pieces whose total multiplicity is zero get the green marker.  The
+    pieces come from `chains.walk`, which keeps the plan's totals for
+    realize(), and all cells of a piece share one style.  A triangle piece's
+    s^2 faces lead its cells, already in draw order
     (`chains.triangle_face_cells`); only its other cells are sorted.
     """
     canvas = _Canvas(options or RenderOptions())
-    total = {}
-    get = total.get
-    for piece in plan.pieces:
-        weight = piece.sign * piece.multiplicity
+
+    def draw(piece, weight, cells):
         style = canvas.style(weight, piece.kind in ("open_triangle", "open_segment"))
-        cells = piece_cells(piece)
         # faces sort before every other kind, so the rest follow them
         faces = piece.size ** 2 if cells[0][0] == "face" else 0
         for cell in cells[:faces]:
             _draw_face(canvas, cell, style)
         for cell in canvas.ordered(cells[faces:]):
             _draw_cell(canvas, cell, style)
-        for cell in cells:
-            total[cell] = get(cell, 0) + weight
-    cancelled = canvas.style(0)
-    for cell in canvas.ordered([cell for cell, mult in total.items() if not mult]):
-        _draw_cell(canvas, cell, cancelled)
-    return canvas.render()
+    return canvas.render([cell for cell, mult in walk(plan, draw).items() if not mult])
 
 
 def to_svg(obj, options: RenderOptions = None) -> str:

@@ -7,7 +7,10 @@ whenever argparse exits; `cli._json` must write the bytes of `json.dumps`.
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -52,7 +55,7 @@ def _good_value(flag, options):
         return st.tuples(st.integers(-3, 3), st.integers(0, 3)).map(lambda pair: f"{pair[0]}..{sum(pair)}")
     if flag == "--out":
         return st.sampled_from(["out.svg", "x=y.svg", "-"])
-    return st.sampled_from(["<1>", "2*<3> + <1>", "star(3,-2)"])
+    return st.sampled_from(["<1>", "2*<3> + <1>", "star(3,-2)", "-<1> + <2>"])
 
 
 @st.composite
@@ -60,7 +63,7 @@ def _well_formed(draw, command):
     """A command line that argparse reads: each argument given or left out, in any order.
 
     A value that starts with '-' and is not an int follows its flag after
-    '=', as argparse needs.
+    '=', as argparse needs; a positional may start with '-' if it holds a space.
     """
     chunks = []
     for flag, options in cli.SYNTAX[command][1]:
@@ -117,11 +120,46 @@ def test_reader_reads_every_well_formed_line(argv):
 @pytest.mark.parametrize("argv", [
     [], ["-h"], ["--help"], ["nope"], ["slabs", "--n", "3", "--n"], ["slabs", "--n=3", "--"],
     ["slabs", "--", "--n", "3"], ["eulerian", "--m", "3", "--json=1"], ["eulerian", "--m", "3", "--js"],
-    ["eval", "-<1> + <2>"], ["render", "--plan", "triangle", "--n", "3", "--out", "-"],
+    ["eval", "-<1>+<2>"], ["eval", "-h <1>"], ["eval", "-=<1> + <2>"], ["eval", "--<1> + <2>"],
+    ["render", "--plan", "triangle", "--n", "3", "--out", "-"],
     ["factor", "-5.0"], ["factor", "35", "-h"], ["verify", "--identity", "closed2", "--range", "-1..1"],
 ], ids=repr)
 def test_reader_leaves_the_rest_to_argparse(argv):
     assert cli._read(argv) is None
+
+
+# Dash-led values with a space, which argparse reads as values: no option
+# can start them, as none starts with '-h', '--' or '-='.
+DASHED = [
+    ["eval", "-<1> + <2>"],
+    ["eval", "-<-3> - <6> + <4>", "--dim", "3"],
+    ["eval", "--dim", "3", "-<2> + 2*<3>", "--extended"],
+    ["eval", "--dim=2", "-<1> - star(3,2)"],
+    ["render", "--plan", "triangle", "--n", "2", "--out", "-a b.svg"],
+]
+
+
+@pytest.mark.parametrize("argv", DASHED, ids=repr)
+def test_reader_reads_dash_led_values_with_a_space(argv):
+    read = cli._read(argv)
+    assert read is not None and _typed(read) == _argparse(argv)
+
+
+@pytest.mark.parametrize("argv", DASHED, ids=repr)
+def test_dash_led_values_load_no_argparse(argv, tmp_path):
+    # a fresh interpreter, since this one has argparse loaded already
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    code = ("import io, sys\n"
+            "from simplexring.cli import main\n"
+            "sys.stdout = io.StringIO()\n"
+            f"code = main({argv!r})\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print(code, 'argparse' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")),
+                          timeout=60)
+    assert (done.stdout, done.stderr) == ("0 False\n", "")
 
 
 # The shapes of the command lines the cli benchmark workload runs.

@@ -1,7 +1,9 @@
 """Rendering: deterministic bytes, stable structure, no floats beyond 2 decimals."""
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 import re
 from pathlib import Path
@@ -17,7 +19,6 @@ from simplexring.chains import (
     PlacementPlan,
     closed_triangle_chain,
     closed_triangle_plan,
-    covered_cells,
     difference_plan,
     hexagon_plan,
     open_segment_plan_open_units,
@@ -123,6 +124,11 @@ def test_to_svg_dispatch():
     assert to_svg(triangle_chain(2)) == chain_svg(triangle_chain(2))
     plan = closed_triangle_plan(2)
     assert to_svg(plan) == plan_svg(plan)
+
+
+def covered_cells(plan):
+    """Every cell touched by any piece, cancelled or not."""
+    return frozenset(cell for piece in plan.pieces for cell in piece_cells(piece))
 
 
 # sha256 of the SVG bytes, recorded before the renderer's internals were
@@ -314,3 +320,58 @@ def test_plan_svg_matches_the_sorting_reference(annotate):
     for _ in range(150):
         plan = _random_plan(rng)
         assert plan_svg(plan, options) == _plan_svg_reference(plan, options), plan
+
+
+def _realize_reference(plan):
+    """realize without the walk: every piece's cells summed here."""
+    total = {}
+    for piece in plan.pieces:
+        for cell in piece_cells(piece):
+            total[cell] = total.get(cell, 0) + piece.sign * piece.multiplicity
+    return Chain(plan.dim, total)
+
+
+def test_realize_is_the_same_cold_after_plan_svg_and_on_a_fresh_plan():
+    rng = random.Random(11)
+    for _ in range(150):
+        plan = _random_plan(rng)
+        cold = realize(PlacementPlan(plan.dim, plan.pieces))
+        plan_svg(plan)
+        fresh = PlacementPlan(plan.dim, plan.pieces)
+        assert realize(plan) == cold == realize(fresh) == _realize_reference(plan), plan
+        assert realize(plan).sorted_items() == cold.sorted_items()
+
+
+def test_plan_svg_is_the_same_first_second_and_after_realize():
+    rng = random.Random(13)
+    for _ in range(150):
+        plan = _random_plan(rng)
+        first = plan_svg(plan)
+        assert plan_svg(plan) == first, plan
+        realized = PlacementPlan(plan.dim, plan.pieces)
+        realize(realized)
+        assert plan_svg(realized) == first == _plan_svg_reference(plan), plan
+
+
+def test_realize_after_plan_svg_makes_no_cells(monkeypatch):
+    plan = closed_triangle_plan(4)
+    plan_svg(plan)
+    monkeypatch.setattr(chains, "piece_cells", None)  # a second walk would call it
+    assert realize(plan) == closed_triangle_chain(4)
+
+
+def test_kept_totals_are_not_a_field():
+    plan, fresh = difference_plan(4, 2), difference_plan(4, 2)
+    before = repr(plan), hash(plan), pickle.dumps(plan)
+    plan_svg(plan)
+    assert plan._totals == chains.walk(difference_plan(4, 2))  # kept, zeros included
+    assert 0 in plan._totals.values() and not hasattr(fresh, "_totals")
+    assert plan == fresh and not plan != fresh
+    assert (repr(plan), hash(plan), pickle.dumps(plan)) == before
+    assert plan.__reduce__() == fresh.__reduce__()
+    for twin in (copy.copy(plan), copy.deepcopy(plan), pickle.loads(pickle.dumps(plan))):
+        assert twin == plan and twin is not plan
+        assert not hasattr(twin, "_totals")
+    with pytest.raises(AttributeError):
+        plan._totals = {}
+    assert {plan, fresh} == {fresh}
