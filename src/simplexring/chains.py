@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from types import MappingProxyType
 
 from ._record import Record, integer
 
@@ -47,9 +48,7 @@ class Chain(Record):
     __slots__ = ("dim", "_cells")
 
     def __init__(self, dim: int, cells=None):
-        dim = integer(dim, "dim")
-        if dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
+        dim = _dim(dim)
         # each cell is checked before it is hashed; a later pair for a cell wins, as in dict()
         store = {}
         for cell, mult in cells.items() if hasattr(cells, "items") else cells or ():
@@ -114,6 +113,14 @@ class Chain(Record):
 
     def __repr__(self):
         return f"Chain(dim={self.dim}, cells={len(self._cells)})"
+
+
+def _dim(dim) -> int:
+    """A chain's or a plan's dimension: an integer (`integer`), 1 or 2."""
+    dim = integer(dim, "dim")
+    if dim not in (1, 2):
+        raise ValueError("dim must be 1 or 2")
+    return dim
 
 
 # The coordinates after each cell kind's tag: "i" an integer, "p" a pair of
@@ -217,15 +224,11 @@ class PlacementPlan(_Walked):
     __slots__ = ("dim", "pieces")
 
     def __init__(self, dim: int, pieces: tuple = ()):
-        pieces = tuple(pieces)
+        dim, pieces = _dim(dim), tuple(pieces)
         for piece in pieces:
             if piece.dim != dim:
                 raise ValueError(f"piece {piece} does not live in dimension {dim}")
         self._set(dim, pieces)
-
-
-def face_cell(r: int, c: int, orientation: str) -> tuple:
-    return ("face", r, c, orientation)
 
 
 def face_vertices(face):
@@ -255,7 +258,6 @@ def triangle_face_cells(size: int, orientation: str, position) -> tuple:
     """
     orientation = _orientation(orientation)
     r0, c0 = position
-    # the tuples are face_cell's, built inline: plans and searches make many
     if size == 1:  # most pieces of a closed_triangle_plan: no sort at all
         return (("face", r0, c0, orientation),)
     low = c0 if orientation == UP else c0 - size + 1
@@ -326,12 +328,13 @@ def piece_cells(piece: PlacedPiece) -> tuple:
     return faces + _edges_and_vertices(faces, piece.size, piece.orientation, p, closed)
 
 
-def walk(plan: PlacementPlan, visit=None) -> dict:
+def walk(plan: PlacementPlan, visit=None) -> MappingProxyType:
     """The plan's signed cell totals, zeros included, from one pass over its pieces.
 
     Each piece's `piece_cells` are made once and shown to visit(piece,
     weight = sign * multiplicity, cells), if given.  The plan keeps the
-    totals, not as a field, for realize() as long as it lives: do not change them.
+    totals, not as a field, for realize() as long as it lives, and hands
+    out a read-only view of them.
     """
     total = {}
     get = total.get
@@ -343,7 +346,7 @@ def walk(plan: PlacementPlan, visit=None) -> dict:
         for cell in cells:
             total[cell] = get(cell, 0) + weight
     object.__setattr__(plan, "_totals", total)
-    return total
+    return MappingProxyType(total)
 
 
 def realize(plan: PlacementPlan) -> Chain:
@@ -368,14 +371,6 @@ def open_segment_plan_units(n: int) -> PlacementPlan:
     n = integer(n, "n", 1)
     pieces = [PlacedPiece("segment", i, sign=-1) for i in range(n)]
     pieces += [PlacedPiece("point", i) for i in range(n + 1)]
-    return PlacementPlan(1, tuple(pieces))
-
-
-def open_segment_plan_open_units(n: int) -> PlacementPlan:
-    """Same chain as open_segment_plan_units, built from negated open units."""
-    n = integer(n, "n", 1)
-    pieces = [PlacedPiece("open_segment", i, sign=-1) for i in range(n)]
-    pieces += [PlacedPiece("point", i, sign=-1) for i in range(1, n)]
     return PlacementPlan(1, tuple(pieces))
 
 

@@ -16,10 +16,10 @@ Each command imports the library modules it uses when it runs, so a
 process pays only for those.  A well-formed command line never loads
 argparse either: `_read` turns it into the namespace argparse would build,
 driven by the same SYNTAX table, and main() hands everything else (help,
-abbreviations, `--`, missing, extra or bad arguments) to the argparse
-parser of `build_parser`, which stays the one writer of usage, help and
-error text.  JSON goes out through `_json`, which writes the bytes
-`json.dumps` does for the values the commands print.
+abbreviations, `--`, missing, extra or bad arguments) to the parser of
+`build_parser`, which stays the one writer of usage, help and error text.
+JSON goes out through `_json`, which writes the bytes of `json.dumps` and
+loads `json` only for a string that needs escaping.
 """
 
 from __future__ import annotations
@@ -274,7 +274,7 @@ def _converted(options, text):
 
 
 def _read(argv):
-    """The namespace `build_parser(argv[0]).parse_args(argv)` returns, or None.
+    """The namespace `build_parser().parse_args(argv)` returns, or None.
 
     It reads only the well-formed command lines: a command, then its exact
     flags (`--flag value` or `--flag=value`) and positionals in any order,
@@ -328,45 +328,20 @@ def _read(argv):
     return args
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; given a command's name, it holds only that command.
-
-    A run reads one command, so main() builds the full parser only for
-    top-level help and a missing or unknown command.  The one-command parser
-    reads its command's arguments, and prints usage, errors and help, byte
-    for byte as the full parser does.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="simplexring",
         description="Exact arithmetic of scaled simplex numbers.",
     )
-    names = [command] if command in SYNTAX else list(SYNTAX)
-    # The usage lists every command either way.  The full parser's default
-    # metavar is that same list, and leaving it unset keeps the name
-    # `command` in the errors about a missing or unknown command.
-    every = "{" + ",".join(SYNTAX) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
-    for name in names:
-        text, arguments = SYNTAX[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, arguments) in SYNTAX.items():
         p = sub.add_parser(name, help=text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
     return parser
-
-
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _json_char(char: str) -> str:
-    if " " <= char <= "~":
-        return _ESCAPES.get(char, char)
-    code = ord(char)
-    if code > 0xFFFF:  # a surrogate pair
-        code -= 0x10000
-        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-    return _ESCAPES.get(char) or f"\\u{code:04x}"
 
 
 def _json(value) -> str:
@@ -384,7 +359,9 @@ def _json(value) -> str:
     if isinstance(value, str):
         if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
             return f'"{value}"'
-        return '"' + "".join(map(_json_char, value)) + '"'
+        import json
+
+        return json.dumps(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(map(_json, value)) + "]"
     if isinstance(value, dict) and all(isinstance(key, str) for key in value):
@@ -535,7 +512,7 @@ def main(argv=None) -> int:
     args = _read(argv)
     if args is None:
         try:
-            args = build_parser(argv[0] if argv else None).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     try:

@@ -14,21 +14,15 @@ from ._record import integer
 
 # `fractions` (with `decimal`) and `.ring` load inside the functions that use
 # them, so `slabs`, `worpitzky` and `eulerian` without `--volumes` load neither.
-# A plain dict memoises the rows: `functools` would load `collections`.
-_ROWS = {}
 
 
 def eulerian_row(m: int) -> tuple:
     """Row m of the Eulerian triangle, entries A(m, 0) .. A(m, m-1)."""
-    row = _ROWS.get(m) if type(m) is int else None  # True would find row 1
-    if row is not None:
-        return row
     m = integer(m, "m", 1)
     row = (1,)
     for size in range(2, m + 1):
         padded = (0, *row, 0)
         row = tuple((size - k) * padded[k] + (k + 1) * padded[k + 1] for k in range(size))
-    _ROWS[m] = row
     return row
 
 

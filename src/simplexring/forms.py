@@ -59,13 +59,9 @@ class FormalCombination(Record):
         return sorted((c, lit.scale, lit.sign) for c, lit in self.terms)
 
 
-def _lit(dim: int, scale: int, extended: bool, sign: int = 1) -> SimplexLiteral:
-    return SimplexLiteral(dim=dim, scale=scale, sign=sign, extended=extended)
-
-
 def combination(dim, extended, coeff_scale_pairs) -> FormalCombination:
     """Build a combination from (coefficient, scale) pairs."""
-    terms = tuple((c, _lit(dim, s, extended)) for c, s in coeff_scale_pairs)
+    terms = tuple((c, SimplexLiteral(dim, s, 1, extended)) for c, s in coeff_scale_pairs)
     return FormalCombination(dim, extended, terms)
 
 
@@ -106,9 +102,9 @@ def closed_sum(values, dim: int, extended: bool = False) -> FormalCombination:
     for size in range(dim, 0, -1):
         sign = (-1) ** (dim - size)
         for idx in itertools.combinations(range(dim + 1), size):
-            terms.append((sign, _lit(dim, sum(values[i] for i in idx), extended)))
+            terms.append((sign, SimplexLiteral(dim, sum(values[i] for i in idx), 1, extended)))
     if extended:
-        terms.append(((-1) ** dim, _lit(dim, 0, extended)))
+        terms.append(((-1) ** dim, SimplexLiteral(dim, 0, 1, extended)))
     return FormalCombination(dim, extended, tuple(terms))
 
 
@@ -133,9 +129,9 @@ def pairwise_sum(values) -> FormalCombination:
     count = len(values)
     if count < 3:
         raise ValueError("need at least three values")
-    terms = [(1, _lit(2, values[i] + values[j], False))
+    terms = [(1, SimplexLiteral(2, values[i] + values[j]))
              for i, j in itertools.combinations(range(count), 2)]
-    terms += [(-(count - 2), _lit(2, v, False)) for v in values]
+    terms += [(-(count - 2), SimplexLiteral(2, v)) for v in values]
     return FormalCombination(2, False, tuple(terms))
 
 

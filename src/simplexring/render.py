@@ -162,7 +162,6 @@ class _Canvas:
         self.ys = _Axis(lambda r: r * side * SQRT3 / 2.0)
         self.extra = []         # (x, y, "x", "y") of drawn points off the lattice
         self.styles = {}        # (multiplicity, open_face) -> _Style
-        self.keys = {}          # cell -> draw-order sort key
 
     def at(self, v):
         r, c = v
@@ -179,18 +178,10 @@ class _Canvas:
             style = self.styles[mult, open_face] = _Style(self.options, mult, open_face)
         return style
 
-    def ordered(self, cells) -> list:
-        """The cells in draw order; each key is made once per render."""
-        keys = self.keys
-        for cell in cells:
-            if cell not in keys:
-                keys[cell] = _sort_key(cell)
-        return sorted(cells, key=keys.__getitem__)
-
     def render(self, cancelled=()) -> str:
         """The document, once the `cancelled` cells are drawn with the green marker."""
         style = self.style(0)
-        for cell in self.ordered(cancelled):
+        for cell in sorted(cancelled, key=_sort_key):
             _draw_cell(self, cell, style)
         if not self.body and not self.labels:
             min_x = min_y = 0.0
@@ -277,7 +268,7 @@ def chain_svg(chain: Chain, options: RenderOptions = None, covered=frozenset()) 
     """Render a chain; cells in `covered` with zero multiplicity show green."""
     canvas = _Canvas(options or RenderOptions())
     cells = chain.cells()
-    for cell in canvas.ordered(cells):
+    for cell in sorted(cells, key=_sort_key):
         _draw_cell(canvas, cell, canvas.style(cells[cell]))
     return canvas.render([cell for cell in covered if cell not in cells])
 
@@ -301,7 +292,7 @@ def plan_svg(plan: PlacementPlan, options: RenderOptions = None) -> str:
         faces = piece.size ** 2 if cells[0][0] == "face" else 0
         for cell in cells[:faces]:
             _draw_face(canvas, cell, style)
-        for cell in canvas.ordered(cells[faces:]):
+        for cell in sorted(cells[faces:], key=_sort_key):
             _draw_cell(canvas, cell, style)
     return canvas.render([cell for cell, mult in walk(plan, draw).items() if not mult])
 

@@ -279,11 +279,6 @@ def embed2(n) -> GeomElement:
     return GeomElement(2, _counts(2, integer(n, "n")))
 
 
-def embed20(n) -> OrthElement:
-    """Side-n triangle carrying its boundary: (n^2, n, 1) over A_2, A_1, A_0."""
-    return _powers(2, True, integer(n, "n"))
-
-
 def embed3(n) -> GeomElement:
     """Side-n tetrahedron over (<1>, <D1>, <e1>).
 
@@ -387,19 +382,3 @@ def element_to_json(elem) -> dict:
         "a0": elem.has_a0,
         "coeffs": [str(c) for c in elem.coeffs],
     }
-
-
-def element_from_json(data: dict):
-    """Inverse of element_to_json."""
-    basis, coeffs = data["basis"], data["coeffs"]
-    if not isinstance(coeffs, (list, tuple)):  # a string would be read digit by digit
-        raise TypeError(f"coeffs must be a list, got {coeffs!r}")
-    for c in coeffs:  # a "p/q" string or an int, never a float or a bool
-        if type(c) is not str and type(c) is not int:
-            raise TypeError(f"a JSON coefficient must be a string or an int, got {c!r}")
-    coeffs = list(map(Fraction, coeffs))
-    if basis == OrthElement.basis:
-        return OrthElement(data["dim"], flag(data.get("a0", False), "a0"), coeffs)
-    if basis == f"geom{data['dim']}":
-        return GeomElement(data["dim"], coeffs)
-    raise ValueError(f"unknown basis {basis!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record, integer
-from .ring import Element, GeomElement, OrthElement, _frac, embed2
+from .ring import Element, GeomElement, _frac, embed2
 
 
 def _coercible(value) -> bool:
@@ -166,15 +166,6 @@ def triple_to_ring(t: Triple) -> GeomElement:
     return embed2(t.n - t.k) - embed2(t.k - t.l)
 
 
-def triple_orth(t: Triple) -> OrthElement:
-    """Orthogonal coordinates from the closed polynomial form.
-
-    A_2 = (n-l)(n-2k+l), A_1 = n-2k+l; agrees with to_orth(triple_to_ring(t)).
-    """
-    spread = t.n - 2 * t.k + t.l
-    return OrthElement(2, False, ((t.n - t.l) * spread, spread))
-
-
 def triple_mul(s: Triple, t: Triple) -> Triple:
     """Closed product on canonical triples: (n1n2, n1k2 + n2k1 - 2k1k2, 0)."""
     n1, k1, n2, k2 = s.n - s.l, s.k - s.l, t.n - t.l, t.k - t.l
@@ -185,31 +176,3 @@ def triple_add(t1: Triple, t2: Triple, t3: Triple) -> Triple:
     """Componentwise sum of three canonical triples."""
     ts = (t1, t2, t3)
     return Triple(sum([t.n - t.l for t in ts]), sum([t.k - t.l for t in ts]), 0)
-
-
-def triple_add_expansion(t1: Triple, t2: Triple, t3: Triple):
-    """The closed-addition layout of triple_add: pairwise terms minus singles.
-
-    Returns (sign, Triple) terms whose signed ring values sum to the ring
-    value of triple_add(t1, t2, t3).
-    """
-    t1, t2, t3 = t1.normalize(), t2.normalize(), t3.normalize()
-
-    def pair(u, v):
-        return Triple(u.n + v.n, u.k + v.k, 0)
-
-    return [
-        (1, pair(t1, t2)), (1, pair(t2, t3)), (1, pair(t1, t3)),
-        (-1, t1), (-1, t2), (-1, t3),
-    ]
-
-
-def triple_to_hypercomplex(t: Triple):
-    """T-valued (A_2, A_1) coordinate pair of a triple.
-
-    The A_1 slot holds v = n + k*eps + l*eps_star and the A_2 slot its
-    square, mirroring the rational coordinate formulas.
-    """
-    eps, eps_star = epsilon_pair()
-    v = t.n * T_ONE + t.k * eps + t.l * eps_star
-    return v * v, v

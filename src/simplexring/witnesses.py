@@ -189,20 +189,6 @@ def factors_from_witness(w: Witness) -> FactorPair:
     raise WitnessError(f"no divisor split factors {w.z}; not a witness")
 
 
-def tarry_escott_check(left, right) -> bool:
-    """Do the two integer lists agree in their first and second power sums?"""
-    left = [integer(v, f"left[{i}]") for i, v in enumerate(left)]
-    right = [integer(v, f"right[{i}]") for i, v in enumerate(right)]
-    return (sum(left) == sum(right)
-            and sum(v * v for v in left) == sum(v * v for v in right))
-
-
-def is_one_sided_composite(n: int) -> bool:
-    """True when n = 2p with p prime (witnesses with a one-sided layout)."""
-    n = integer(n, "n", 1)
-    return n % 2 == 0 and _is_prime(n // 2)
-
-
 def factor_report(z: int) -> dict:
     """JSON-ready summary: witness, factor pair, and primality for z."""
     w = composite_witness(z)

@@ -10,8 +10,9 @@ that argument, and `good` is a value it accepts.
 Every on/off argument follows `_record.flag`: True and False pass, and
 anything else (1, 0, "yes", None) raises TypeError naming the argument.
 
-`ring.element_from_json` reads outside data: its coefficients come in a
-list, each a string or an int that is not a bool.
+The helpers of `tests/reference.py` follow the same rules.  Its
+`element_from_json` reads outside data: its coefficients come in a list,
+each a string or an int that is not a bool.
 
 A `Chain` cell is a tuple of its kind and coordinates, each coordinate
 following the integer rule; any other cell raises an error naming it.  A
@@ -29,12 +30,12 @@ from simplexring._record import flag, integer
 from simplexring.chains import (
     Chain,
     PlacedPiece,
+    PlacementPlan,
     TilePiece,
     closed_triangle_chain,
     closed_triangle_plan,
     difference_plan,
     hexagon_plan,
-    open_segment_plan_open_units,
     open_segment_plan_units,
     parallelogram_plan,
     partition_plan,
@@ -73,10 +74,8 @@ from simplexring.ring import (
     GeomElement2,
     OrthElement,
     SimplexLiteral,
-    element_from_json,
     embed2,
     embed3,
-    embed20,
     series_partial_sum,
     zero,
 )
@@ -86,9 +85,15 @@ from simplexring.witnesses import (
     Witness,
     composite_witness,
     factors_from_witness,
-    is_one_sided_composite,
-    tarry_escott_check,
     witness_from_factors,
+)
+
+from reference import (
+    element_from_json,
+    embed20,
+    is_one_sided_composite,
+    open_segment_plan_open_units,
+    tarry_escott_check,
 )
 
 UP_FACE = ("face", 0, 0, "up")
@@ -132,6 +137,7 @@ BOUNDARIES = {
     "Triple.l": (lambda v: Triple(5, 1, v), "l", None, 3),
     # chains
     "Chain.dim": (lambda v: Chain(v, {}), "dim", None, 2),
+    "PlacementPlan.dim": (lambda v: PlacementPlan(v), "dim", None, 2),
     "Chain.multiplicity": (
         lambda v: Chain(2, {UP_FACE: v}), f"multiplicity of {UP_FACE!r}", None, 3),
     "Chain.factor": (lambda v: Chain(2, {UP_FACE: 1}) * v, "factor", None, 3),
@@ -263,6 +269,9 @@ USED_TO_PASS = {
     "combination(2.0, ...)": lambda: combination(2.0, False, [(1, 2)]),
     "evaluate_expression(..., 2.0)": lambda: evaluate_expression(parse("<1>"), 2.0),
     "Chain(True, {})": lambda: Chain(True, {}),
+    "PlacementPlan(2.0)": lambda: PlacementPlan(2.0),
+    "PlacementPlan(True, [PlacedPiece('segment', 0)])":
+        lambda: PlacementPlan(True, [PlacedPiece("segment", 0)]),
     "Chain(2, {('face', 0.5, 0, 'up'): 1})": lambda: Chain(2, {("face", 0.5, 0, "up"): 1}),
     "triangle_chain(1) * True": lambda: triangle_chain(1) * True,
     "eulerian_row(True)": lambda: eulerian_row(True),
@@ -402,6 +411,15 @@ def test_cell_coordinates_follow_the_integer_rule():
     assert Chain(2, {("face", half, -1, "up"): 1}) == Chain(2, {("face", 2, -1, "up"): 1})
     assert Chain(2, {("edge", (half, 0), (2, 1)): 1}) == Chain(2, {("edge", (2, 0), (2, 1)): 1})
     assert Chain(1, {("interval", half): 1}).cells() == {("interval", 2): 1}
+
+
+# A chain and a plan take their dim by one rule: an integer (above), 1 or 2.
+@pytest.mark.parametrize("make", [Chain, PlacementPlan], ids=["Chain", "PlacementPlan"])
+@pytest.mark.parametrize("dim", [0, 3])
+def test_a_dim_is_1_or_2(make, dim):
+    with pytest.raises(ValueError, match=r"^dim must be 1 or 2$"):
+        make(dim)
+    assert type(make(Fraction(2, 2)).dim) is int
 
 
 @pytest.mark.parametrize("bad", [0.1, True, None, [1]], ids=repr)

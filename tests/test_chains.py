@@ -16,11 +16,9 @@ from simplexring.chains import (
     closed_triangle_chain,
     closed_triangle_plan,
     difference_plan,
-    face_cell,
     face_edges,
     face_vertices,
     hexagon_plan,
-    open_segment_plan_open_units,
     open_segment_plan_units,
     parallelogram_plan,
     partition_plan,
@@ -34,6 +32,12 @@ from simplexring.chains import (
     triangle_window,
 )
 from simplexring.render import _sort_key
+
+from reference import open_segment_plan_open_units
+
+
+def face_cell(r: int, c: int, orientation: str) -> tuple:
+    return ("face", r, c, orientation)
 
 
 def _up_faces_oracle(n, r0=0, c0=0):

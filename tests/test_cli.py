@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from simplexring import cli
 from simplexring.chains import closed_triangle_plan
 from simplexring.forms import closed_sum, closed_sum_shifted, combination, star_product
-from simplexring.ring import element_from_json, embed2, embed20
+from simplexring.ring import embed2
+
+from reference import element_from_json, embed20
 
 
 def _run(capsys, *argv):
@@ -458,8 +460,7 @@ def test_numbers_past_the_digit_limit_are_named(capsys, argv, says):
     assert len(err) < 300 and "set_int_max_str_digits" not in err
 
 
-# Every command's help, each way its arguments can fail, and a good parse,
-# read by the one-command parser main() builds and by the full parser.
+# Every command's help, each way its arguments can fail, and a good parse.
 _PARSES = [[name, "--help"] for name in cli.SYNTAX] + [[name] for name in cli.SYNTAX] + [
     ["eval", "<1>"], ["eval", "<1>", "--dim", "4"], ["eval", "<1>", "--dim", "x"],
     ["eval", "<1>", "--extended", "--extended=1"],
@@ -476,28 +477,19 @@ _PARSES = [[name, "--help"] for name in cli.SYNTAX] + [[name] for name in cli.SY
 
 
 @pytest.mark.parametrize("argv", _PARSES, ids=" ".join)
-def test_one_command_parser_matches_the_full_parser(capsys, argv):
-    def parse(parser):
-        try:
-            result = vars(parser.parse_args(argv)), 0
-        except SystemExit as exc:
-            result = None, exc.code
-        captured = capsys.readouterr()
-        return result, captured.out, captured.err
-
-    assert parse(cli.build_parser(argv[0])) == parse(cli.build_parser())
-
-
-def test_parser_holds_one_command_only_when_named():
-    import argparse
-
-    def commands(first):
-        return [list(action.choices) for action in cli.build_parser(first)._actions
-                if isinstance(action, argparse._SubParsersAction)]
-
-    assert commands("slabs") == [["slabs"]]
-    for first in (None, "-h", "--help", "nope"):
-        assert commands(first) == [list(cli.SYNTAX)]
+def test_main_parses_as_the_full_parser(capsys, argv):
+    """`_read` gives argparse's namespace, or main() exits and writes as argparse does."""
+    try:
+        want = vars(cli.build_parser().parse_args(argv)), 0
+    except SystemExit as exc:
+        want = None, exc.code
+    want += tuple(capsys.readouterr())
+    args = cli._read(argv)
+    if args is not None:
+        assert (vars(args), 0, "", "") == want
+    else:
+        code = cli.main(argv)
+        assert (None, code, *capsys.readouterr()) == want
 
 
 # --- the command line, fuzzed ----------------------------------------------

@@ -27,10 +27,10 @@ def _typed(namespace):
 
 
 def _argparse(argv):
-    """What `build_parser(argv[0]).parse_args(argv)` gives, or None when it exits."""
+    """What `build_parser().parse_args(argv)` gives, or None when it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return _typed(cli.build_parser(argv[0] if argv else None).parse_args(argv))
+            return _typed(cli.build_parser().parse_args(argv))
         except SystemExit:
             return None
 

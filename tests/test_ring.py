@@ -21,10 +21,8 @@ from simplexring.ring import (
     OrthElement,
     RepresentationError,
     SimplexLiteral,
-    element_from_json,
     element_to_json,
     embed2,
-    embed20,
     embed3,
     embed_literal,
     from_orth,
@@ -33,6 +31,8 @@ from simplexring.ring import (
     to_orth,
 )
 from simplexring.triples import QSqrt3
+
+from reference import element_from_json, embed20
 
 
 def _tri(n):

