@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import itemgetter
 from types import MappingProxyType
 
 from ._record import Record, integer
@@ -286,7 +287,9 @@ def _edges_and_vertices(faces, size: int, orientation: str, position, closed: bo
     edges once, and those of the other orientation hold its inner edges.
     Row i = 0..s of its vertices is (r0 + i, c) for c from c0 to c0 + s - i
     (up) or from c0 + 1 - i to c0 + 1 (down); the inner vertices lie off the
-    three sides, in rows 1..s-1 and off both ends of their row.
+    three sides, in rows 1..s-1 and off both ends of their row.  The edges
+    come first, face by face, then the vertices row by row; `piece_cells`
+    puts them in draw order.
     """
     if size <= 1:  # a unit piece, as every closed_triangle_plan piece is, or a side <= 0
         if not (closed and faces):
@@ -304,28 +307,92 @@ def _edges_and_vertices(faces, size: int, orientation: str, position, closed: bo
     return tuple(cells)
 
 
-def piece_cells(piece: PlacedPiece) -> tuple:
-    """The unit cells of a piece, each once: each has multiplicity 1 before sign and multiplicity.
+def _unit_segment(p: int) -> tuple:
+    """A closed unit segment's interval, then its two end points."""
+    return (("interval", p), ("point", p), ("point", p + 1))
 
-    A triangle piece lists its `triangle_face_cells` first, in their order,
-    then, closed or open, the edges and vertices it adds to them.
+
+def piece_cells(piece: PlacedPiece) -> tuple:
+    """The unit cells of a piece, each once and in draw order (`_sort_key`).
+
+    Each has multiplicity 1 before sign and multiplicity.  A triangle piece
+    lists its `triangle_face_cells` first, in their order, then, closed or
+    open, the edges and vertices it adds to them.  A unit piece's cells are
+    put in order by one of the fixed orders of `_UNIT_ORDERS`; a larger
+    piece's edges and vertices, or a longer segment's cells, are sorted.
     """
-    p = piece.position
-    if piece.kind == "point":
+    p, size, kind = piece.position, piece.size, piece.kind
+    if kind == "point":
         return (("point", p),)
-    if piece.kind == "segment":
-        return (*[("interval", p + i) for i in range(piece.size)],
-                *[("point", p + i) for i in range(piece.size + 1)])
-    if piece.kind == "open_segment":
-        return (*[("interval", p + i) for i in range(piece.size)],
-                *[("point", p + i) for i in range(1, piece.size)])
-    if piece.kind == "vertex":
+    if kind == "vertex":
         return (("vertex", *p),)
-    faces = triangle_face_cells(piece.size, piece.orientation, p)
-    if piece.kind == "triangle":
+    if kind in ("segment", "open_segment"):
+        closed = kind == "segment"
+        if size == 1 and closed:
+            return _UNIT_ORDERS["segment", _ascends(p)](_unit_segment(p))
+        cells = [("interval", p + i) for i in range(size)]
+        cells += [("point", p + i) for i in range(1 - closed, size + closed)]
+        return tuple(sorted(cells, key=_sort_key))
+    faces = triangle_face_cells(size, piece.orientation, p)
+    if kind == "triangle":
         return faces
-    closed = piece.kind == "closed_triangle"
-    return faces + _edges_and_vertices(faces, piece.size, piece.orientation, p, closed)
+    rest = _edges_and_vertices(faces, size, piece.orientation, p, kind == "closed_triangle")
+    if size > 1:
+        rest = tuple(sorted(rest, key=_sort_key))
+    elif rest:  # a closed unit triangle
+        rest = _UNIT_ORDERS[piece.orientation, _ascends(p[0]), _ascends(p[1])](rest)
+    return faces + rest
+
+
+# draw order: faces, then edges and intervals, then vertices and points
+_RANK = {"face": 0, "edge": 1, "interval": 1, "vertex": 2, "point": 2}
+
+
+def _sort_key(cell) -> str:
+    """The draw-order key: sorts as (rank, repr(cell)) does, for under half of repr's cost.
+
+    It is the rank, the kind and the cell's integers (and orientation), with
+    ',' between them.  Two reprs of one kind part where one integer's digits
+    run on and the other's are followed by ', ' or ')'; ',' sorts below the
+    digits and '-' just as ',' and ')' do, so the keys part the same way.
+    This is the one definition of draw order: `triangle_face_cells` walks
+    it and `_UNIT_ORDERS` is derived from it.
+    """
+    kind = cell[0]
+    if kind == "face":
+        return f"0face,{cell[1]},{cell[2]},{cell[3]}"
+    if kind == "edge":
+        (r1, c1), (r2, c2) = cell[1], cell[2]
+        return f"1edge,{r1},{c1},{r2},{c2}"
+    return f"{_RANK[kind]}{kind}," + ",".join(map(str, cell[1:]))
+
+
+def _ascends(x: int) -> bool:
+    """Whether x and x + 1 keep their order as decimal strings in a key.
+
+    They do not across a carry: "9" > "10", "-2" > "-1".  A non-negative x
+    whose last digit is not 9 has no carry, so only the others compare strings.
+    """
+    return 0 <= x and x % 10 != 9 or f"{x}," < f"{x + 1},"
+
+
+def _draw_order(cells) -> itemgetter:
+    """An itemgetter that puts these cells, or any listed alike, in draw order."""
+    return itemgetter(*map(cells.index, sorted(cells, key=_sort_key)))
+
+
+# A unit piece's cells differ only by +1 steps of its anchor's coordinates,
+# so whether r -> r+1 and c -> c+1 (or p -> p+1) ascend decides every
+# comparison of their keys.  One anchor of each case (0 ascends, 9 does not)
+# is sorted by the key once: ("segment", p ascends) for a closed unit
+# segment, (orientation, r ascends, c ascends) for the edges and vertices
+# of a closed unit triangle, as _edges_and_vertices lists them.
+_UNIT_ORDERS = {
+    **{("segment", _ascends(p)): _draw_order(_unit_segment(p)) for p in (0, 9)},
+    **{(o, _ascends(r), _ascends(c)):
+       _draw_order(_edges_and_vertices((("face", r, c, o),), 1, o, (r, c), True))
+       for o in (UP, DOWN) for r in (0, 9) for c in (0, 9)},
+}
 
 
 def walk(plan: PlacementPlan, visit=None) -> MappingProxyType:

@@ -4,8 +4,10 @@ Conventions: positive cells are black/gray, negative cells red, and cells
 that were covered by pieces but cancel to zero get a green outline (faces),
 green stroke (edges/intervals) or green dot (vertices/points).  Vertices
 are drawn as small dots; multiplicities other than +-1 are annotated.
-The output is a pure function of the input - cells are emitted in sorted
-order with fixed number formatting, so equal inputs give identical bytes.
+The output is a pure function of the input - cells are emitted in draw
+order (`chains._sort_key`) with fixed number formatting, so equal inputs
+give identical bytes.  A cell whose coordinates lie past the float range of
+the canvas raises ValueError naming it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record, flag
-from .chains import UP, Chain, PlacementPlan, face_vertices, walk
+from .chains import UP, Chain, PlacementPlan, _sort_key, face_vertices, walk
 
 SQRT3 = 3 ** 0.5
 
@@ -69,29 +71,19 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-# draw order: faces, then edges and intervals, then vertices and points
-_RANK = {"face": 0, "edge": 1, "interval": 1, "vertex": 2, "point": 2}
-
-
-def _sort_key(cell) -> str:
-    """A key that sorts as (rank, repr(cell)) does, for under half of repr's cost.
-
-    It is the rank, the kind and the cell's integers (and orientation), with
-    ',' between them.  Two reprs of one kind part where one integer's digits
-    run on and the other's are followed by ', ' or ')'; ',' sorts below the
-    digits and '-' just as ',' and ')' do, so the keys part the same way.
-    """
-    kind = cell[0]
-    if kind == "face":
-        return f"0face,{cell[1]},{cell[2]},{cell[3]}"
-    if kind == "edge":
-        (r1, c1), (r2, c2) = cell[1], cell[2]
-        return f"1edge,{r1},{c1},{r2},{c2}"
-    return f"{_RANK[kind]}{kind}," + ",".join(map(str, cell[1:]))
+def _finite(position, i) -> float:
+    """position(i), a canvas coordinate; one past the float range raises ValueError."""
+    try:
+        x = position(i)
+    except OverflowError:  # an int too large to convert to float
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError("its coordinates lie past the float range of the canvas")
+    return x
 
 
 class _Axis(dict):
-    """Formatted canvas coordinates by lattice index, each formatted on first use."""
+    """Formatted canvas coordinates by lattice index, each checked and formatted on first use."""
 
     __slots__ = ("position",)
 
@@ -100,7 +92,7 @@ class _Axis(dict):
         self.position = position
 
     def __missing__(self, i):
-        text = self[i] = _fmt(self.position(i))
+        text = self[i] = _fmt(_finite(self.position, i))
         return text
 
 
@@ -160,15 +152,18 @@ class _Canvas:
         self.labels = []
         self.xs = _Axis(lambda k: k / 2.0 * side)
         self.ys = _Axis(lambda r: r * side * SQRT3 / 2.0)
+        self.point_x = lambda i: i * side   # x of point i of a 1-d chain
         self.extra = []         # (x, y, "x", "y") of drawn points off the lattice
         self.styles = {}        # (multiplicity, open_face) -> _Style
 
     def at(self, v):
         r, c = v
-        return self.xs.position(2 * c + r), self.ys.position(r)
+        return _finite(self.xs.position, 2 * c + r), _finite(self.ys.position, r)
 
-    def point(self, x, y):
-        point = (x, y, _fmt(x), _fmt(y))
+    def point(self, i, shift: float = 0.0):
+        """The drawn point `shift` pixels right of 1-d point i, kept for the bounding box."""
+        x = _finite(self.point_x, i) + shift
+        point = (x, 0.0, _fmt(x), _fmt(0.0))
         self.extra.append(point)
         return point
 
@@ -194,6 +189,8 @@ class _Canvas:
         m = self.options.margin
         w = max_x - min_x + 2 * m
         h = max_y - min_y + 2 * m
+        if not (math.isfinite(w) and math.isfinite(h)):
+            raise ValueError("the drawing spans past the float range of the canvas")
         # flip y inside a group so larger lattice rows sit higher on the canvas
         shift_x = m - min_x
         shift_y = max_y + m
@@ -222,14 +219,17 @@ def _draw_face(canvas: _Canvas, cell, style: _Style):
     _, r, c, orientation = cell
     xs, ys = canvas.xs, canvas.ys
     k = 2 * c + r
-    if orientation == UP:
-        y = ys[r]
-        canvas.body.append(
-            f'<polygon points="{xs[k]},{y} {xs[k + 2]},{y} {xs[k + 1]},{ys[r + 1]}{style.face}')
-    else:
-        y = ys[r + 1]
-        canvas.body.append(
-            f'<polygon points="{xs[k + 2]},{ys[r]} {xs[k + 1]},{y} {xs[k + 3]},{y}{style.face}')
+    try:
+        if orientation == UP:
+            y = ys[r]
+            canvas.body.append(
+                f'<polygon points="{xs[k]},{y} {xs[k + 2]},{y} {xs[k + 1]},{ys[r + 1]}{style.face}')
+        else:
+            y = ys[r + 1]
+            canvas.body.append(
+                f'<polygon points="{xs[k + 2]},{ys[r]} {xs[k + 1]},{y} {xs[k + 3]},{y}{style.face}')
+    except ValueError as exc:
+        raise ValueError(f"cell {cell!r}: {exc}") from None
     if style.label is not None:
         pts = [canvas.at(v) for v in face_vertices(cell)]
         canvas.labels.append((sum(p[0] for p in pts) / 3, sum(p[1] for p in pts) / 3,
@@ -237,35 +237,42 @@ def _draw_face(canvas: _Canvas, cell, style: _Style):
 
 
 def _draw_cell(canvas: _Canvas, cell, style: _Style):
+    """Draw one cell; a cell past the float range of the canvas raises ValueError naming it."""
     kind = cell[0]
-    xs, ys = canvas.xs, canvas.ys
     if kind == "face":
-        _draw_face(canvas, cell, style)
-    elif kind == "edge":
-        _, (r1, c1), (r2, c2) = cell
-        canvas.body.append(
-            f'<line x1="{xs[2 * c1 + r1]}" y1="{ys[r1]}" '
-            f'x2="{xs[2 * c2 + r2]}" y2="{ys[r2]}"{style.edge}')
-    elif kind == "vertex":
-        _, r, c = cell
-        canvas.body.append(f'<circle cx="{xs[2 * c + r]}" cy="{ys[r]}"{style.vertex}')
-        if style.label is not None:
-            x, y = canvas.at((r, c))
-            canvas.labels.append((x + 5, y + 5, style.label, style.color))
-    elif kind == "interval":
-        side = canvas.options.side
-        p1 = canvas.point(cell[1] * side + 3, 0.0)
-        p2 = canvas.point((cell[1] + 1) * side - 3, 0.0)
-        canvas.body.append(f'<line x1="{p1[2]}" y1="{p1[3]}" x2="{p2[2]}" y2="{p2[3]}"{style.interval}')
-    elif kind == "point":
-        p = canvas.point(cell[1] * canvas.options.side, 0.0)
-        canvas.body.append(f'<circle cx="{p[2]}" cy="{p[3]}"{style.point}')
-        if style.label is not None:
-            canvas.labels.append((p[0] + 5, p[1] + 8, style.label, style.color))
+        return _draw_face(canvas, cell, style)
+    xs, ys = canvas.xs, canvas.ys
+    try:
+        if kind == "edge":
+            _, (r1, c1), (r2, c2) = cell
+            canvas.body.append(
+                f'<line x1="{xs[2 * c1 + r1]}" y1="{ys[r1]}" '
+                f'x2="{xs[2 * c2 + r2]}" y2="{ys[r2]}"{style.edge}')
+        elif kind == "vertex":
+            _, r, c = cell
+            canvas.body.append(f'<circle cx="{xs[2 * c + r]}" cy="{ys[r]}"{style.vertex}')
+            if style.label is not None:
+                x, y = canvas.at((r, c))
+                canvas.labels.append((x + 5, y + 5, style.label, style.color))
+        elif kind == "interval":
+            p1 = canvas.point(cell[1], 3)
+            p2 = canvas.point(cell[1] + 1, -3)
+            canvas.body.append(
+                f'<line x1="{p1[2]}" y1="{p1[3]}" x2="{p2[2]}" y2="{p2[3]}"{style.interval}')
+        elif kind == "point":
+            p = canvas.point(cell[1])
+            canvas.body.append(f'<circle cx="{p[2]}" cy="{p[3]}"{style.point}')
+            if style.label is not None:
+                canvas.labels.append((p[0] + 5, p[1] + 8, style.label, style.color))
+    except ValueError as exc:
+        raise ValueError(f"cell {cell!r}: {exc}") from None
 
 
 def chain_svg(chain: Chain, options: RenderOptions = None, covered=frozenset()) -> str:
-    """Render a chain; cells in `covered` with zero multiplicity show green."""
+    """Render a chain, its cells sorted by the draw-order key.
+
+    Cells in `covered` with zero multiplicity show green.
+    """
     canvas = _Canvas(options or RenderOptions())
     cells = chain.cells()
     for cell in sorted(cells, key=_sort_key):
@@ -280,19 +287,20 @@ def plan_svg(plan: PlacementPlan, options: RenderOptions = None) -> str:
     vertex pieces become dots with multiplicity annotations.  Cells touched
     by pieces whose total multiplicity is zero get the green marker.  The
     pieces come from `chains.walk`, which keeps the plan's totals for
-    realize(), and all cells of a piece share one style.  A triangle piece's
-    s^2 faces lead its cells, already in draw order
-    (`chains.triangle_face_cells`); only its other cells are sorted.
+    realize(), and all cells of a piece share one style.  Each piece's
+    cells come in draw order (`chains.piece_cells`), a triangle piece's s^2
+    faces first, so no piece is sorted here; only the cancelled cells are.
+    A cell past the float range of the canvas raises ValueError naming it.
     """
     canvas = _Canvas(options or RenderOptions())
 
     def draw(piece, weight, cells):
         style = canvas.style(weight, piece.kind in ("open_triangle", "open_segment"))
-        # faces sort before every other kind, so the rest follow them
+        # a triangle piece's s^2 faces lead its cells
         faces = piece.size ** 2 if cells[0][0] == "face" else 0
         for cell in cells[:faces]:
             _draw_face(canvas, cell, style)
-        for cell in sorted(cells[faces:], key=_sort_key):
+        for cell in cells[faces:]:
             _draw_cell(canvas, cell, style)
     return canvas.render([cell for cell, mult in walk(plan, draw).items() if not mult])
 

@@ -12,6 +12,8 @@ from simplexring.chains import (
     SearchSpaceError,
     TilePiece,
     UP,
+    _ascends,
+    _sort_key,
     chain_face_total,
     closed_triangle_chain,
     closed_triangle_plan,
@@ -31,7 +33,6 @@ from simplexring.chains import (
     triangle_face_cells,
     triangle_window,
 )
-from simplexring.render import _sort_key
 
 from reference import open_segment_plan_open_units
 
@@ -349,6 +350,40 @@ def test_piece_cells_lead_with_the_faces():
                 faces = size * size
                 assert cells[:faces] == triangle_face_cells(size, orientation, (3, -4))
                 assert all(cell[0] != "face" for cell in cells[faces:])
+
+
+# Anchors next to decimal carries, where x and x + 1 swap as strings.
+_CARRY_ANCHORS = (-1001, -1000, -999, -101, -100, -99, -11, -10, -9, -2, -1, 0, 1,
+                  8, 9, 10, 11, 98, 99, 100, 101, 999, 1000)
+
+
+@pytest.mark.parametrize("orientation", [UP, DOWN])
+def test_piece_cells_come_in_draw_order_across_decimal_carries(orientation):
+    # plan_svg draws each piece's cells as they come: the faces as
+    # triangle_face_cells lists them, the rest as the draw-order key sorts them.
+    pairs = list(itertools.product(_CARRY_ANCHORS, repeat=2))
+    for kind in ("point", "segment", "open_segment", "vertex", "triangle", "closed_triangle",
+                 "open_triangle"):
+        positions = _CARRY_ANCHORS if kind in ("point", "segment", "open_segment") else pairs
+        for size in (1, 2, 3):
+            for position in positions:
+                piece = PlacedPiece(kind, position, size=size, orientation=orientation)
+                cells = piece_cells(piece)
+                faces = ()
+                if "triangle" in kind:
+                    faces = triangle_face_cells(size, orientation, position)
+                assert cells[:len(faces)] == faces, piece
+                rest = cells[len(faces):]
+                assert list(rest) == sorted(rest, key=_sort_key), piece
+
+
+def test_ascends_is_the_order_of_the_keys():
+    # the carries: 9 -> 10, 99 -> 100, and -x -> -x+1 unless x is a power of ten
+    for x in range(-10 ** 5, 10 ** 5):
+        assert _ascends(x) == (_sort_key(("point", x)) < _sort_key(("point", x + 1))), x
+    for k in range(6, 40):
+        for x in (10 ** k - 2, 10 ** k - 1, 10 ** k, -10 ** k - 1, -10 ** k, -10 ** k + 1):
+            assert _ascends(x) == (_sort_key(("point", x)) < _sort_key(("point", x + 1))), x
 
 
 @pytest.mark.parametrize("field, bad", [

@@ -252,7 +252,7 @@ def test_render_options_take_ints_and_a_zero_margin():
 def test_sort_key_orders_as_rank_then_repr():
     # The draw order was (rank, repr(cell)); the cheaper key must keep it,
     # across kinds, signs and integers whose digits prefix one another.
-    from simplexring.render import _RANK, _sort_key
+    from simplexring.chains import _RANK, _sort_key
 
     values = (-12, -10, -2, -1, 0, 1, 2, 9, 10, 11, 19, 100, 101)
     cells = [("face", r, c, o) for r in values for c in values for o in (UP, DOWN)]
@@ -323,6 +323,13 @@ def test_plan_svg_matches_the_sorting_reference(annotate):
         assert plan_svg(plan, options) == _plan_svg_reference(plan, options), plan
 
 
+@pytest.mark.parametrize("n", [99, 100, 101])
+def test_closed_triangle_plan_across_a_carry_matches_the_sorting_reference(n):
+    # The pinned plans stop at side 24; these anchors cross 99 -> 100.
+    plan = closed_triangle_plan(n)
+    assert plan_svg(plan) == _plan_svg_reference(plan)
+
+
 def _realize_reference(plan):
     """realize without the walk: every piece's cells summed here."""
     total = {}
@@ -386,3 +393,40 @@ def test_walk_hands_out_read_only_totals():
     with pytest.raises(TypeError):
         del totals[cell]
     assert realize(plan) == realize(difference_plan(4, 2)) == _realize_reference(plan)
+
+
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("cell", [
+    ("face", 0, _HUGE, UP), ("face", -_HUGE, 3, DOWN), ("edge", (0, 0), (_HUGE, 0)),
+    ("vertex", _HUGE, 0), ("point", _HUGE), ("interval", -_HUGE),
+    # ints that convert to floats, but not once scaled to the canvas
+    ("face", 10 ** 307, 0, DOWN), ("point", 10 ** 307),
+])
+def test_a_cell_past_the_float_range_raises_a_value_error_naming_it(cell):
+    chain = Chain(1 if cell[0] in ("point", "interval") else 2, {cell: 2})
+    for render_it in (chain_svg, to_svg):
+        with pytest.raises(ValueError, match=r"^cell \('%s', .*past the float range" % cell[0]):
+            render_it(chain)
+
+
+@pytest.mark.parametrize("piece", [
+    PlacedPiece("vertex", (_HUGE, 0)), PlacedPiece("segment", _HUGE),
+    PlacedPiece("closed_triangle", (0, -_HUGE), size=2), PlacedPiece("triangle", (_HUGE, 0)),
+    PlacedPiece("point", -_HUGE),
+])
+def test_a_piece_past_the_float_range_raises_a_value_error_naming_a_cell(piece):
+    plan = PlacementPlan(piece.dim, [piece])
+    for render_it in (plan_svg, to_svg):
+        with pytest.raises(ValueError, match=r"^cell \(.*past the float range"):
+            render_it(plan)
+
+
+def test_a_drawing_wider_than_the_float_range_raises_a_value_error():
+    # each x is a finite float, but not the width between them
+    far = 4 * 10 ** 306
+    chain = Chain(2, {("vertex", 0, far): 1, ("vertex", 0, -far): 1})
+    with pytest.raises(ValueError, match="spans past the float range"):
+        chain_svg(chain)
+    assert "inf" not in chain_svg(Chain(2, {("vertex", 0, far): 1}))
