@@ -76,6 +76,10 @@ class Expr(Record):
         self._set(terms)
 
 
+# One finditer pass makes every token.  Each match is optional whitespace and
+# one token; `bad` takes any other character, so matches run on without a gap,
+# and `end` makes the end of the input a token, which also keeps trailing
+# whitespace from being rescanned at each of its positions.
 _TOKEN = re.compile(
     r"""\s*(?:
         (?P<neglit>-(?=<))
@@ -83,25 +87,11 @@ _TOKEN = re.compile(
       | (?P<suffix>_10|_0)
       | (?P<star>star)
       | (?P<sym>[<>*+\-(),])
+      | (?P<end>\Z)
+      | (?P<bad>\S)
     )""",
     re.VERBOSE,
 )
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if not text[pos:].strip():
-            break
-        match = _TOKEN.match(text, pos)
-        if not match:
-            at = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise ExpressionError(f"unexpected character {text[at]!r}", at)
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
-    return tokens
 
 
 class _Parser:
@@ -109,87 +99,72 @@ class _Parser:
         dim = integer(dim, "dim")
         if dim not in (2, 3):
             raise ValueError("dimension context must be 2 or 3")
-        self.text = text
         self.dim = dim
-        self.tokens = _tokenize(text)
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN.finditer(text)]
+        for kind, value, pos in self.tokens:
+            if kind == "bad":
+                raise ExpressionError(f"unexpected character {value!r}", pos)
         self.index = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def next(self, expect=None, what=None):
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError(f"expected {what or expect} but input ended", len(self.text))
-        kind, value, pos = tok
-        if expect is not None and (kind, value) != expect and kind != expect:
-            raise ExpressionError(f"expected {what or expect}, found {value!r}", pos)
-        self.index += 1
-        return tok
+    def take(self, kind, value=None, what=None):
+        """The next token if it has this kind (and value), else None; given
+        `what`, a mismatch raises an error that says `what` was expected."""
+        tok = self.tokens[self.index]
+        if tok[0] == kind and (value is None or tok[1] == value):
+            self.index += 1
+            return tok
+        if what is None:
+            return None
+        found = " but input ended" if tok[0] == "end" else f", found {tok[1]!r}"
+        raise ExpressionError(f"expected {what}{found}", tok[2])
 
     def parse(self) -> Expr:
         expr = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ExpressionError(f"unexpected {tok[1]!r}", tok[2])
+        kind, value, pos = self.tokens[self.index]
+        if kind != "end":
+            raise ExpressionError(f"unexpected {value!r}", pos)
         return expr
 
     def expr(self) -> Expr:
         terms = [(1, self.term())]
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "sym" or tok[1] not in "+-":
-                break
-            self.index += 1
-            terms.append((1 if tok[1] == "+" else -1, self.term()))
+        while op := self.take("sym", "+") or self.take("sym", "-"):
+            terms.append((1 if op[1] == "+" else -1, self.term()))
         return Expr(tuple(terms))
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok is not None and tok[0] == "int":
-            self.index += 1
-            self.next(("sym", "*"), what="'*' after a coefficient")
-            return Term(self.number(tok), self.atom())
-        return Term(1, self.atom())
+        tok = self.take("int")
+        if tok is None:
+            return Term(1, self.atom())
+        self.take("sym", "*", "'*' after a coefficient")
+        return Term(self.number(tok), self.atom())
 
     def atom(self) -> Lit | Star | Group:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError("expected a literal, star(...) or '('", len(self.text))
-        kind, value, pos = tok
-        if kind == "neglit":
-            self.index += 1
-            lit = self.literal()
-            return Lit(lit.scale, lit.suffix, negated=True)
-        if kind == "sym" and value == "<":
-            return self.literal()
-        if kind == "star":
-            self.index += 1
-            self.next(("sym", "("), what="'('")
+        negated = self.take("neglit") is not None  # always followed by '<'
+        if self.take("sym", "<"):
+            return self.literal(negated)
+        if self.take("star"):
+            self.take("sym", "(", "'('")
             n = self.integer()
-            self.next(("sym", ","), what="','")
+            self.take("sym", ",", "','")
             m = self.integer()
-            self.next(("sym", ")"), what="')'")
+            self.take("sym", ")", "')'")
             return Star(n, m)
-        if kind == "sym" and value == "(":
+        if tok := self.take("sym", "("):
             if self.depth == MAX_DEPTH:
-                raise ExpressionError(f"parentheses nest deeper than {MAX_DEPTH}", pos)
-            self.index += 1
+                raise ExpressionError(f"parentheses nest deeper than {MAX_DEPTH}", tok[2])
             self.depth += 1
             inner = self.expr()
             self.depth -= 1
-            self.next(("sym", ")"), what="')'")
+            self.take("sym", ")", "')'")
             return Group(inner)
-        raise ExpressionError(f"expected a literal, star(...) or '(', found {value!r}", pos)
+        kind, value, pos = self.tokens[self.index]
+        found = "" if kind == "end" else f", found {value!r}"
+        raise ExpressionError(f"expected a literal, star(...) or '('{found}", pos)
 
     def integer(self) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok[0] == "sym" and tok[1] == "-":
-            self.index += 1
-            sign = -1
-        return sign * self.number(self.next("int", what="an integer"))
+        sign = -1 if self.take("sym", "-") else 1
+        return sign * self.number(self.take("int", what="an integer"))
 
     def number(self, tok) -> int:
         try:
@@ -198,20 +173,13 @@ class _Parser:
             limit = sys.get_int_max_str_digits()
             raise ExpressionError(f"integer has more than {limit} digits", tok[2]) from None
 
-    def literal(self) -> Lit:
-        self.next(("sym", "<"), what="'<'")
+    def literal(self, negated: bool) -> Lit:
         scale = self.integer()
-        self.next(("sym", ">"), what="'>'")
-        tok = self.peek()
-        suffix = None
-        if tok is not None and tok[0] == "suffix":
-            self.index += 1
-            suffix = tok[1][1:]
-            if suffix == "10" and self.dim != 2:
-                raise ExpressionError(
-                    "the segment family _10 needs the 2-d context", tok[2]
-                )
-        return Lit(scale, suffix)
+        self.take("sym", ">", "'>'")
+        tok = self.take("suffix")
+        if tok is not None and tok[1] == "_10" and self.dim != 2:
+            raise ExpressionError("the segment family _10 needs the 2-d context", tok[2])
+        return Lit(scale, tok[1][1:] if tok else None, negated)
 
 
 def parse(text: str, dim: int = 2) -> Expr:

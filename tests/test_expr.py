@@ -1,6 +1,8 @@
 """The bracket expression language: parsing, printing, evaluation, errors."""
 
+import contextlib
 import random
+import time
 
 import pytest
 
@@ -121,6 +123,16 @@ def test_nesting_depth_limit():
     assert info.value.position == MAX_DEPTH
     with pytest.raises(ExpressionError):
         parse("(" * 2000 + "<1>" + ")" * 2000, 2)
+
+
+def test_whitespace_runs_parse_in_linear_time():
+    # A token scan that matched the end of the input only by failing would
+    # retry at every position of a trailing run: 20,000 spaces took 14 s.
+    for text in ("<1>" + " " * 20000, " " * 20000, "<1>" + " " * 20000 + "+ <2>"):
+        start = time.perf_counter()
+        with contextlib.suppress(ExpressionError):
+            parse(text, 2)
+        assert time.perf_counter() - start < 1.0, repr(text[:10])
 
 
 def test_trailing_garbage():
