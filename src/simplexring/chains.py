@@ -17,6 +17,7 @@ plain triangles only their faces.
 from __future__ import annotations
 
 import itertools
+import sys
 from math import comb
 from operator import itemgetter
 from types import MappingProxyType
@@ -262,10 +263,14 @@ def triangle_face_cells(size: int, orientation: str, position) -> tuple:
     if size == 1:  # most pieces of a closed_triangle_plan: no sort at all
         return (("face", r0, c0, orientation),)
     low = c0 if orientation == UP else c0 - size + 1
-    columns = sorted(range(low, low + size), key=str)
+    try:
+        rows = sorted(range(r0, r0 + size), key=str)
+        columns = sorted(range(low, low + size), key=str)
+    except ValueError:
+        raise _past_digit_limit("triangle") from None
     faces = []
     append = faces.append
-    for r in sorted(range(r0, r0 + size), key=str):
+    for r in rows:
         i = r - r0
         lone = c0 + size - 1 - i if orientation == UP else c0 - i
         lo, hi = (c0, lone) if orientation == UP else (lone, c0)
@@ -322,26 +327,29 @@ def piece_cells(piece: PlacedPiece) -> tuple:
     piece's edges and vertices, or a longer segment's cells, are sorted.
     """
     p, size, kind = piece.position, piece.size, piece.kind
-    if kind == "point":
-        return (("point", p),)
-    if kind == "vertex":
-        return (("vertex", *p),)
-    if kind in ("segment", "open_segment"):
-        closed = kind == "segment"
-        if size == 1 and closed:
-            return _UNIT_ORDERS["segment", _ascends(p)](_unit_segment(p))
-        cells = [("interval", p + i) for i in range(size)]
-        cells += [("point", p + i) for i in range(1 - closed, size + closed)]
-        return tuple(sorted(cells, key=_sort_key))
-    faces = triangle_face_cells(size, piece.orientation, p)
-    if kind == "triangle":
-        return faces
-    rest = _edges_and_vertices(faces, size, piece.orientation, p, kind == "closed_triangle")
-    if size > 1:
-        rest = tuple(sorted(rest, key=_sort_key))
-    elif rest:  # a closed unit triangle
-        rest = _UNIT_ORDERS[piece.orientation, _ascends(p[0]), _ascends(p[1])](rest)
-    return faces + rest
+    try:
+        if kind == "point":
+            return (("point", p),)
+        if kind == "vertex":
+            return (("vertex", *p),)
+        if kind in ("segment", "open_segment"):
+            closed = kind == "segment"
+            if size == 1 and closed:
+                return _UNIT_ORDERS["segment", _ascends(p)](_unit_segment(p))
+            cells = [("interval", p + i) for i in range(size)]
+            cells += [("point", p + i) for i in range(1 - closed, size + closed)]
+            return tuple(sorted(cells, key=_sort_key))
+        faces = triangle_face_cells(size, piece.orientation, p)
+        if kind == "triangle":
+            return faces
+        rest = _edges_and_vertices(faces, size, piece.orientation, p, kind == "closed_triangle")
+        if size > 1:
+            rest = tuple(sorted(rest, key=_sort_key))
+        elif rest:  # a closed unit triangle
+            rest = _UNIT_ORDERS[piece.orientation, _ascends(p[0]), _ascends(p[1])](rest)
+        return faces + rest
+    except ValueError:  # the piece is checked, so only its draw-order text can fail
+        raise _past_digit_limit(kind) from None
 
 
 # draw order: faces, then edges and intervals, then vertices and points
@@ -359,12 +367,21 @@ def _sort_key(cell) -> str:
     it and `_UNIT_ORDERS` is derived from it.
     """
     kind = cell[0]
-    if kind == "face":
-        return f"0face,{cell[1]},{cell[2]},{cell[3]}"
-    if kind == "edge":
-        (r1, c1), (r2, c2) = cell[1], cell[2]
-        return f"1edge,{r1},{c1},{r2},{c2}"
-    return f"{_RANK[kind]}{kind}," + ",".join(map(str, cell[1:]))
+    try:
+        if kind == "face":
+            return f"0face,{cell[1]},{cell[2]},{cell[3]}"
+        if kind == "edge":
+            (r1, c1), (r2, c2) = cell[1], cell[2]
+            return f"1edge,{r1},{c1},{r2},{c2}"
+        return f"{_RANK[kind]}{kind}," + ",".join(map(str, cell[1:]))
+    except ValueError:
+        raise _past_digit_limit(kind) from None
+
+
+def _past_digit_limit(kind: str) -> ValueError:
+    """The error for a cell or piece with a coordinate too long for the decimal
+    text that draw order compares (`sys.get_int_max_str_digits()`)."""
+    return ValueError(f"{kind}: a coordinate has more than {sys.get_int_max_str_digits()} digits")
 
 
 def _ascends(x: int) -> bool:

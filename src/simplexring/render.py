@@ -229,6 +229,7 @@ def _draw_face(canvas: _Canvas, cell, style: _Style):
             canvas.body.append(
                 f'<polygon points="{xs[k + 2]},{ys[r]} {xs[k + 1]},{y} {xs[k + 3]},{y}{style.face}')
     except ValueError as exc:
+        _sort_key(cell)  # raises first for a coordinate too long for repr() to write
         raise ValueError(f"cell {cell!r}: {exc}") from None
     if style.label is not None:
         pts = [canvas.at(v) for v in face_vertices(cell)]
@@ -265,6 +266,7 @@ def _draw_cell(canvas: _Canvas, cell, style: _Style):
             if style.label is not None:
                 canvas.labels.append((p[0] + 5, p[1] + 8, style.label, style.color))
     except ValueError as exc:
+        _sort_key(cell)  # raises first for a coordinate too long for repr() to write
         raise ValueError(f"cell {cell!r}: {exc}") from None
 
 

@@ -6,6 +6,7 @@ import json
 import pickle
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from simplexring.chains import (
     segment_sum_plan,
     triangle_chain,
     triangle_face_cells,
+    triangle_window,
 )
 from simplexring.render import RenderOptions, chain_svg, plan_svg, to_svg
 
@@ -430,3 +432,27 @@ def test_a_drawing_wider_than_the_float_range_raises_a_value_error():
     with pytest.raises(ValueError, match="spans past the float range"):
         chain_svg(chain)
     assert "inf" not in chain_svg(Chain(2, {("vertex", 0, far): 1}))
+
+
+_LONG = 10 ** sys.get_int_max_str_digits()  # one digit past the limit
+
+
+@pytest.mark.parametrize("kind, make", [
+    ("closed_triangle", lambda: realize(PlacementPlan(2, [PlacedPiece("closed_triangle", (-_LONG, 0))]))),
+    ("triangle", lambda: realize(PlacementPlan(2, [PlacedPiece("triangle", (-_LONG, 0), size=2)]))),
+    ("segment", lambda: realize(PlacementPlan(1, [PlacedPiece("segment", -_LONG, size=2)]))),
+    ("triangle", lambda: triangle_chain(2, position=(-_LONG, 0))),
+    ("triangle", lambda: closed_triangle_chain(2, position=(-_LONG, 0))),
+    ("triangle", lambda: triangle_window(2, position=(-_LONG, 0))),
+    ("vertex", lambda: chain_svg(Chain(2, {("vertex", _LONG, 0): 1}))),
+    ("vertex", lambda: plan_svg(PlacementPlan(2, [PlacedPiece("vertex", (_LONG, 0))]))),
+], ids=["realize-unit-closed-triangle", "realize-triangle", "realize-segment", "triangle_chain",
+        "closed_triangle_chain", "triangle_window", "chain_svg", "plan_svg"])
+def test_a_coordinate_past_the_digit_limit_raises_a_value_error_naming_the_kind(kind, make):
+    # draw order compares coordinates as decimal text, which Python refuses to
+    # write past its digit limit; the error says so in the library's words
+    with pytest.raises(ValueError) as info:
+        make()
+    limit = sys.get_int_max_str_digits()
+    assert str(info.value) == f"{kind}: a coordinate has more than {limit} digits"
+    assert info.value.__cause__ is None and info.value.__suppress_context__
