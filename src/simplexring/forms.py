@@ -54,10 +54,6 @@ class FormalCombination(Record):
         kept = tuple((merged[lit], lit) for lit in order if merged[lit] != 0)
         return FormalCombination(self.dim, self.extended, kept)
 
-    def term_multiset(self):
-        """Sorted (coeff, scale, sign) view, handy for comparisons in tests."""
-        return sorted((c, lit.scale, lit.sign) for c, lit in self.terms)
-
 
 def combination(dim, extended, coeff_scale_pairs) -> FormalCombination:
     """Build a combination from (coefficient, scale) pairs."""

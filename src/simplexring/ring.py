@@ -116,9 +116,6 @@ class Element:
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(str, self._family + self._coeffs))})"
 
-    def is_zero(self) -> bool:
-        return not any(self._coeffs)
-
 
 def _kind(value) -> str:
     family = getattr(value, "_family", ())

@@ -146,9 +146,6 @@ class Triple(Record):
     def __init__(self, n: int, k: int, l: int = 0):
         self._set(integer(n, "n"), integer(k, "k"), integer(l, "l"))
 
-    def normalize(self) -> "Triple":
-        return Triple(self.n - self.l, self.k - self.l, 0)
-
     def __eq__(self, other):
         if not isinstance(other, Triple):
             return NotImplemented
@@ -170,9 +167,3 @@ def triple_mul(s: Triple, t: Triple) -> Triple:
     """Closed product on canonical triples: (n1n2, n1k2 + n2k1 - 2k1k2, 0)."""
     n1, k1, n2, k2 = s.n - s.l, s.k - s.l, t.n - t.l, t.k - t.l
     return Triple(n1 * n2, n1 * k2 + n2 * k1 - 2 * k1 * k2, 0)
-
-
-def triple_add(t1: Triple, t2: Triple, t3: Triple) -> Triple:
-    """Componentwise sum of three canonical triples."""
-    ts = (t1, t2, t3)
-    return Triple(sum([t.n - t.l for t in ts]), sum([t.k - t.l for t in ts]), 0)

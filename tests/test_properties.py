@@ -27,6 +27,10 @@ FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 ROOTS = st.builds(QSqrt3, FRACTIONS, FRACTIONS)
 
 
+def _is_zero(element) -> bool:
+    return not any(element.coeffs)
+
+
 def _with_one(elements, one):
     """Three elements of one algebra and its unit."""
     return st.tuples(elements, elements, elements, st.just(one))
@@ -56,11 +60,11 @@ def test_ring_laws(name, data):
     a, b, c, one = data.draw(ALGEBRAS[name])
     k = data.draw(INTS)
     zero = a - a
-    assert zero.is_zero() and a + zero == a and a + (-a) == zero
+    assert _is_zero(zero) and a + zero == a and a + (-a) == zero
     assert a + b == b + a and (a + b) + c == a + (b + c)
     assert a * b == b * a and (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a * one == a and (a * zero).is_zero()
+    assert a * one == a and _is_zero(a * zero)
     assert k * (a * b) == (k * a) * b == a * (b * k)
     assert hash(a * b) == hash(b * a)
 

@@ -16,7 +16,6 @@ from simplexring.triples import (
     Triple,
     epsilon_pair,
     t_element,
-    triple_add,
     triple_mul,
     triple_to_ring,
 )
@@ -31,13 +30,24 @@ def triple_orth(t: Triple) -> OrthElement:
     return OrthElement(2, False, ((t.n - t.l) * spread, spread))
 
 
+def normalize(t: Triple) -> Triple:
+    """The canonical member (l = 0) of a triple's translation class."""
+    return Triple(t.n - t.l, t.k - t.l, 0)
+
+
+def triple_add(t1: Triple, t2: Triple, t3: Triple) -> Triple:
+    """Componentwise sum of three canonical triples."""
+    ts = (t1, t2, t3)
+    return Triple(sum([t.n - t.l for t in ts]), sum([t.k - t.l for t in ts]), 0)
+
+
 def triple_add_expansion(t1: Triple, t2: Triple, t3: Triple):
     """The closed-addition layout of triple_add: pairwise terms minus singles.
 
     Returns (sign, Triple) terms whose signed ring values sum to the ring
     value of triple_add(t1, t2, t3).
     """
-    t1, t2, t3 = t1.normalize(), t2.normalize(), t3.normalize()
+    t1, t2, t3 = normalize(t1), normalize(t2), normalize(t3)
 
     def pair(u, v):
         return Triple(u.n + v.n, u.k + v.k, 0)
@@ -132,8 +142,8 @@ def test_triple_translation_classes():
     assert Triple(5, 2, 0) == Triple(8, 5, 3)
     assert hash(Triple(5, 2, 0)) == hash(Triple(8, 5, 3))
     assert Triple(5, 2, 0) != Triple(5, 3, 0)
-    assert Triple(7, 3, 1).normalize() == Triple(6, 2, 0)
-    assert Triple(7, 3, 1).normalize().l == 0
+    assert normalize(Triple(7, 3, 1)) == Triple(6, 2, 0)
+    assert normalize(Triple(7, 3, 1)).l == 0
 
 
 def test_triple_ring_value():
