@@ -10,8 +10,8 @@ Grammar (whitespace allowed between tokens):
 A minus immediately before '<' (no space) is part of the literal and flags
 the negated piece -<k>, which is different from the negative-scale literal
 <-k>.  Everything else about '-' is the binary operator.  Syntax errors
-carry the byte offset of the offending character.  Parentheses nest at
-most MAX_DEPTH deep.
+carry the offset of the first bad token.  Parentheses nest at most
+MAX_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ class _Parser:
         if dim not in (2, 3):
             raise ValueError("dimension context must be 2 or 3")
         self.dim = dim
-        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN.finditer(text)]
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+                       for m in _TOKEN.finditer(text)]
         for kind, value, pos in self.tokens:
             if kind == "bad":
                 raise ExpressionError(f"unexpected character {value!r}", pos)

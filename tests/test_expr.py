@@ -126,8 +126,9 @@ def test_nesting_depth_limit():
 
 
 def test_whitespace_runs_parse_in_linear_time():
-    # A token scan that matched the end of the input only by failing would
-    # retry at every position of a trailing run: 20,000 spaces took 14 s.
+    # A token scan with no token for the end of the input retries its leading
+    # \s* at every position of a trailing run: with the `end` group taken out
+    # of expr._TOKEN, "<1>" and 20,000 spaces took 14 s (CPython 3.11, 2-core VM).
     for text in ("<1>" + " " * 20000, " " * 20000, "<1>" + " " * 20000 + "+ <2>"):
         start = time.perf_counter()
         with contextlib.suppress(ExpressionError):
@@ -197,7 +198,7 @@ def test_mixed_families_rejected_at_evaluation():
 # every node, or the exception's type, position and message.  The integers
 # of 4301 digits assume Python's default limit of 4300.
 
-# the grammar's tokens, then two characters that are none
+# the grammar's tokens and two kinds of whitespace, then two characters outside it
 _WORDS = ("<", ">", "-", "+", "*", "(", ")", ",", "star", "_0", "_10", "0", "7", "12",
           " ", "-<", "\t", "$", "x")
 _CHARS = "<>-+*(),_0123456789star $x\t"
