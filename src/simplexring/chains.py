@@ -56,7 +56,7 @@ class Chain(Record):
         for cell, mult in cells.items() if hasattr(cells, "items") else cells or ():
             cell = _checked_cell(cell, dim)
             if type(mult) is not int:
-                mult = integer(mult, f"multiplicity of {cell!r}")
+                mult = integer(mult, f"multiplicity of {_quoted(cell, cell[0])}")
             store[cell] = mult
         self._set(dim, {cell: mult for cell, mult in store.items() if mult})
 
@@ -139,12 +139,13 @@ def _checked_cell(cell, dim: int) -> tuple:
             and type(cell[1]) is type(cell[2]) is int and cell[3] in (UP, DOWN)):
         return cell  # a face as the lattice writes it, the most common cell
     if type(cell) is not tuple or not cell or type(cell[0]) is not str:
-        raise TypeError(f"cell {cell!r} is not a tuple of a kind and coordinates")
+        shown = _quoted(cell, type(cell).__name__)
+        raise TypeError(f"cell {shown} is not a tuple of a kind and coordinates")
     shape = _CELL_SHAPES[dim].get(cell[0])
     if shape is None:
-        raise ValueError(f"cell {cell!r} does not live in dimension {dim}")
+        raise ValueError(f"cell {_quoted(cell, cell[0])} does not live in dimension {dim}")
     if len(cell) != len(shape) + 1:
-        raise ValueError(f"cell {cell!r} needs {len(shape)} coordinates")
+        raise ValueError(f"cell {_quoted(cell, cell[0])} needs {len(shape)} coordinates")
     out = [cell[0]]
     try:  # the cell's repr is made only for an error
         for part, x in zip(shape, cell[1:]):
@@ -152,13 +153,13 @@ def _checked_cell(cell, dim: int) -> tuple:
                 x = _orientation(x)
             elif part == "p":
                 if type(x) is not tuple or len(x) != 2:
-                    raise TypeError(f"{x!r} is not a pair of integers")
+                    raise TypeError(f"{_quoted(x, 'pair')} is not a pair of integers")
                 x = (integer(x[0], "a coordinate"), integer(x[1], "a coordinate"))
             else:
                 x = integer(x, "a coordinate")
             out.append(x)
     except (TypeError, ValueError) as exc:
-        raise type(exc)(f"cell {cell!r}: {exc}") from None
+        raise type(exc)(f"cell {_quoted(cell, cell[0])}: {exc}") from None
     return tuple(out)
 
 
@@ -229,7 +230,7 @@ class PlacementPlan(_Walked):
         dim, pieces = _dim(dim), tuple(pieces)
         for piece in pieces:
             if piece.dim != dim:
-                raise ValueError(f"piece {piece} does not live in dimension {dim}")
+                raise ValueError(f"piece {_quoted(piece, piece.kind)} does not live in dimension {dim}")
         self._set(dim, pieces)
 
 
@@ -382,6 +383,14 @@ def _past_digit_limit(kind: str) -> ValueError:
     """The error for a cell or piece with a coordinate too long for the decimal
     text that draw order compares (`sys.get_int_max_str_digits()`)."""
     return ValueError(f"{kind}: a coordinate has more than {sys.get_int_max_str_digits()} digits")
+
+
+def _quoted(value, kind: str) -> str:
+    """repr(value) for an error message, or `_past_digit_limit(kind)` in <>."""
+    try:
+        return repr(value)
+    except ValueError:  # a coordinate too long for decimal text
+        return f"<{_past_digit_limit(kind)}>"
 
 
 def _ascends(x: int) -> bool:

@@ -4,15 +4,19 @@ A combination keeps its terms exactly as written: two combinations with the
 same ring value are still different lists of pieces, and cancellation only
 happens through simplify().  That distinction matters because a combination
 describes a physical layout, not just a number.
+
+`evaluate` and `evaluate_orth` give a combination's ring value by two
+independent routes: integer slice counts, and one power element per term.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import prod
+from operator import mul
 
 from ._record import Record, flag, integer
-from .ring import OrthElement, SimplexLiteral, embed_literal, literal_orth, zero
+from .ring import OrthElement, SimplexLiteral, _coords, _element, literal_orth, zero
 
 
 class StarDomainError(ValueError):
@@ -62,11 +66,17 @@ def combination(dim, extended, coeff_scale_pairs) -> FormalCombination:
 
 
 def evaluate(comb: FormalCombination):
-    """Ring value of a combination in the family's natural representation."""
-    total = zero(comb.dim, comb.extended)
-    for coeff, lit in comb.terms:
-        total = total + coeff * embed_literal(lit)
-    return total
+    """Ring value of a combination in the family's natural representation.
+
+    The terms' coordinates (`ring._coords`) are summed as plain ints, and
+    one element is built from the totals.
+    """
+    dim, extended = comb.dim, comb.extended
+    weights = [coeff * lit.sign for coeff, lit in comb.terms]
+    rows = [_coords(dim, extended, lit.scale) for _, lit in comb.terms]
+    if not rows:
+        return zero(dim, extended)
+    return _element(dim, extended, [sum(map(mul, weights, column)) for column in zip(*rows)])
 
 
 def evaluate_orth(comb: FormalCombination) -> OrthElement:

@@ -8,6 +8,10 @@ multiply like the integers they came from.  Every ring here also has an
 orthogonal idempotent basis (A_m, ..., A_1, optionally A_0) that
 diagonalises the product into a componentwise one.
 
+A literal <n> of a (dim, extended) family has integer coordinates in its
+family's ring (`_coords`), and `_element` makes that ring's element from
+integer coordinates.  `zero`, `embed_literal` and `forms.evaluate` share both.
+
 Coefficients are exact: an int or a `fractions.Fraction`, held as a Fraction
 (`_frac`).  Every integer argument (a scale, a dimension, a number of terms)
 goes through `_record.integer`.  Floats are refused at every boundary.
@@ -332,22 +336,28 @@ class SimplexLiteral(Record):
         self._set(integer(dim, "dim", 1), integer(scale, "scale"), sign, flag(extended, "extended"))
 
 
-def zero(dim: int, extended: bool):
-    """The zero of the ring a (dim, extended) literal family lives in.
+def _coords(dim: int, extended: bool, n: int) -> list:
+    """Side n in a (dim, extended) family's ring.  A plain family lives in the
+    slice ring `GeomElement(dim)`, where piece k occurs C(n+dim-k, dim) times
+    (`_counts`); an extended one carries A_0 and lives in the orthogonal
+    basis, with the coordinates (n^dim, ..., n, 1)."""
+    return [n ** i for i in range(dim, -1, -1)] if extended else _counts(dim, n)
 
-    A plain family of any dim lives in the slice ring `GeomElement(dim)`,
-    where `embed_literal` counts each piece C(n+dim-k, dim) times.  An
-    extended family carries A_0 and lives in the orthogonal basis, where
-    `embed_literal` gives the coefficients (n^dim, ..., n, 1).
-    """
+
+def _element(dim: int, extended: bool, coords):
+    """The element with these coordinates in a (dim, extended) family's ring."""
+    return OrthElement(dim, True, coords) if extended else GeomElement(dim, coords)
+
+
+def zero(dim: int, extended: bool):
+    """The zero of the ring a (dim, extended) literal family lives in (see `_coords`)."""
     dim, extended = integer(dim, "dim", 1), flag(extended, "extended")
-    return OrthElement.zero(dim, True) if extended else GeomElement(dim, (0,) * dim)
+    return _element(dim, extended, (0,) * (dim + 1 if extended else dim))
 
 
 def embed_literal(lit: SimplexLiteral):
     """Ring value of a literal in its family's ring: slice counts, or powers if extended."""
-    dim, n = lit.dim, lit.scale
-    value = _powers(dim, True, n) if lit.extended else GeomElement(dim, _counts(dim, n))
+    value = _element(lit.dim, lit.extended, _coords(lit.dim, lit.extended, lit.scale))
     return -value if lit.sign < 0 else value
 
 

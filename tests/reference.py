@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from simplexring._record import flag, integer
 from simplexring.chains import PlacedPiece, PlacementPlan
-from simplexring.ring import GeomElement, OrthElement
+from simplexring.ring import GeomElement, OrthElement, _counts, _powers
 from simplexring.witnesses import _is_prime
 
 
@@ -56,3 +56,15 @@ def is_one_sided_composite(n: int) -> bool:
     """True when n = 2p with p prime (witnesses with a one-sided layout)."""
     n = integer(n, "n", 1)
     return n % 2 == 0 and _is_prime(n // 2)
+
+
+def evaluate_per_term(comb):
+    """forms.evaluate one element per term: each literal's slice counts, or
+    powers if extended, as an element of its own, added to the family's zero."""
+    dim = comb.dim
+    total = OrthElement.zero(dim, True) if comb.extended else GeomElement(dim, (0,) * dim)
+    for coeff, lit in comb.terms:
+        n = lit.scale
+        value = _powers(dim, True, n) if lit.extended else GeomElement(dim, _counts(dim, n))
+        total = total + coeff * (-value if lit.sign < 0 else value)
+    return total

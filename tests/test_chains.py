@@ -1,6 +1,7 @@
 """Lattice chains, placement plans and the tiling search."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -464,3 +465,22 @@ def test_tiling_search_cap():
         TilePiece(1, DOWN) for _ in range(15))
     with pytest.raises(SearchSpaceError):
         tiling_search(target, pieces, triangle_window(6), cap=1000)
+
+
+def test_error_messages_name_the_kind_past_the_digit_limit():
+    # a cell or piece whose repr Python refuses to write names its kind instead
+    long = 10 ** sys.get_int_max_str_digits()  # one digit past the limit
+    shown = f"<vertex: a coordinate has more than {sys.get_int_max_str_digits()} digits>"
+    for make, exc, message in [
+        (lambda: PlacementPlan(1, [PlacedPiece("vertex", (long, 0))]), ValueError,
+         f"piece {shown} does not live in dimension 1"),
+        (lambda: Chain(2, {("vertex", long, 0.5): 1}), TypeError,
+         f"cell {shown}: a coordinate must be an integer, got 0.5"),
+        (lambda: Chain(2, {("vertex", long, 0): 0.5}), TypeError,
+         f"multiplicity of {shown} must be an integer, got 0.5"),
+        (lambda: Chain(1, {("vertex", long, 0): 1}), ValueError,
+         f"cell {shown} does not live in dimension 1"),
+    ]:
+        with pytest.raises(exc) as info:
+            make()
+        assert type(info.value) is exc and str(info.value) == message

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexring import cli
+from simplexring import cli, ring
 from simplexring.chains import closed_triangle_plan
 from simplexring.forms import closed_sum, closed_sum_shifted, combination, star_product
 from simplexring.ring import embed2
@@ -81,6 +81,17 @@ def test_verify_counterexample_exits_1(capsys, monkeypatch):
     code, out, _ = _run(capsys, "verify", "--identity", "mirror", "--range=0..1")
     assert code == 1
     assert out.startswith("FAIL mirror: first counterexample (n)=(0)")
+
+
+def test_verify_reads_the_slice_counts(capsys, monkeypatch):
+    # the geometric route's sums reach ring._counts: one wrong count at scale 5 shows
+    assert _run(capsys, "verify", "--identity", "closed3", "--range=0..2") == (
+        0, "PASS closed3 over 0..2 (81 cases)\n", "")
+    real = ring._counts
+    monkeypatch.setattr(ring, "_counts", lambda dim, n: [c + (n == 5) for c in real(dim, n)])
+    code, out, err = _run(capsys, "verify", "--identity", "closed3", "--range=0..2")
+    assert code == 1 and err == ""
+    assert out.startswith("FAIL closed3: first counterexample (v0..v3)=(")
 
 
 # identity, range, m: the loop must check as many cases as the budget charged

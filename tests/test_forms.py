@@ -21,8 +21,10 @@ from simplexring.forms import (
     three_term_form,
 )
 from simplexring.eulerian import embed_nd, slice_decomposition
-from simplexring.ring import OrthElement, SimplexLiteral, embed2, embed3, embed_literal, to_orth
+from simplexring.ring import Element, OrthElement, SimplexLiteral, embed2, embed3, embed_literal, to_orth
 from simplexring.triples import Triple
+
+from reference import evaluate_per_term
 
 
 def _term_multiset(form):
@@ -257,3 +259,35 @@ def test_evaluate_orth_agrees_with_natural_route():
         form = closed_sum(vals, 2)
         natural = evaluate(form)
         assert evaluate_orth(form) == to_orth(natural)
+
+
+def _seeded_terms(rng, dim, extended, scales):
+    literal = lambda: SimplexLiteral(dim, rng.choice(scales), rng.choice((1, -1)), extended)
+    return tuple((rng.randint(-5, 5), literal()) for _ in range(rng.randint(1, 12)))
+
+
+def test_evaluate_matches_the_per_term_reference():
+    rng = random.Random(25)
+    big = 10 ** 40
+    for dim, extended in itertools.product(range(1, 9), (False, True)):
+        forms = [FormalCombination(dim, extended, ()),
+                 FormalCombination(dim, extended, ((Fraction(6, 2), SimplexLiteral(dim, -4, -1, extended)),))]
+        for scales in (range(-30, 31), (big, -big, big + 1, 1 - big, 0)):
+            forms += [FormalCombination(dim, extended, _seeded_terms(rng, dim, extended, scales))
+                      for _ in range(6)]
+        for form in forms:
+            value, want = evaluate(form), evaluate_per_term(form)
+            assert type(value) is type(want) and value == want
+            assert all(type(c) is Fraction for c in value.coeffs)
+
+
+def test_evaluate_builds_one_element(monkeypatch):
+    form = closed_sum(range(9), 8)
+    assert len(form.terms) == 510
+    built = []
+    init, new = Element.__init__, Element._new
+    monkeypatch.setattr(Element, "__init__", lambda self, *args: built.append("__init__") or init(self, *args))
+    monkeypatch.setattr(Element, "_new", lambda self, coeffs: built.append("_new") or new(self, coeffs))
+    value = evaluate(form)
+    assert built == ["__init__"]
+    assert value == slice_decomposition(sum(range(9)), 8)
