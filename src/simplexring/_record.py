@@ -24,10 +24,30 @@ own `__slots__` are read here, so `==`, `hash`, `repr`, copy and pickle never se
 `integer` is the library's one rule for an integer argument (a scale, a
 side, a dimension, a coefficient, a witness entry): every boundary that
 takes one calls it.  `flag` is the one rule for an on/off argument
-(`has_a0`, `extended`, `negated`, `annotate`).
+(`has_a0`, `extended`, `negated`, `annotate`).  `_quoted` writes any value,
+even an int past the digit limit, into an error message.  `Record._trusted`
+builds a record from fields its caller has already checked, skipping `__init__`.
 
-This module imports nothing, so a record costs no import at start-up.
+This module imports only `sys`, so a record costs no import at start-up.
 """
+
+import sys
+
+
+def _past_digit_limit(kind: str) -> ValueError:
+    """The error for a cell or piece with a coordinate too long to write in decimal."""
+    return ValueError(f"{kind}: a coordinate has more than {sys.get_int_max_str_digits()} digits")
+
+
+def _quoted(value, kind=None) -> str:
+    """repr(value) for an error message; a value holding an int too long to
+    write shows as `<_past_digit_limit(kind)>`, or without a kind by its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if kind is None:
+            return f"<{type(value).__name__} past the {sys.get_int_max_str_digits()}-digit limit>"
+        return f"<{_past_digit_limit(kind)}>"
 
 
 def integer(value, name: str, least=None) -> int:
@@ -42,10 +62,10 @@ def integer(value, name: str, least=None) -> int:
     if type(value) is not int:
         top = getattr(value, "numerator", None)
         if type(top) is not int or type(value) is bool or getattr(value, "denominator", 0) != 1:
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+            raise TypeError(f"{name} must be an integer, got {_quoted(value)}")
         value = top
     if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+        raise ValueError(f"{name} must be >= {least}, got {_quoted(value)}")
     return value
 
 
@@ -57,11 +77,17 @@ def flag(value, name: str) -> bool:
     """
     if value is True or value is False:
         return value
-    raise TypeError(f"{name} must be a bool, got {value!r}")
+    raise TypeError(f"{name} must be a bool, got {_quoted(value)}")
 
 
 class Record:
     __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, *values):
+        out = object.__new__(cls)
+        out._set(*values)
+        return out
 
     def _set(self, *values):
         write = object.__setattr__  # one lookup per record, not per field

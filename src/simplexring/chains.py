@@ -17,12 +17,11 @@ plain triangles only their faces.
 from __future__ import annotations
 
 import itertools
-import sys
 from math import comb
 from operator import itemgetter
 from types import MappingProxyType
 
-from ._record import Record, integer
+from ._record import Record, _past_digit_limit, _quoted, integer
 
 
 class SearchSpaceError(RuntimeError):
@@ -62,7 +61,7 @@ class Chain(Record):
 
     @classmethod
     def _trusted(cls, dim: int, cells: dict) -> "Chain":
-        # cells and int multiplicities of checked pieces or chains
+        # checked cells and int multiplicities: Record._trusted dropping zeros, inlined for realize()
         out = object.__new__(cls)
         out._set(dim, {cell: mult for cell, mult in cells.items() if mult})
         return out
@@ -165,7 +164,7 @@ def _checked_cell(cell, dim: int) -> tuple:
 
 def _orientation(value, name: str = "orientation") -> str:
     if value not in (UP, DOWN):
-        raise ValueError(f"{name} must be 'up' or 'down', got {value!r}")
+        raise ValueError(f"{name} must be 'up' or 'down', got {_quoted(value)}")
     return value
 
 
@@ -176,7 +175,7 @@ def _shape(size, orientation, sign) -> tuple:
     if type(sign) is not int:
         sign = integer(sign, "sign")
     if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+        raise ValueError(f"sign must be +1 or -1, got {_quoted(sign)}")
     return size, _orientation(orientation), sign
 
 
@@ -202,7 +201,7 @@ class PlacedPiece(Record):
             if type(position) is not int:
                 position = integer(position, "position")
         elif kind not in _KINDS_2D:
-            raise ValueError(f"unknown piece kind {kind!r}")
+            raise ValueError(f"unknown piece kind {_quoted(kind)}")
         elif not (type(position) is tuple and len(position) == 2
                   and type(position[0]) is type(position[1]) is int):
             position = _pair(position)
@@ -215,7 +214,7 @@ class PlacedPiece(Record):
 
 def _pair(position) -> tuple:
     if type(position) not in (tuple, list) or len(position) != 2:
-        raise TypeError(f"position must be a pair of integers, got {position!r}")
+        raise TypeError(f"position must be a pair of integers, got {_quoted(position)}")
     return (integer(position[0], "position[0]"), integer(position[1], "position[1]"))
 
 
@@ -377,20 +376,6 @@ def _sort_key(cell) -> str:
         return f"{_RANK[kind]}{kind}," + ",".join(map(str, cell[1:]))
     except ValueError:
         raise _past_digit_limit(kind) from None
-
-
-def _past_digit_limit(kind: str) -> ValueError:
-    """The error for a cell or piece with a coordinate too long for the decimal
-    text that draw order compares (`sys.get_int_max_str_digits()`)."""
-    return ValueError(f"{kind}: a coordinate has more than {sys.get_int_max_str_digits()} digits")
-
-
-def _quoted(value, kind: str) -> str:
-    """repr(value) for an error message, or `_past_digit_limit(kind)` in <>."""
-    try:
-        return repr(value)
-    except ValueError:  # a coordinate too long for decimal text
-        return f"<{_past_digit_limit(kind)}>"
 
 
 def _ascends(x: int) -> bool:
@@ -598,7 +583,7 @@ def _window_cells(window) -> frozenset:
         raise ValueError("the window must hold at least one face cell")
     for cell in cells:
         if cell[0] != "face":
-            raise ValueError(f"window cell {cell!r} is not a face cell")
+            raise ValueError(f"window cell {_quoted(cell, cell[0])} is not a face cell")
     return cells
 
 
@@ -726,7 +711,7 @@ def tiling_search(
     counted = {}
     for tile in pieces:
         if not isinstance(tile, TilePiece):
-            raise TypeError(f"piece {tile!r} is not a TilePiece")
+            raise TypeError(f"piece {_quoted(tile)} is not a TilePiece")
         counted[tile] = counted.get(tile, 0) + 1
     groups = [(tile, counted[tile], _window_placements(tile, window))
               for tile in sorted(counted, key=lambda t: (-t.size, t.orientation, -t.sign))]

@@ -31,8 +31,8 @@ from types import SimpleNamespace
 # The most work each command may start: (limit, what the estimate counts).
 LIMITS = {
     # Cases times the cost of a case (see IDENTITIES).  `closed3` over -6..6
-    # comes to 1,399,489.  At the limit the geometric identities take 1.4-2.1 s
-    # and closed-nd, on the orthogonal route, 2.5-2.9 s (2-core VM).
+    # comes to 1,399,489.  At the limit the geometric identities take 1.2-2.1 s
+    # and closed-nd, on the orthogonal route, 1.9-2.2 s (2-core VM).
     "verify": (1_400_000, "work units"),
     # The witness scan tries about z^2/12 pairs; a prime near the limit takes
     # about 2 s.

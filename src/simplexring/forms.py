@@ -7,6 +7,8 @@ describes a physical layout, not just a number.
 
 `evaluate` and `evaluate_orth` give a combination's ring value by two
 independent routes: integer slice counts, and one power element per term.
+The builders (`closed_sum` ... `segment_form`) check their own arguments,
+then build literals and combination unchecked (`_combined`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 from math import prod
 from operator import mul
 
-from ._record import Record, flag, integer
+from ._record import Record, _quoted, flag, integer
 from .ring import OrthElement, SimplexLiteral, _coords, _element, literal_orth, zero
 
 
@@ -38,10 +40,10 @@ class FormalCombination(Record):
         terms = tuple((integer(c, "coefficient"), lit) for c, lit in terms)
         for coeff, lit in terms:
             if not isinstance(lit, SimplexLiteral):
-                raise TypeError(f"term {lit!r} is not a literal")
+                raise TypeError(f"term {_quoted(lit)} is not a literal")
             if lit.dim != dim or lit.extended != extended:
                 raise ValueError(
-                    f"literal {lit} does not belong to the "
+                    f"literal {_quoted(lit)} does not belong to the "
                     f"(dim={dim}, extended={extended}) family"
                 )
         self._set(dim, extended, terms)
@@ -63,6 +65,13 @@ def combination(dim, extended, coeff_scale_pairs) -> FormalCombination:
     """Build a combination from (coefficient, scale) pairs."""
     terms = tuple((c, SimplexLiteral(dim, s, 1, extended)) for c, s in coeff_scale_pairs)
     return FormalCombination(dim, extended, terms)
+
+
+def _combined(dim: int, extended: bool, coeff_scale_pairs) -> FormalCombination:
+    """`combination` of checked arguments (an int dim >= 1, a bool, int pairs), unchecked."""
+    literal = SimplexLiteral._trusted
+    terms = tuple([(c, literal(dim, s, 1, extended)) for c, s in coeff_scale_pairs])
+    return FormalCombination._trusted(dim, extended, terms)
 
 
 def evaluate(comb: FormalCombination):
@@ -102,16 +111,16 @@ def closed_sum(values, dim: int, extended: bool = False) -> FormalCombination:
     """
     values = [integer(v, "value") for v in values]
     dim = integer(dim, "dim", 1)
+    extended = flag(extended, "extended")
     if len(values) != dim + 1:
         raise ValueError(f"need {dim + 1} values for dimension {dim}, got {len(values)}")
-    terms = []
+    pairs = []
     for size in range(dim, 0, -1):
         sign = (-1) ** (dim - size)
-        for idx in itertools.combinations(range(dim + 1), size):
-            terms.append((sign, SimplexLiteral(dim, sum(values[i] for i in idx), 1, extended)))
+        pairs += [(sign, sum(subset)) for subset in itertools.combinations(values, size)]
     if extended:
-        terms.append(((-1) ** dim, SimplexLiteral(dim, 0, 1, extended)))
-    return FormalCombination(dim, extended, tuple(terms))
+        pairs.append(((-1) ** dim, 0))
+    return _combined(dim, extended, pairs)
 
 
 def closed_sum_shifted(n, k, l, t, extended: bool = False) -> FormalCombination:
@@ -121,12 +130,13 @@ def closed_sum_shifted(n, k, l, t, extended: bool = False) -> FormalCombination:
     closes the telescope; works for the plain and the extended family.
     """
     n, k, l, t = integer(n, "n"), integer(k, "k"), integer(l, "l"), integer(t, "t")
+    extended = flag(extended, "extended")
     pairs = [
         (1, n + k + t), (1, n + l + t), (1, k + l + t),
         (-1, n + t), (-1, k + t), (-1, l + t),
         (1, t),
     ]
-    return combination(2, extended, pairs)
+    return _combined(2, extended, pairs)
 
 
 def pairwise_sum(values) -> FormalCombination:
@@ -135,10 +145,9 @@ def pairwise_sum(values) -> FormalCombination:
     count = len(values)
     if count < 3:
         raise ValueError("need at least three values")
-    terms = [(1, SimplexLiteral(2, values[i] + values[j]))
-             for i, j in itertools.combinations(range(count), 2)]
-    terms += [(-(count - 2), SimplexLiteral(2, v)) for v in values]
-    return FormalCombination(2, False, tuple(terms))
+    pairs = [(1, a + b) for a, b in itertools.combinations(values, 2)]
+    pairs += [(-(count - 2), v) for v in values]
+    return _combined(2, False, pairs)
 
 
 def star_product(n: int, m: int) -> FormalCombination:
@@ -150,7 +159,7 @@ def star_product(n: int, m: int) -> FormalCombination:
     if n <= 2:
         raise StarDomainError(f"star_product needs n > 2, got {n}")
     weights = _interpolation(n, 2, 3)[:-1]
-    return combination(2, False, [(weight, node * m) for weight, node in weights])
+    return _combined(2, False, [(weight, node * m) for weight, node in weights])
 
 
 def _interpolation(n: int, top: int, size: int) -> list:
@@ -170,7 +179,7 @@ def arithmetic_form(n: int, dim: int) -> FormalCombination:
     out of the plain family.  dim 2: (n(n-1)/2)<2> - n(n-2)<1>.
     """
     n, dim = integer(n, "n"), integer(dim, "dim", 1)
-    return combination(dim, False, _interpolation(n, dim, dim + 1)[:-1])
+    return _combined(dim, False, _interpolation(n, dim, dim + 1)[:-1])
 
 
 def three_term_form(n: int, k: int) -> FormalCombination:
@@ -180,10 +189,10 @@ def three_term_form(n: int, k: int) -> FormalCombination:
     k-1, k, k+1 evaluated at n.
     """
     n, k = integer(n, "n"), integer(k, "k")
-    return combination(2, True, _interpolation(n, k + 1, 3))
+    return _combined(2, True, _interpolation(n, k + 1, 3))
 
 
 def segment_form(n: int, k: int) -> FormalCombination:
     """Segment family <n>_10 over the window <k+1>_10, <k>_10."""
     n, k = integer(n, "n"), integer(k, "k")
-    return combination(1, True, _interpolation(n, k + 1, 2))
+    return _combined(1, True, _interpolation(n, k + 1, 2))

@@ -15,6 +15,9 @@ integer coordinates.  `zero`, `embed_literal` and `forms.evaluate` share both.
 Coefficients are exact: an int or a `fractions.Fraction`, held as a Fraction
 (`_frac`).  Every integer argument (a scale, a dimension, a number of terms)
 goes through `_record.integer`.  Floats are refused at every boundary.
+An int or Fraction weight of 1 or -1 makes no product: `x * 1` is x and
+`x * -1` is `-x`.  Operation results and `_powers` are built unchecked by
+`Element._trusted`, and checked arguments' literals by `Record._trusted`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from math import factorial, prod
 from operator import add, mul, neg, sub
 
-from ._record import Record, flag, integer
+from ._record import Record, _quoted, flag, integer
 
 
 class RepresentationError(ValueError):
@@ -37,7 +40,7 @@ def _frac(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise TypeError("floating point coefficients are not allowed")
-    raise TypeError(f"coefficient must be an int or a Fraction, got {value!r}")
+    raise TypeError(f"coefficient must be an int or a Fraction, got {_quoted(value)}")
 
 
 class Element:
@@ -64,12 +67,14 @@ class Element:
     def coeffs(self) -> tuple:
         return self._coeffs
 
-    def _new(self, coeffs):
-        # trusted coefficients of an operation on this element
-        out = object.__new__(self.__class__)
-        out._coeffs = coeffs
-        out._family = self._family
+    @classmethod
+    def _trusted(cls, family: tuple, coeffs: tuple):  # coefficients of the right type and count
+        out = object.__new__(cls)
+        out._coeffs, out._family = coeffs, family
         return out
+
+    def _new(self, coeffs):  # trusted coefficients of an operation on this element
+        return self._trusted(self._family, coeffs)
 
     def _check(self, other):
         if other.__class__ is not self.__class__ or other._family != self._family:
@@ -90,6 +95,8 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, self._scalars) and not isinstance(other, bool):
+            if isinstance(other, (int, Fraction)) and other in (1, -1):  # a unit weight
+                return self if other == 1 else -self
             return self._new(tuple(c * other for c in self._coeffs))
         self._check(other)
         table = self._table
@@ -268,11 +275,12 @@ class OrthElement(Element):
 
 
 def _powers(dim: int, extended: bool, n: int) -> OrthElement:
-    """Side-n shape in the orthogonal basis: (n^dim, ..., n (, 1))."""
-    powers = [n ** i for i in range(dim, 0, -1)]
+    """Side-n shape in the orthogonal basis: (n^dim, ..., n (, 1)), from checked
+    arguments, so built as an operation's result is (`Element._trusted`)."""
+    powers = [Fraction(n ** i) for i in range(dim, 0, -1)]
     if extended:
-        powers.append(1)
-    return OrthElement(dim, extended, powers)
+        powers.append(Fraction(1))
+    return OrthElement._trusted((dim, extended), tuple(powers))
 
 
 def embed2(n) -> GeomElement:

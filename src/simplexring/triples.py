@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import Record, integer
+from ._record import Record, _quoted, integer
 from .ring import Element, GeomElement, _frac, embed2
 
 
@@ -78,7 +78,7 @@ def _coerce(value) -> QSqrt3:
         return value
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return QSqrt3(value)
-    raise TypeError(f"cannot coerce {value!r} into the sqrt(3) field")
+    raise TypeError(f"cannot coerce {_quoted(value)} into the sqrt(3) field")
 
 
 _BASIS = ("1", "e", "i", "j")

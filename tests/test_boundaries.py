@@ -22,6 +22,7 @@ An orientation is "up" or "down" and a piece's sign +1 or -1, one rule
 each wherever they are taken; anything else raises ValueError naming it.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -80,7 +81,7 @@ from simplexring.ring import (
     zero,
 )
 from simplexring.render import RenderOptions
-from simplexring.triples import Triple
+from simplexring.triples import Triple, t_element
 from simplexring.witnesses import (
     Witness,
     composite_witness,
@@ -258,6 +259,76 @@ def test_the_flag_rule():
             flag(bad, "f")
 
 
+# A value Python refuses to write in decimal (more than
+# sys.get_int_max_str_digits() digits) is named by its type in a message,
+# and the error keeps its own type.
+LONG = 10 ** 5000
+
+
+def _past_limit(kind):
+    return f"<{kind} past the {sys.get_int_max_str_digits()}-digit limit>"
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_integer_boundary_past_the_digit_limit(boundary):
+    make, name, least, good = BOUNDARIES[boundary]
+    for bad in (Fraction(LONG + 1, 2), Fraction(-LONG - 1, 2)):
+        with pytest.raises(TypeError) as info:
+            make(bad)
+        assert str(info.value) == f"{name} must be an integer, got {_past_limit('Fraction')}"
+    if least is not None:
+        with pytest.raises(ValueError) as info:
+            make(-LONG)
+        assert str(info.value) == f"{name} must be >= {least}, got {_past_limit('int')}"
+
+
+@pytest.mark.parametrize("boundary", FLAGS)
+def test_flag_boundary_past_the_digit_limit(boundary):
+    make, name = FLAGS[boundary]
+    for bad in (LONG, -LONG):
+        with pytest.raises(TypeError) as info:
+            make(bad)
+        assert str(info.value) == f"{name} must be a bool, got {_past_limit('int')}"
+
+
+# id -> (make, exception, message) for each message that prints the value
+MESSAGES_PAST_THE_LIMIT = {
+    "integer.least": (lambda: PlacedPiece("triangle", (0, 0), size=-LONG), ValueError,
+                      f"size must be >= 1, got {_past_limit('int')}"),
+    "sign": (lambda: PlacedPiece("triangle", (0, 0), sign=LONG), ValueError,
+             f"sign must be +1 or -1, got {_past_limit('int')}"),
+    "orientation": (lambda: Chain(2, {("face", 0, 0, LONG): 1}), ValueError,
+                    f"cell <face: a coordinate has more than {sys.get_int_max_str_digits()} digits>: "
+                    f"orientation must be 'up' or 'down', got {_past_limit('int')}"),
+    "pair": (lambda: PlacedPiece("triangle", [LONG, 0, 1]), TypeError,
+             f"position must be a pair of integers, got {_past_limit('list')}"),
+    "family": (lambda: FormalCombination(2, False, ((1, SimplexLiteral(3, LONG)),)), ValueError,
+               f"literal {_past_limit('SimplexLiteral')} does not belong to the "
+               "(dim=2, extended=False) family"),
+    "term": (lambda: FormalCombination(2, False, ((1, (LONG,)),)), TypeError,
+             f"term {_past_limit('tuple')} is not a literal"),
+    "piece kind": (lambda: PlacedPiece(LONG, (0, 0)), ValueError,
+                   f"unknown piece kind {_past_limit('int')}"),
+    "tile": (lambda: tiling_search(Chain(2, {UP_FACE: 1}), [(LONG,)], {UP_FACE}), TypeError,
+             f"piece {_past_limit('tuple')} is not a TilePiece"),
+    "window cell": (lambda: tiling_search(Chain(2), [TilePiece(1)], {UP_FACE, ("vertex", LONG, 0)}),
+                    ValueError, f"window cell <vertex: a coordinate has more than "
+                                f"{sys.get_int_max_str_digits()} digits> is not a face cell"),
+    "coefficient": (lambda: GeomElement(2, (1, [LONG])), TypeError,
+                    f"coefficient must be an int or a Fraction, got {_past_limit('list')}"),
+    "sqrt(3) field": (lambda: t_element((LONG,)), TypeError,
+                      f"cannot coerce {_past_limit('tuple')} into the sqrt(3) field"),
+}
+
+
+@pytest.mark.parametrize("case", MESSAGES_PAST_THE_LIMIT)
+def test_messages_that_print_a_value_past_the_digit_limit(case):
+    make, exc, message = MESSAGES_PAST_THE_LIMIT[case]
+    with pytest.raises(exc) as info:
+        make()
+    assert type(info.value) is exc and str(info.value) == message
+
+
 # Each of these returned an answer before every boundary called the rule.
 USED_TO_PASS = {
     "tetrahedron_slabs(2.5)": lambda: tetrahedron_slabs(2.5),
@@ -404,6 +475,24 @@ def test_sign_boundary(boundary):
             make(bad)
         assert str(info.value) == f"sign must be +1 or -1, got {int(bad)}"
     assert make(Fraction(-3, 3)).sign == -1
+
+
+@pytest.mark.parametrize("boundary", ORIENTATIONS)
+def test_orientation_boundary_past_the_digit_limit(boundary):
+    make, _ = ORIENTATIONS[boundary]
+    for bad, kind in ((LONG, "int"), (-LONG, "int"), ((LONG,), "tuple")):
+        with pytest.raises(ValueError) as info:
+            make(bad)
+        assert str(info.value).endswith(f"orientation must be 'up' or 'down', got {_past_limit(kind)}")
+        assert "Exceeds" not in str(info.value)
+
+
+@pytest.mark.parametrize("boundary", SIGNS)
+def test_sign_boundary_past_the_digit_limit(boundary):
+    for bad in (LONG, -LONG):
+        with pytest.raises(ValueError) as info:
+            SIGNS[boundary](bad)
+        assert str(info.value) == f"sign must be +1 or -1, got {_past_limit('int')}"
 
 
 def test_cell_coordinates_follow_the_integer_rule():

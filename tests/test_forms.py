@@ -291,3 +291,58 @@ def test_evaluate_builds_one_element(monkeypatch):
     value = evaluate(form)
     assert built == ["__init__"]
     assert value == slice_decomposition(sum(range(9)), 8)
+
+
+def test_evaluate_orth_makes_no_product_by_a_unit_weight(monkeypatch):
+    # one power element per term, built as an operation's result: the sum's
+    # zero is the one checked element, and each of the 510 terms costs one
+    # addition, plus a negation for each of the 255 weights of -1
+    form = closed_sum(range(9), 8)
+    assert sorted(c for c, _ in form.terms) == [-1] * 255 + [1] * 255
+    built = []
+    init, new = Element.__init__, Element._new
+    monkeypatch.setattr(Element, "__init__", lambda self, *args: built.append("__init__") or init(self, *args))
+    monkeypatch.setattr(Element, "_new", lambda self, coeffs: built.append("_new") or new(self, coeffs))
+    value = evaluate_orth(form)
+    assert built.count("__init__") <= 1 and built.count("_new") <= 765
+    assert value.coeffs == tuple(36 ** i for i in range(8, 0, -1))
+    assert all(type(c) is Fraction for c in value.coeffs)
+
+
+def _builders(dim, extended):
+    """Each library builder of a formal sum with a (dim, extended) family."""
+    rng = random.Random(f"builders:{dim}:{extended}")
+    pick = lambda: rng.randint(-40, 40)
+    forms = [closed_sum([pick() for _ in range(dim + 1)], dim, extended)]
+    if dim == 2:
+        forms += [closed_sum_shifted(pick(), pick(), pick(), pick(), extended)]
+    if (dim, extended) == (2, False):
+        forms += [pairwise_sum([pick() for _ in range(5)]), star_product(rng.randint(3, 40), pick())]
+    if not extended:
+        forms += [arithmetic_form(pick(), dim)]
+    if (dim, extended) == (2, True):
+        forms += [three_term_form(pick(), pick())]
+    if (dim, extended) == (1, True):
+        forms += [segment_form(pick(), pick())]
+    return forms
+
+
+def _field_types(record):
+    return [type(value) for value in record._values()]
+
+
+def test_trusted_builders_equal_the_checked_constructors():
+    # every builder's literals and combination, rebuilt through the checks,
+    # equal it in fields, field types and hash
+    for dim, extended in itertools.product(range(1, 9), (False, True)):
+        for form in _builders(dim, extended):
+            terms = tuple((c, SimplexLiteral(lit.dim, lit.scale, lit.sign, lit.extended))
+                          for c, lit in form.terms)
+            checked = FormalCombination(form.dim, form.extended, terms)
+            assert type(form) is FormalCombination and type(form.terms) is tuple
+            assert form == checked and hash(form) == hash(checked)
+            assert _field_types(form) == _field_types(checked) == [int, bool, tuple]
+            for (c, lit), (c2, lit2) in zip(form.terms, checked.terms):
+                assert type(c) is type(c2) is int and type(lit) is SimplexLiteral
+                assert lit == lit2 and hash(lit) == hash(lit2)
+                assert _field_types(lit) == _field_types(lit2) == [int, int, int, bool]

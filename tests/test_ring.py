@@ -30,7 +30,7 @@ from simplexring.ring import (
     series_partial_sum,
     to_orth,
 )
-from simplexring.triples import QSqrt3
+from simplexring.triples import QSqrt3, t_element
 
 from reference import element_from_json, embed20
 
@@ -104,6 +104,29 @@ def test_scalar_multiplication_both_sides():
     assert 3 * embed2(2) == embed2(2) * 3 == GeomElement2(9, 3)
     assert Fraction(1, 2) * GeomElement2(4, 6) == GeomElement2(2, 3)
     assert -2 * embed3(2) == GeomElement3(-8, -2, 0)
+
+
+def test_a_unit_scalar_makes_no_product():
+    # every element class, with its coefficient type
+    fracs = [Fraction(k, 3) - 2 for k in range(9)]
+    cases = [(GeomElement(dim, fracs[:dim]), Fraction) for dim in range(1, 9)]
+    cases += [(OrthElement(3, a0, fracs[:4 if a0 else 3]), Fraction) for a0 in (False, True)]
+    cases.append((t_element(QSqrt3(1, -2), Fraction(1, 2), QSqrt3(0, 3), -4), QSqrt3))
+    for x, kind in cases:
+        negated = -x
+        for one in (1, Fraction(1)):
+            assert x * one is x and one * x is x
+        assert x * -1 == -1 * x == x * Fraction(-1) == negated
+        assert [c * -1 for c in x.coeffs] == list(negated.coeffs)
+        assert all(type(c) is kind for c in (x * -1).coeffs + (x * 2).coeffs)
+        if kind is QSqrt3:  # a QSqrt3 scalar keeps the product
+            assert x * QSqrt3(1) == x and x * QSqrt3(1) is not x
+        # a bool is no scalar, as before the rule
+        for flag in (True, False):
+            with pytest.raises(RepresentationError, match=r"^cannot combine .* with bool$"):
+                x * flag
+            with pytest.raises(RepresentationError, match=r"^cannot combine .* with bool$"):
+                flag * x
 
 
 def test_orth_round_trip_dim2():
