@@ -2,9 +2,12 @@
 
 A record class lists its fields, in order, in `__slots__`, and writes its
 own `__init__`: that checks and converts the arguments, then stores them
-with one `self._set(...)` call, in `__slots__` order.  `_set` is the only
-place that writes a field past the refusal below.  From `__slots__` alone,
-Record gives every such class what a frozen dataclass would:
+with one `self._set(...)` call, in `__slots__` order.  Each class keeps
+one setter per field, its slot's `__set__`, read through `getattr` as
+`self.__slots__` is (a subclass without its own `__slots__` writes its
+base's).  `_set` and `_trusted` call them in turn, and are the only places
+that write a field past the refusal below.  From `__slots__` alone, Record
+gives every such class what a frozen dataclass would:
 
 * assigning or deleting any attribute raises AttributeError;
 * `==` compares the field tuples of two records of the same class, and
@@ -26,7 +29,9 @@ side, a dimension, a coefficient, a witness entry): every boundary that
 takes one calls it.  `flag` is the one rule for an on/off argument
 (`has_a0`, `extended`, `negated`, `annotate`).  `_quoted` writes any value,
 even an int past the digit limit, into an error message.  `Record._trusted`
-builds a record from fields its caller has already checked, skipping `__init__`.
+builds a record from fields its caller has already checked, skipping
+`__init__`: the plan builders of `chains` and the formal-sum builders of
+`forms` make their pieces, plans, literals and combinations through it.
 
 This module imports only `sys`, so a record costs no import at start-up.
 """
@@ -83,16 +88,19 @@ def flag(value, name: str) -> bool:
 class Record:
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
+
     @classmethod
     def _trusted(cls, *values):
         out = object.__new__(cls)
-        out._set(*values)
+        for write, value in zip(cls._setters, values):  # _set's loop, one call fewer a record
+            write(out, value)
         return out
 
     def _set(self, *values):
-        write = object.__setattr__  # one lookup per record, not per field
-        for name, value in zip(self.__slots__, values):
-            write(self, name, value)
+        for write, value in zip(self._setters, values):
+            write(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -228,6 +228,8 @@ class PlacementPlan(_Walked):
     def __init__(self, dim: int, pieces: tuple = ()):
         dim, pieces = _dim(dim), tuple(pieces)
         for piece in pieces:
+            if not isinstance(piece, PlacedPiece):
+                raise TypeError(f"piece {_quoted(piece)} is not a PlacedPiece")
             if piece.dim != dim:
                 raise ValueError(f"piece {_quoted(piece, piece.kind)} does not live in dimension {dim}")
         self._set(dim, pieces)
@@ -436,20 +438,25 @@ def realize(plan: PlacementPlan) -> Chain:
 # plan builders
 
 
+# The builders check their integers, then make pieces and plans through
+# `Record._trusted`: (kind, position, size, orientation, sign, multiplicity).
+_piece = PlacedPiece._trusted
+
+
 def segment_sum_plan(n: int) -> PlacementPlan:
     """Closed segment [0, n] as n closed units minus the n-1 junction points."""
     n = integer(n, "n", 1)
-    pieces = [PlacedPiece("segment", i) for i in range(n)]
-    pieces += [PlacedPiece("point", i, sign=-1) for i in range(1, n)]
-    return PlacementPlan(1, tuple(pieces))
+    pieces = [_piece("segment", i, 1, UP, 1, 1) for i in range(n)]
+    pieces += [_piece("point", i, 1, UP, -1, 1) for i in range(1, n)]
+    return PlacementPlan._trusted(1, tuple(pieces))
 
 
 def open_segment_plan_units(n: int) -> PlacementPlan:
     """Negated open segment (0, n) from -n closed units plus n+1 points."""
     n = integer(n, "n", 1)
-    pieces = [PlacedPiece("segment", i, sign=-1) for i in range(n)]
-    pieces += [PlacedPiece("point", i) for i in range(n + 1)]
-    return PlacementPlan(1, tuple(pieces))
+    pieces = [_piece("segment", i, 1, UP, -1, 1) for i in range(n)]
+    pieces += [_piece("point", i, 1, UP, 1, 1) for i in range(n + 1)]
+    return PlacementPlan._trusted(1, tuple(pieces))
 
 
 def closed_triangle_chain(n: int, position=(0, 0)) -> Chain:
@@ -475,18 +482,16 @@ def closed_triangle_plan(n: int) -> PlacementPlan:
     point units in total.
     """
     n = integer(n, "n", 1)
-    pieces = [PlacedPiece("closed_triangle", (r, c)) for r in range(n) for c in range(n - r)]
-    pieces += [PlacedPiece("open_triangle", (r, c), orientation=DOWN)
+    pieces = [_piece("closed_triangle", (r, c), 1, UP, 1, 1) for r in range(n) for c in range(n - r)]
+    pieces += [_piece("open_triangle", (r, c), 1, DOWN, 1, 1)
                for r in range(n - 1) for c in range(n - 1 - r)]
     for r in range(n + 1):
         for c in range(n + 1 - r):
             # the closed up units at (r, c), (r, c - 1) and (r - 1, c) that hold the vertex
             incidence = (r + c < n) + (c > 0) + (r > 0)
             if incidence > 1:
-                pieces.append(
-                    PlacedPiece("vertex", (r, c), sign=-1, multiplicity=incidence - 1)
-                )
-    return PlacementPlan(2, tuple(pieces))
+                pieces.append(_piece("vertex", (r, c), 1, UP, -1, incidence - 1))
+    return PlacementPlan._trusted(2, tuple(pieces))
 
 
 def difference_plan(n: int, k: int) -> PlacementPlan:
@@ -494,9 +499,9 @@ def difference_plan(n: int, k: int) -> PlacementPlan:
     n, k = integer(n, "n"), integer(k, "k")
     if not n > k > 0:
         raise ValueError("need n > k > 0")
-    return PlacementPlan(2, (
-        PlacedPiece("triangle", (0, 0), size=n),
-        PlacedPiece("triangle", (n - k, 0), size=k, sign=-1),
+    return PlacementPlan._trusted(2, (
+        _piece("triangle", (0, 0), n, UP, 1, 1),
+        _piece("triangle", (n - k, 0), k, UP, -1, 1),
     ))
 
 
@@ -508,23 +513,23 @@ def partition_plan(n: int, k: int, l: int) -> PlacementPlan:
     once, which is the three-value closed addition drawn as a figure.
     """
     n, k, l = integer(n, "n", 1), integer(k, "k", 1), integer(l, "l", 1)
-    return PlacementPlan(2, (
-        PlacedPiece("triangle", (0, 0), size=k + l),
-        PlacedPiece("triangle", (0, k), size=n + l),
-        PlacedPiece("triangle", (l, 0), size=n + k),
-        PlacedPiece("triangle", (0, k), size=l, sign=-1),
-        PlacedPiece("triangle", (l, 0), size=k, sign=-1),
-        PlacedPiece("triangle", (l, k), size=n, sign=-1),
+    return PlacementPlan._trusted(2, (
+        _piece("triangle", (0, 0), k + l, UP, 1, 1),
+        _piece("triangle", (0, k), n + l, UP, 1, 1),
+        _piece("triangle", (l, 0), n + k, UP, 1, 1),
+        _piece("triangle", (0, k), l, UP, -1, 1),
+        _piece("triangle", (l, 0), k, UP, -1, 1),
+        _piece("triangle", (l, k), n, UP, -1, 1),
     ))
 
 
 def parallelogram_plan(n: int, k: int) -> PlacementPlan:
     """Parallelogram <n+k> - <n> - <k>: both corner cuts along one side."""
     n, k = integer(n, "n", 1), integer(k, "k", 1)
-    return PlacementPlan(2, (
-        PlacedPiece("triangle", (0, 0), size=n + k),
-        PlacedPiece("triangle", (k, 0), size=n, sign=-1),
-        PlacedPiece("triangle", (0, 0), size=k, sign=-1),
+    return PlacementPlan._trusted(2, (
+        _piece("triangle", (0, 0), n + k, UP, 1, 1),
+        _piece("triangle", (k, 0), n, UP, -1, 1),
+        _piece("triangle", (0, 0), k, UP, -1, 1),
     ))
 
 
@@ -533,11 +538,11 @@ def hexagon_plan(n: int, k: int, l: int, t: int) -> PlacementPlan:
     n, k = integer(n, "n", 1), integer(k, "k", 1)
     l, t = integer(l, "l", 1), integer(t, "t", 1)
     big = n + k + l + t
-    return PlacementPlan(2, (
-        PlacedPiece("triangle", (0, 0), size=big),
-        PlacedPiece("triangle", (0, 0), size=l, sign=-1),
-        PlacedPiece("triangle", (0, big - n), size=n, sign=-1),
-        PlacedPiece("triangle", (big - k, 0), size=k, sign=-1),
+    return PlacementPlan._trusted(2, (
+        _piece("triangle", (0, 0), big, UP, 1, 1),
+        _piece("triangle", (0, 0), l, UP, -1, 1),
+        _piece("triangle", (0, big - n), n, UP, -1, 1),
+        _piece("triangle", (big - k, 0), k, UP, -1, 1),
     ))
 
 
@@ -769,9 +774,8 @@ def tiling_search(
             continue
         used = [(rank, spot) for (rank, _), picks in zip(listed, chosen) for spot in picks]
         used += [keys[p] for p in cover]
-        return PlacementPlan(2, tuple(
-            PlacedPiece("triangle", groups[rank][2][spot][0], size=groups[rank][0].size,
-                        orientation=groups[rank][0].orientation, sign=groups[rank][0].sign)
+        return PlacementPlan._trusted(2, tuple(
+            _piece("triangle", groups[rank][2][spot][0], *groups[rank][0]._values(), 1)
             for rank, spot in sorted(used)
         ))
     return None

@@ -175,9 +175,7 @@ class _Canvas:
 
     def render(self, cancelled=()) -> str:
         """The document, once the `cancelled` cells are drawn with the green marker."""
-        style = self.style(0)
-        for cell in sorted(cancelled, key=_sort_key):
-            _draw_cell(self, cell, style)
+        _draw_cells(self, sorted(cancelled, key=_sort_key), self.style(0))
         if not self.body and not self.labels:
             min_x = min_y = 0.0
             max_x = max_y = 1.0
@@ -215,56 +213,49 @@ class _Canvas:
         ])
 
 
-def _draw_face(canvas: _Canvas, cell, style: _Style):
-    _, r, c, orientation = cell
-    xs, ys = canvas.xs, canvas.ys
-    k = 2 * c + r
-    try:
-        if orientation == UP:
-            y = ys[r]
-            canvas.body.append(
-                f'<polygon points="{xs[k]},{y} {xs[k + 2]},{y} {xs[k + 1]},{ys[r + 1]}{style.face}')
-        else:
-            y = ys[r + 1]
-            canvas.body.append(
-                f'<polygon points="{xs[k + 2]},{ys[r]} {xs[k + 1]},{y} {xs[k + 3]},{y}{style.face}')
-    except ValueError as exc:
-        _sort_key(cell)  # raises first for a coordinate too long for repr() to write
-        raise ValueError(f"cell {cell!r}: {exc}") from None
-    if style.label is not None:
-        pts = [canvas.at(v) for v in face_vertices(cell)]
-        canvas.labels.append((sum(p[0] for p in pts) / 3, sum(p[1] for p in pts) / 3,
-                           style.label, "#ffffff"))
+def _draw_cells(canvas: _Canvas, cells, style: _Style):
+    """Draw the cells in one style, in one loop.
 
-
-def _draw_cell(canvas: _Canvas, cell, style: _Style):
-    """Draw one cell; a cell past the float range of the canvas raises ValueError naming it."""
-    kind = cell[0]
-    if kind == "face":
-        return _draw_face(canvas, cell, style)
-    xs, ys = canvas.xs, canvas.ys
+    A cell past the float range of the canvas raises ValueError naming it.
+    """
+    append, xs, ys, label = canvas.body.append, canvas.xs, canvas.ys, style.label
     try:
-        if kind == "edge":
-            _, (r1, c1), (r2, c2) = cell
-            canvas.body.append(
-                f'<line x1="{xs[2 * c1 + r1]}" y1="{ys[r1]}" '
-                f'x2="{xs[2 * c2 + r2]}" y2="{ys[r2]}"{style.edge}')
-        elif kind == "vertex":
-            _, r, c = cell
-            canvas.body.append(f'<circle cx="{xs[2 * c + r]}" cy="{ys[r]}"{style.vertex}')
-            if style.label is not None:
-                x, y = canvas.at((r, c))
-                canvas.labels.append((x + 5, y + 5, style.label, style.color))
-        elif kind == "interval":
-            p1 = canvas.point(cell[1], 3)
-            p2 = canvas.point(cell[1] + 1, -3)
-            canvas.body.append(
-                f'<line x1="{p1[2]}" y1="{p1[3]}" x2="{p2[2]}" y2="{p2[3]}"{style.interval}')
-        elif kind == "point":
-            p = canvas.point(cell[1])
-            canvas.body.append(f'<circle cx="{p[2]}" cy="{p[3]}"{style.point}')
-            if style.label is not None:
-                canvas.labels.append((p[0] + 5, p[1] + 8, style.label, style.color))
+        for cell in cells:
+            kind = cell[0]
+            if kind == "face":
+                _, r, c, orientation = cell
+                k = 2 * c + r
+                if orientation == UP:
+                    y = ys[r]
+                    append(f'<polygon points="{xs[k]},{y} {xs[k + 2]},{y} '
+                           f'{xs[k + 1]},{ys[r + 1]}{style.face}')
+                else:
+                    y = ys[r + 1]
+                    append(f'<polygon points="{xs[k + 2]},{ys[r]} '
+                           f'{xs[k + 1]},{y} {xs[k + 3]},{y}{style.face}')
+                if label is not None:
+                    pts = [canvas.at(v) for v in face_vertices(cell)]
+                    canvas.labels.append((sum(p[0] for p in pts) / 3, sum(p[1] for p in pts) / 3,
+                                          label, "#ffffff"))
+            elif kind == "edge":
+                _, (r1, c1), (r2, c2) = cell
+                append(f'<line x1="{xs[2 * c1 + r1]}" y1="{ys[r1]}" '
+                       f'x2="{xs[2 * c2 + r2]}" y2="{ys[r2]}"{style.edge}')
+            elif kind == "vertex":
+                _, r, c = cell
+                append(f'<circle cx="{xs[2 * c + r]}" cy="{ys[r]}"{style.vertex}')
+                if label is not None:
+                    x, y = canvas.at((r, c))
+                    canvas.labels.append((x + 5, y + 5, label, style.color))
+            elif kind == "interval":
+                p1 = canvas.point(cell[1], 3)
+                p2 = canvas.point(cell[1] + 1, -3)
+                append(f'<line x1="{p1[2]}" y1="{p1[3]}" x2="{p2[2]}" y2="{p2[3]}"{style.interval}')
+            elif kind == "point":
+                p = canvas.point(cell[1])
+                append(f'<circle cx="{p[2]}" cy="{p[3]}"{style.point}')
+                if label is not None:
+                    canvas.labels.append((p[0] + 5, p[1] + 8, label, style.color))
     except ValueError as exc:
         _sort_key(cell)  # raises first for a coordinate too long for repr() to write
         raise ValueError(f"cell {cell!r}: {exc}") from None
@@ -278,7 +269,7 @@ def chain_svg(chain: Chain, options: RenderOptions = None, covered=frozenset()) 
     canvas = _Canvas(options or RenderOptions())
     cells = chain.cells()
     for cell in sorted(cells, key=_sort_key):
-        _draw_cell(canvas, cell, canvas.style(cells[cell]))
+        _draw_cells(canvas, (cell,), canvas.style(cells[cell]))
     return canvas.render([cell for cell in covered if cell not in cells])
 
 
@@ -298,12 +289,7 @@ def plan_svg(plan: PlacementPlan, options: RenderOptions = None) -> str:
 
     def draw(piece, weight, cells):
         style = canvas.style(weight, piece.kind in ("open_triangle", "open_segment"))
-        # a triangle piece's s^2 faces lead its cells
-        faces = piece.size ** 2 if cells[0][0] == "face" else 0
-        for cell in cells[:faces]:
-            _draw_face(canvas, cell, style)
-        for cell in cells[faces:]:
-            _draw_cell(canvas, cell, style)
+        _draw_cells(canvas, cells, style)
     return canvas.render([cell for cell, mult in walk(plan, draw).items() if not mult])
 
 

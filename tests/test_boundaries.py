@@ -311,6 +311,8 @@ MESSAGES_PAST_THE_LIMIT = {
                    f"unknown piece kind {_past_limit('int')}"),
     "tile": (lambda: tiling_search(Chain(2, {UP_FACE: 1}), [(LONG,)], {UP_FACE}), TypeError,
              f"piece {_past_limit('tuple')} is not a TilePiece"),
+    "placed piece": (lambda: PlacementPlan(2, [(LONG, 0)]), TypeError,
+                     f"piece {_past_limit('tuple')} is not a PlacedPiece"),
     "window cell": (lambda: tiling_search(Chain(2), [TilePiece(1)], {UP_FACE, ("vertex", LONG, 0)}),
                     ValueError, f"window cell <vertex: a coordinate has more than "
                                 f"{sys.get_int_max_str_digits()} digits> is not a face cell"),
@@ -417,6 +419,50 @@ def test_bad_cells_raise_naming_the_cell(dim, cell, error):
         with pytest.raises(error) as info:
             make()
         assert repr(cell) in str(info.value)
+
+
+def _past_the_limit(cell, big, in_pairs=False):
+    """The cell with each of its int coordinates, or each int inside its pairs, set to big."""
+    if type(cell) not in (tuple, list):
+        return cell
+
+    def swap(x):
+        return big if type(x) is int else x
+    if in_pairs:
+        return type(cell)(type(x)(map(swap, x)) if type(x) in (tuple, list) else x for x in cell)
+    return type(cell)(map(swap, cell))
+
+
+# Each row of BAD_CELLS with its coordinates at 10**5000 and -10**5000, and
+# each edge row with its pairs holding 10**5000.
+BAD_CELLS_PAST_THE_LIMIT = [
+    pytest.param(dim, _past_the_limit(cell, big), error, id=f"dim{dim} {cell!r} at {sign}")
+    for dim, cell, error in BAD_CELLS for sign, big in (("+", LONG), ("-", -LONG))
+] + [
+    pytest.param(dim, _past_the_limit(cell, LONG, in_pairs=True), error, id=f"dim{dim} {cell!r} pairs")
+    for dim, cell, error in BAD_CELLS if cell[:1] in (("edge",), ["edge"])
+]
+
+
+@pytest.mark.parametrize("dim, cell, error", BAD_CELLS_PAST_THE_LIMIT)
+def test_bad_cells_past_the_digit_limit_raise_their_own_error(dim, cell, error):
+    makes = [lambda: Chain(dim, [(cell, 1)])]
+    if _hashable(cell):
+        makes.append(lambda: Chain(dim, {cell: 1}))
+    if dim == 2:
+        makes.append(lambda: tiling_search(Chain(2), [TilePiece(1)], [UP_FACE, cell]))
+    for make in makes:
+        with pytest.raises(error) as info:
+            make()
+        assert type(info.value) is error
+        assert "Exceeds the limit" not in str(info.value)
+
+
+@pytest.mark.parametrize("dim, piece", [(2, (0, 0)), (2, None), (1, "segment")], ids=repr)
+def test_plan_pieces_are_placed_pieces(dim, piece):
+    with pytest.raises(TypeError) as info:
+        PlacementPlan(dim, [piece])
+    assert str(info.value) == f"piece {piece!r} is not a PlacedPiece"
 
 
 @pytest.mark.parametrize("cell", [("edge", (0, 0), (0, 1)), ("vertex", 0, 0)], ids=repr)

@@ -257,6 +257,47 @@ def test_open_segment_plans_agree():
         assert sum(1 for c in items if c[0] == "interval") == n
 
 
+def _splits(side, parts):
+    """Every way to write side as `parts` integers >= 1, in order."""
+    for cuts in itertools.combinations(range(1, side), parts - 1):
+        bounds = (0, *cuts, side)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def _built_plans():
+    for n in range(1, 31):
+        yield from (segment_sum_plan(n), open_segment_plan_units(n), closed_triangle_plan(n))
+    for side in range(2, 13):
+        yield from (difference_plan(side, k) for k in range(1, side))
+        yield from (parallelogram_plan(*split) for split in _splits(side, 2))
+        yield from (partition_plan(*split) for split in _splits(side, 3))
+        yield from (hexagon_plan(*split) for split in _splits(side, 4))
+    ups = [TilePiece(1)] * 3
+    yield tiling_search(triangle_chain(2), [*ups, TilePiece(1, DOWN)], triangle_window(2))
+    yield tiling_search(triangle_chain(3) - triangle_chain(1, position=(2, 0)),
+                        [TilePiece(3), TilePiece(1, UP, -1)], triangle_window(3))
+
+
+def _field_types(record):
+    return [type(value) for value in record._values()]
+
+
+def test_trusted_builders_equal_the_checked_constructors():
+    # each builder makes its pieces and plan without the checks; rebuilt
+    # through them, they must come out equal, with fields of the same types
+    plans = list(_built_plans())
+    assert len(plans) == 90 + 66 + 66 + 220 + 495 + 2
+    for plan in plans:
+        checked = PlacementPlan(plan.dim, plan.pieces)
+        assert type(plan.pieces) is tuple and plan == checked
+        assert _field_types(plan) == _field_types(checked) == [int, tuple]
+        for piece in plan.pieces:
+            again = PlacedPiece(*piece._values())
+            assert piece == again and _field_types(piece) == _field_types(again)
+            position = piece.position if plan.dim == 2 else (piece.position,)
+            assert {type(x) for x in position} == {int}
+
+
 def test_chain_algebra():
     a = triangle_chain(2)
     b = triangle_chain(1)

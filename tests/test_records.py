@@ -15,7 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from simplexring.chains import Chain, PlacedPiece, PlacementPlan, TilePiece, triangle_chain
+from simplexring._record import Record
+from simplexring.chains import (Chain, PlacedPiece, PlacementPlan, TilePiece, _Walked,
+                                triangle_chain)
 from simplexring.expr import Expr, Group, Lit, Star, Term, parse
 from simplexring.forms import FormalCombination, closed_sum
 from simplexring.render import RenderOptions
@@ -207,3 +209,29 @@ def test_converted_fields_are_stored_converted():
     assert QSqrt3(1).a == Fraction(1) and type(QSqrt3(1).b) is Fraction
     assert PlacementPlan(2, [PlacedPiece("vertex", (0, 0))]).pieces == (PlacedPiece("vertex", (0, 0)),)
     assert closed_sum((1, 2, 3), 2).terms[0][0] == 1
+
+
+class _Inherited(TilePiece):
+    """A record class without its own __slots__: it writes TilePiece's fields."""
+
+
+def _record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_classes(sub)
+
+
+# One instance of every record class: the library's, the base that holds a
+# plan's totals and a subclass that inherits its slots.
+TRUSTED = {**ALL, _Walked: [_Walked._trusted({})], _Inherited: [_Inherited(2, "down")]}
+
+
+def test_trusted_building_sets_every_slot():
+    library = {cls for cls in _record_classes() if cls.__module__.startswith("simplexring.")}
+    assert library | {_Inherited} <= set(TRUSTED)
+    for cls, records in TRUSTED.items():
+        record = records[0]
+        again = cls._trusted(*record._values())
+        assert type(again) is cls and again == record
+        for name in cls.__slots__:
+            assert getattr(again, name) == getattr(record, name), (cls, name)

@@ -289,11 +289,11 @@ def _plan_svg_reference(plan, options=None):
         weight = piece.sign * piece.multiplicity
         style = canvas.style(weight, piece.kind in ("open_triangle", "open_segment"))
         for cell in sorted(piece_cells(piece), key=render._sort_key):
-            render._draw_cell(canvas, cell, style)
+            render._draw_cells(canvas, (cell,), style)
             total[cell] = total.get(cell, 0) + weight
     cancelled = canvas.style(0)
     for cell in sorted([cell for cell, mult in total.items() if not mult], key=render._sort_key):
-        render._draw_cell(canvas, cell, cancelled)
+        render._draw_cells(canvas, (cell,), cancelled)
     return canvas.render()
 
 
