@@ -170,10 +170,7 @@ def _orientation(value, name: str = "orientation") -> str:
 
 def _shape(size, orientation, sign) -> tuple:
     """A piece's size (an integer >= 1), orientation and sign (+1 or -1), checked."""
-    if type(size) is not int or size < 1:
-        size = integer(size, "size", 1)
-    if type(sign) is not int:
-        sign = integer(sign, "sign")
+    size, sign = integer(size, "size", 1), integer(sign, "sign")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {_quoted(sign)}")
     return size, _orientation(orientation), sign
@@ -187,7 +184,7 @@ class PlacedPiece(Record):
     2-d (position is a pair of ints (r, c)).  Up triangles anchor at their
     bottom-left face; down triangles anchor at their tip face.  sign flips
     the whole piece, multiplicity repeats it.  The integers follow
-    `integer`, tested inline first, since plans build many pieces.
+    `integer`; a position given as an int or a tuple of two ints is kept as is.
     """
 
     __slots__ = ("kind", "position", "size", "orientation", "sign", "multiplicity")
@@ -195,8 +192,7 @@ class PlacedPiece(Record):
     def __init__(self, kind: str, position: tuple, size: int = 1, orientation: str = UP,
                  sign: int = 1, multiplicity: int = 1):
         size, orientation, sign = _shape(size, orientation, sign)
-        if type(multiplicity) is not int or multiplicity < 1:
-            multiplicity = integer(multiplicity, "multiplicity", 1)
+        multiplicity = integer(multiplicity, "multiplicity", 1)
         if kind in _KINDS_1D:
             if type(position) is not int:
                 position = integer(position, "position")

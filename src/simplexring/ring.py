@@ -271,6 +271,7 @@ class OrthElement(Element):
 
     @staticmethod
     def zero(dim: int, has_a0: bool = False) -> "OrthElement":
+        dim = integer(dim, "dim", 1)
         return OrthElement(dim, has_a0, (0,) * (dim + (1 if has_a0 else 0)))
 
 
@@ -337,8 +338,7 @@ class SimplexLiteral(Record):
     __slots__ = ("dim", "scale", "sign", "extended")
 
     def __init__(self, dim: int, scale: int, sign: int = 1, extended: bool = False):
-        if type(sign) is not int:
-            sign = integer(sign, "sign")
+        sign = integer(sign, "sign")
         if sign not in (1, -1):
             raise ValueError("literal sign must be +1 or -1")
         self._set(integer(dim, "dim", 1), integer(scale, "scale"), sign, flag(extended, "extended"))

@@ -109,6 +109,7 @@ BOUNDARIES = {
     "SimplexLiteral.scale": (lambda v: SimplexLiteral(2, v), "scale", None, 3),
     "SimplexLiteral.sign": (lambda v: SimplexLiteral(2, 3, v), "sign", None, 1),
     "OrthElement.dim": (lambda v: OrthElement(v, False, (1, 2, 3)), "dim", 1, 3),
+    "OrthElement.zero": (lambda v: OrthElement.zero(v), "dim", 1, 3),
     "GeomElement.dim": (lambda v: GeomElement(v, (1, 2, 3)), "dim", 1, 3),
     "series_partial_sum": (lambda v: series_partial_sum(v), "terms", 1, 3),
     "zero.dim": (lambda v: zero(v, False), "dim", 1, 3),

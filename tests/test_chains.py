@@ -306,6 +306,9 @@ def test_chain_algebra():
     assert a + b - b == a
     assert 2 * a == a + a
     assert -a == Chain(2, {}) - a
+    assert a.multiplicity(("face", 1, 0, UP)) == 1 and a.multiplicity(("face", 5, 5, UP)) == 0
+    assert b.support() == frozenset({("face", 0, 0, UP)})
+    assert a.__eq__(1) is NotImplemented and Chain(2) != 0
 
 
 def test_chain_rejects_non_integer_multiplicities():

@@ -1,11 +1,15 @@
 """Command line behaviour: output shapes, exit codes, file writing."""
 
 import contextlib
+import hashlib
 import importlib
 import io
 import json
+import os
+import subprocess
 import sys
 from datetime import timedelta
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -26,6 +30,79 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# bench/pinned.json holds the sha256 of every catalogued plan's SVG; it is
+# read here, never written.
+PINNED = Path(__file__).resolve().parent.parent / "bench" / "pinned.json"
+
+
+class _PinnedSvg(tuple):
+    """An expected stdout: the SVG of (builder, params), by the sha256 PINNED holds."""
+
+
+# Each command's output byte for byte: argv, exit code, stdout, stderr.
+BYTES = [
+    (["eval", "2*<3> - <-1>", "--dim", "2"], 0,
+     '{"basis": "geom2", "dim": 2, "a0": false, "coeffs": ["12", "5"]}\n', ""),
+    (["eval", "2*<3> - <-1>", "--dim", "3"], 0,
+     '{"basis": "geom3", "dim": 3, "a0": false, "coeffs": ["20", "8", "3"]}\n', ""),
+    # The boundary-carrying families, whose literals embed_literal writes as
+    # powers (n^dim, ..., n, 1).
+    (["eval", "<3>_0 - 2*<1>_0", "--dim", "2"], 0,
+     '{"basis": "orth", "dim": 2, "a0": true, "coeffs": ["7", "1", "-1"]}\n', ""),
+    (["eval", "2*<3>_0 - <-1>_0", "--dim", "3"], 0,
+     '{"basis": "orth", "dim": 3, "a0": true, "coeffs": ["55", "17", "7", "1"]}\n', ""),
+    (["eval", "<3>_10 + <1>_10", "--dim", "2"], 0,
+     '{"basis": "orth", "dim": 1, "a0": true, "coeffs": ["4", "2"]}\n', ""),
+    (["eval", "<1> + $"], 2, "", "error: unexpected character '$' (at offset 6)\n"),
+] + [
+    (["verify", "--identity", identity, "--range=-1..4", "--m", "2"], 0,
+     f"PASS {identity} over -1..4 ({cases} cases)\n", "")
+    for identity, cases in [("closed2", 216), ("closed2-shift", 1296), ("closed3", 1296),
+                            ("closed-nd", 216), ("mirror", 6), ("star", 12), ("worpitzky", 48),
+                            ("composite", 3)]
+] + [
+    # The orthogonal route above dim 3, whose unit weights make no product.
+    (["verify", "--identity", "closed-nd", "--m", "6", "--range=-1..0"], 0,
+     "PASS closed-nd over -1..0 (128 cases)\n", ""),
+    (["factor", "35"], 0, '{"z": 35, "witness": [11, 34, 4, 6], "factors": [5, 7], "prime": false}\n', ""),
+    (["factor", "9991"], 0,
+     '{"z": 9991, "witness": [199, 9990, 96, 102], "factors": [97, 103], "prime": false}\n', ""),
+    # The prime next to the limit runs the whole witness scan.
+    (["factor", "9973"], 0, '{"z": 9973, "witness": null, "factors": null, "prime": true}\n', ""),
+    (["render", "--plan", "triangle", "--n", "24"], 0, _PinnedSvg(("closed_triangle", [24])), ""),
+    (["render", "--plan", "difference", "--n", "24", "--k", "10"], 0,
+     _PinnedSvg(("difference", [24, 10])), ""),
+    (["slabs", "--n", "x"], 2, "",
+     "usage: simplexring slabs [-h] --n N\nsimplexring slabs: error: argument --n: invalid int value: 'x'\n"),
+    (["slabs", "--n", "0"], 2, "", "error: n must be >= 1, got 0\n"),
+    (["series", "--terms", "0"], 2, "", "error: terms must be >= 1, got 0\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", BYTES, ids=[" ".join(row[0]) for row in BYTES])
+def test_command_bytes(capsys, argv, code, out, err):
+    got = _run(capsys, *argv)
+    if isinstance(out, _PinnedSvg):
+        plans = json.loads(PINNED.read_text(encoding="utf-8"))["plans"]
+        out = next(e["sha256"] for e in plans if [e["builder"], e["params"]] == list(out))
+        got = (got[0], hashlib.sha256(got[1].encode()).hexdigest(), got[2])
+    assert got == (code, out, err)
+
+
+def test_eval_of_a_119997_byte_argument():
+    # One argument just under Linux's 128 KiB cap on one argument, passed to
+    # a child process and parsed in one pass.
+    text = " + ".join(["<1>"] * 20000)
+    assert len(text) == 119_997
+    path = os.environ.get("PYTHONPATH")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "simplexring.cli", "eval", text],
+                          env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, '{"basis": "geom2", "dim": 2, "a0": false, "coeffs": ["20000", "0"]}\n', "")
+
+
 def test_eval_plain(capsys):
     code, out, err = _run(capsys, "eval", "2*<3> + star(3,2) - <1>")
     assert code == 0 and err == ""
@@ -42,13 +119,6 @@ def test_eval_dim3(capsys):
 def test_eval_extended_flag(capsys):
     code, out, _ = _run(capsys, "eval", "<3>", "--extended")
     assert element_from_json(json.loads(out)) == embed20(3)
-
-
-def test_eval_bad_expression_exits_2(capsys):
-    code, out, err = _run(capsys, "eval", "<1> + $")
-    assert code == 2
-    assert "offset" in err
-    assert out == ""
 
 
 def test_eval_mixed_families_exits_2(capsys):
@@ -169,14 +239,6 @@ def test_verify_bad_range_exits_2(capsys):
 def test_verify_range_too_wide_exits_2(capsys):
     code, _, err = _run(capsys, "verify", "--identity", "closed3", "--range=-100..100")
     assert code == 2 and "over the limit" in err
-
-
-def test_factor_composite(capsys):
-    code, out, _ = _run(capsys, "factor", "35")
-    assert code == 0
-    assert json.loads(out) == {
-        "z": 35, "witness": [11, 34, 4, 6], "factors": [5, 7], "prime": False,
-    }
 
 
 def test_factor_prime(capsys):
@@ -330,11 +392,6 @@ def test_series_command(capsys):
     blob = json.loads(out)
     assert blob["a2"] == "7/16"
     assert blob["a1"] == "-5/4"
-
-
-def test_series_domain(capsys):
-    code, _, err = _run(capsys, "series", "--terms", "0")
-    assert code == 2
 
 
 def test_slabs_command(capsys):

@@ -79,6 +79,8 @@ def test_segment_suffix():
 def test_dim3_context():
     got = evaluate_expression(parse("<2> + <3>", 3), 3, False)
     assert got == embed3(2) + embed3(3)
+    with pytest.raises(ValueError, match="^dimension context must be 2 or 3$"):
+        parse("<1>", 4)
 
 
 def test_extended_context_flag():
@@ -179,6 +181,8 @@ def test_unparse_frozen_examples():
     assert unparse(parse("2*<3> + star(3,2) - <1>", 2)) == "2*<3> + star(3,2) - <1>"
     assert unparse(parse("-<4>_0", 2)) == "-<4>_0"
     assert unparse(parse("2*(<1> - <2>)", 2)) == "2*(<1> - <2>)"
+    with pytest.raises(TypeError, match="^not an expression node: 5$"):
+        unparse(5)
 
 
 def test_whitespace_insensitive():

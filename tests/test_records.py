@@ -21,7 +21,7 @@ from simplexring.chains import (Chain, PlacedPiece, PlacementPlan, TilePiece, _W
 from simplexring.expr import Expr, Group, Lit, Star, Term, parse
 from simplexring.forms import FormalCombination, closed_sum
 from simplexring.render import RenderOptions
-from simplexring.ring import GeomElement, SimplexLiteral
+from simplexring.ring import GeomElement, OrthElement, SimplexLiteral
 from simplexring.triples import QSqrt3, Triple
 from simplexring.witnesses import FactorPair, Witness, composite_witness, factors_from_witness
 
@@ -179,6 +179,7 @@ ERRORS = [
     # GeomElement holds the slice counts SliceBasisVector held, and keeps its messages.
     (lambda: GeomElement(0, ()), ValueError, "dim must be >= 1, got 0"),
     (lambda: GeomElement(2, (1,)), ValueError, "need 2 slice coefficients, got 1"),
+    (lambda: OrthElement(2, False, (1,)), ValueError, "expected 2 coefficients, got 1"),
     (lambda: FormalCombination(2, False, ((1.5, SimplexLiteral(2, 1)),)), TypeError,
      "coefficient must be an integer, got 1.5"),
     (lambda: FormalCombination(2, False, ((1, (2, 1)),)), TypeError, "term (2, 1) is not a literal"),

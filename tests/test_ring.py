@@ -189,6 +189,14 @@ def test_geom_orth_mix_rejected():
         embed2(2) + to_orth(embed2(2))
     with pytest.raises(RepresentationError):
         embed2(2) + embed3(2)
+    with pytest.raises(RepresentationError, match="^cannot convert OrthElement to the orthogonal basis$"):
+        to_orth(to_orth(embed2(2)))
+    with pytest.raises(RepresentationError, match="^expected an orthogonal element, got GeomElement$"):
+        from_orth(embed2(2))
+    with pytest.raises(RepresentationError, match="^elements with an A_0 component have no plain"):
+        from_orth(embed20(2))
+    # An element is not an int, not even one equal to its value.
+    assert embed2(1).__eq__(1) is NotImplemented and embed2(1) != 1
 
 
 def test_floats_rejected_everywhere():
@@ -245,6 +253,8 @@ def test_json_round_trip():
         assert element_from_json(blob) == e
     blob = element_to_json(GeomElement2(Fraction(-2, 9), 4))
     assert blob["coeffs"] == ["-2/9", "4"]
+    with pytest.raises(TypeError, match="^not a ring element: int$"):
+        element_to_json(5)
 
 
 def _series_oracle(terms):

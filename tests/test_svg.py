@@ -127,6 +127,8 @@ def test_to_svg_dispatch():
     assert to_svg(triangle_chain(2)) == chain_svg(triangle_chain(2))
     plan = closed_triangle_plan(2)
     assert to_svg(plan) == plan_svg(plan)
+    with pytest.raises(TypeError, match="^cannot render int$"):
+        to_svg(5)
 
 
 def covered_cells(plan):
@@ -201,12 +203,22 @@ PINNED = Path(__file__).resolve().parent.parent / "bench" / "pinned.json"
 
 
 def test_pinned_plan_digests():
+    # Each plan renders to its pinned bytes; realize() then reads the totals
+    # plan_svg kept, and must equal realize() of the plan built again.  The
+    # builders skip the checks (`_trusted`), so each piece and the plan must
+    # survive being rebuilt through them.
     plans = json.loads(PINNED.read_text())["plans"]
     drift = []
     for entry in plans:
-        svg = plan_svg(getattr(chains, entry["builder"] + "_plan")(*entry["params"]))
-        if hashlib.sha256(svg.encode()).hexdigest() != entry["sha256"]:
-            drift.append((entry["builder"], entry["params"]))
+        build = getattr(chains, entry["builder"] + "_plan")
+        plan = build(*entry["params"])
+        svg = plan_svg(plan)
+        kept = (hashlib.sha256(svg.encode()).hexdigest() == entry["sha256"],
+                realize(plan) == realize(build(*entry["params"])),
+                all(piece == PlacedPiece(*piece._values()) for piece in plan.pieces),
+                plan == PlacementPlan(plan.dim, plan.pieces))
+        if not all(kept):
+            drift.append((entry["builder"], entry["params"], kept))
     assert len(plans) == 922
     assert drift == []
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import simplexring
 from simplexring.chains import (
     Chain,
     DOWN,
@@ -35,6 +36,7 @@ from simplexring.chains import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(simplexring.__file__).resolve().parent  # the code under test, installed or not
 ORACLE_CAP = 20_000
 
 
@@ -218,6 +220,8 @@ def test_search_is_deterministic():
     (lambda: TilePiece(1, UP, True), TypeError),
     (lambda: TilePiece(1, UP, -1.0), TypeError),
     (lambda: tiling_search(Chain(2), [TilePiece(1)], frozenset()), ValueError),
+    (lambda: tiling_search(Chain(1, {("point", 0): 1}), [TilePiece(1)], triangle_window(1)),
+     ValueError),
     (lambda: tiling_search(Chain(2), [], frozenset()), ValueError),
     (lambda: tiling_search(Chain(2), [TilePiece(1)], {("vertex", 0, 0)}), ValueError),
     (lambda: tiling_search(Chain(2), [TilePiece(1)], {("face", 0, 0, "left")}), ValueError),
@@ -230,10 +234,10 @@ def test_bad_pieces_and_windows_are_refused(build, error):
 
 def test_src_has_no_assert():
     # `python -O` strips assert statements, so no library result may rest on one.
-    for path in sorted((ROOT / "src").rglob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-        assert not lines, f"{path.relative_to(ROOT)} asserts on lines {lines}"
+        assert not lines, f"{path.relative_to(PACKAGE.parent)} asserts on lines {lines}"
 
 
 def _caught(handler):
@@ -250,7 +254,7 @@ def _caught(handler):
 def test_cli_errors_leave_through_main_only():
     # The `_cmd_*` handlers raise; `main` alone turns ValueError and OSError
     # into `error: ...` and exit 2, so no handler may catch them or print.
-    tree = ast.parse((ROOT / "src" / "simplexring" / "cli.py").read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
     def error_texts(node):

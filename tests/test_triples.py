@@ -83,7 +83,11 @@ def test_qsqrt3_arithmetic():
     assert -a == QSqrt3(-1, -2)
     assert str(QSqrt3(1, -1)) == "1-1√3"
     assert str(QSqrt3(0, 2)) == "2√3"
+    assert str(QSqrt3(2)) == "2"
     assert 2 - QSqrt3(0, 1) == QSqrt3(2, -1)
+    for other_side in (lambda: a + "1", lambda: a - "1", lambda: "1" - a):
+        with pytest.raises(TypeError):
+            other_side()
 
 
 def test_qsqrt3_rejects_floats():
@@ -107,6 +111,13 @@ def test_t_element_arithmetic():
     assert u * v == v * u
     assert 2 * u == t_element(2, 4, 0, -2)
     assert u - u == T_ZERO
+    with pytest.raises(ValueError, match="^a T element has exactly four coefficients$"):
+        TElement((1, 2, 3))
+
+
+def test_t_element_text():
+    assert str(T_ZERO) == "0" and str(T_ONE) == "(1)" and str(T_I + T_J) == "(1)i + (1)j"
+    assert str(epsilon_pair()[0]) == "(1/2) + (-1/2√3)i"
 
 
 def test_t_units_commute():
@@ -142,6 +153,7 @@ def test_triple_translation_classes():
     assert Triple(5, 2, 0) == Triple(8, 5, 3)
     assert hash(Triple(5, 2, 0)) == hash(Triple(8, 5, 3))
     assert Triple(5, 2, 0) != Triple(5, 3, 0)
+    assert Triple(5, 2, 0).__eq__(3) is NotImplemented and Triple(3, 0, 0) != 3
     assert normalize(Triple(7, 3, 1)) == Triple(6, 2, 0)
     assert normalize(Triple(7, 3, 1)).l == 0
 

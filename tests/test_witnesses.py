@@ -139,6 +139,8 @@ def test_validate_rejects_junk():
         Witness(6, 6, 5, 1, 4).validate()   # a out of range
     with pytest.raises(WitnessError):
         Witness(1, 0, 0, 0, 0).validate()
+    with pytest.raises(WitnessError, match="^quadratic constraint fails$"):
+        Witness(5, 3, 4, 1, 1).validate()   # sums right, squares off
 
 
 def test_factors_round_trip_from_witness():
