@@ -48,9 +48,10 @@ LIMITS = {
     "series": (7_000, "terms"),
 }
 
-# What a verify case pays besides its terms times their coefficients:
-# building the expected value and comparing.  It is most of the cost of a
-# closed-nd case at m = 1, which builds only two one-coefficient terms.
+# What a verify case pays besides its cost in IDENTITIES (for a formal sum,
+# terms * (dim + the route's extra coefficient)): building the expected value
+# and comparing.  It is most of the cost of a closed-nd case at m = 1, which
+# builds only two terms of dim 1, 2 * (1 + 1) = 4.
 CASE_COST = 7
 
 
@@ -105,14 +106,16 @@ def _parse_range(text: str):
     return lo, hi
 
 
-# The two routes of a formal sum: names in `forms` and `ring`, looked up as a case runs.
-GEOMETRIC = ("evaluate", "embed_literal")  # slice counts of the plain family
-ORTHOGONAL = ("evaluate_orth", "literal_orth")  # powers of the scales
+# The two routes of a formal sum: names in `forms` and `ring`, looked up as a
+# case runs, and the coefficients a term builds there past its family's dim.
+GEOMETRIC = ("evaluate", "embed_literal", 0)  # slice counts of the plain family
+ORTHOGONAL = ("evaluate_orth", "literal_orth", 1)  # powers of the scales
 
 
-def _sums_to(route, form):
-    """holds(case, m) of a formal-sum identity on `route`: form(forms, *case) gives
-    the signed sum of scaled simplices and the side of the one it evaluates to."""
+def _formal(names, axes, route, dim, terms, form):
+    """The IDENTITIES row of a formal sum checked on `route`.  form(forms, *case) gives
+    the signed sum of scaled simplices and the side of the one it evaluates to; at m it
+    has terms(m) terms in a family of dim(m), so a case costs terms * (dim + route[2])."""
     def holds(case, m):
         from . import forms, ring
 
@@ -120,7 +123,14 @@ def _sums_to(route, form):
         expected = ring.SimplexLiteral(combination.dim, scale, 1, combination.extended)
         return getattr(forms, route[0])(combination) == getattr(ring, route[1])(expected)
 
-    return holds
+    return names, axes, lambda span, m: terms(m) * (dim(m) + route[2]), holds
+
+
+def _closed(names, route, dim):
+    """The row of closed addition over dim(m) + 1 values, in 2^(dim+1) - 2 terms."""
+    return _formal(names, lambda span, m: [(span, dim(m) + 1)], route, dim,
+                   lambda m: 2 ** min(dim(m) + 1, 64) - 2,
+                   lambda forms, *v: (forms.closed_sum(v, len(v) - 1), sum(v)))
 
 
 def _worpitzky(case, m):
@@ -144,25 +154,24 @@ def _composite(case, m):
 # name -> (names, axes, cost, holds), one row per identity.  `names` names a
 # case's values in the FAIL line, with m filled in.  axes(span, m) gives
 # (values, repeat) pairs, span being range(A, B + 1); the cases are their
-# product.  `cost` is what a case builds, its terms times the coefficients of
-# each term, or cost(span, m) where the range or m sets it.  The orthogonal
-# route costs about one coefficient per term more than the geometric one,
-# and a composite case scans up to z^2/12 pairs, 16 to a unit.
+# product.  cost(span, m) is what a case builds: a formal sum's terms times
+# (its family's dim + its route's extra coefficient), two forms of up to 8
+# terms for worpitzky, and a scan of up to z^2/12 pairs, 16 to a unit, for
+# composite.
 IDENTITIES = {
-    "closed2": ("n,k,l", lambda span, m: [(span, 3)], 6 * 2,
-                _sums_to(GEOMETRIC, lambda forms, *v: (forms.closed_sum(v, 2), sum(v)))),
-    "closed2-shift": ("n,k,l,t", lambda span, m: [(span, 4)], 7 * 2,
-                      _sums_to(GEOMETRIC, lambda forms, *v: (forms.closed_sum_shifted(*v), sum(v)))),
-    "closed3": ("v0..v3", lambda span, m: [(span, 4)], 14 * 3,
-                _sums_to(GEOMETRIC, lambda forms, *v: (forms.closed_sum(v, 3), sum(v)))),
-    "closed-nd": ("v0..v{m}", lambda span, m: [(span, m + 1)],
-                  lambda span, m: (2 ** min(m + 1, 64) - 2) * (m + 1),
-                  _sums_to(ORTHOGONAL, lambda forms, *v: (forms.closed_sum(v, len(v) - 1), sum(v)))),
-    "mirror": ("t", lambda span, m: [(span, 1)], 2 * 2 * 2, _sums_to(GEOMETRIC, lambda forms, t: (
-        forms.combination(2, False, [(3, t), (1, -3 * t), (-3, -t), (-1, 3 * t)]), 0))),
-    "star": ("n,m", lambda span, m: [(range(max(span.start, 3), span.stop), 1), (span, 1)], 2 * 2,
-             _sums_to(GEOMETRIC, lambda forms, n, k: (forms.star_product(n, k), n * k))),
-    "worpitzky": ("n,m", lambda span, m: [(span, 1), (range(1, 9), 1)], 2 * 8, _worpitzky),
+    "closed2": _closed("n,k,l", GEOMETRIC, lambda m: 2),
+    "closed2-shift": _formal("n,k,l,t", lambda span, m: [(span, 4)], GEOMETRIC, lambda m: 2,
+                             lambda m: 7, lambda forms, *v: (forms.closed_sum_shifted(*v), sum(v))),
+    "closed3": _closed("v0..v3", GEOMETRIC, lambda m: 3),
+    "closed-nd": _closed("v0..v{m}", ORTHOGONAL, lambda m: m),
+    "mirror": _formal("t", lambda span, m: [(span, 1)], GEOMETRIC, lambda m: 2, lambda m: 4,
+                      lambda forms, t: (forms.combination(
+                          2, False, [(3, t), (1, -3 * t), (-3, -t), (-1, 3 * t)]), 0)),
+    "star": _formal("n,m", lambda span, m: [(range(max(span.start, 3), span.stop), 1), (span, 1)],
+                    GEOMETRIC, lambda m: 2, lambda m: 2,
+                    lambda forms, n, k: (forms.star_product(n, k), n * k)),
+    "worpitzky": ("n,m", lambda span, m: [(span, 1), (range(1, 9), 1)], lambda span, m: 16,
+                  _worpitzky),
     "composite": ("z", lambda span, m: [(range(max(span.start, 2), span.stop), 1)],
                   lambda span, m: span[-1] ** 2 // 192, _composite),
 }
@@ -187,8 +196,7 @@ def _verify_units(identity, lo, hi, m):
     Values longer than 256 bits multiply that by the square of their length
     in 256-bit words, as big-integer products do.
     """
-    cost = IDENTITIES[identity][2]
-    cost = cost(range(lo, hi + 1), m) if callable(cost) else cost
+    cost = IDENTITIES[identity][2](range(lo, hi + 1), m)
     words = 1 + max(-lo, hi).bit_length() // 256
     return _cases(identity, lo, hi, m) * (cost + CASE_COST) * words * words
 
@@ -496,18 +504,6 @@ def _cmd_slabs(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "verify": _cmd_verify,
-    "factor": _cmd_factor,
-    "eulerian": _cmd_eulerian,
-    "worpitzky": _cmd_worpitzky,
-    "render": _cmd_render,
-    "series": _cmd_series,
-    "slabs": _cmd_slabs,
-}
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -518,7 +514,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return globals()[f"_cmd_{args.command}"](args)  # each SYNTAX command's handler
     except (ValueError, OSError) as exc:
         message = str(exc)
         if _DIGIT_LIMIT in message:  # inputs are checked, so this is output

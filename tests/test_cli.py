@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexring import cli, ring
+from simplexring import cli, forms, ring
 from simplexring.chains import closed_triangle_plan
 from simplexring.forms import closed_sum, closed_sum_shifted, combination, star_product
 from simplexring.ring import embed2
@@ -162,6 +162,68 @@ def test_verify_reads_the_slice_counts(capsys, monkeypatch):
     code, out, err = _run(capsys, "verify", "--identity", "closed3", "--range=0..2")
     assert code == 1 and err == ""
     assert out.startswith("FAIL closed3: first counterexample (v0..v3)=(")
+
+
+# The cost of a case of each row, besides CASE_COST, on which the budget
+# numbers in these tests rest (BUDGET_EDGES, the composite and m caps).
+HAND_COSTS = {"closed2": 12, "closed2-shift": 14, "closed3": 42, "mirror": 8, "star": 4,
+              "worpitzky": 16}
+
+
+def test_verify_costs_keep_their_hand_counts():
+    for identity, cost in HAND_COSTS.items():
+        for span, m in [(range(-6, 7), 4), (range(0, 1), 1), (range(3, 9), 70)]:
+            assert cli.IDENTITIES[identity][2](span, m) == cost, (identity, m)
+    for m in range(1, 71):  # the term count stops at 2^64 - 2 from m = 63 on
+        assert cli.IDENTITIES["closed-nd"][2](range(0, 2), m) == (2 ** min(m + 1, 64) - 2) * (m + 1)
+
+
+# identity, m, a case: a probe of each formal-sum row
+FORMAL_PROBES = [
+    ("closed2", 4, (1, 2, 3)), ("closed2-shift", 4, (1, 2, 3, 4)), ("closed3", 4, (0, 1, 2, 3)),
+    ("mirror", 4, (2,)), ("star", 4, (4, 3)),
+] + [("closed-nd", m, tuple(range(m + 1))) for m in range(1, 7)]
+
+
+@pytest.mark.parametrize("identity, m, case", FORMAL_PROBES)
+def test_formal_sum_cost_counts_the_terms_it_builds(monkeypatch, identity, m, case):
+    # The terms and dim the row states give its cost: they must be those of
+    # the sum its check builds, on the route the check evaluates it by.
+    evaluated = []
+    for name, route in [("evaluate", cli.GEOMETRIC), ("evaluate_orth", cli.ORTHOGONAL)]:
+        real = getattr(forms, name)
+        monkeypatch.setattr(forms, name, lambda comb, real=real, route=route: (
+            evaluated.append((comb, route)) or real(comb)))
+    _, _, cost, holds = cli.IDENTITIES[identity]
+    assert holds(case, m)
+    [(comb, route)] = evaluated
+    assert cost(range(-6, 7), m) == len(comb.terms) * (comb.dim + route[2])
+
+
+def _pairwise_row(route):
+    """A four-value `pairwise_sum` row on `route`, made as IDENTITIES makes its rows."""
+    return cli._formal("a,b,c,d", lambda span, m: [(span, 4)], route, lambda m: 2, lambda m: 10,
+                       lambda forms, *v: (forms.pairwise_sum(v), sum(v)))
+
+
+# route -> the ring function only it reads, and that function gone wrong at scale 5
+ROUTE_FAULTS = {
+    "GEOMETRIC": ("_counts", lambda real: lambda dim, n: [c + (n == 5) for c in real(dim, n)]),
+    "ORTHOGONAL": ("_powers", lambda real: lambda dim, extended, n: real(dim, extended, n + (n == 5))),
+}
+
+
+@pytest.mark.parametrize("faulty", [None, *ROUTE_FAULTS])
+def test_a_row_made_in_a_test_runs_on_either_route(capsys, monkeypatch, faulty):
+    # The row stands in for mirror: SYNTAX fixes the --identity choices on import.
+    if faulty:
+        name, wrong = ROUTE_FAULTS[faulty]
+        monkeypatch.setattr(ring, name, wrong(getattr(ring, name)))
+    for route in ROUTE_FAULTS:
+        monkeypatch.setitem(cli.IDENTITIES, "mirror", _pairwise_row(getattr(cli, route)))
+        want = ((1, "FAIL mirror: first counterexample (a,b,c,d)=(0,1,2,2)\n", "") if route == faulty
+                else (0, "PASS mirror over 0..2 (81 cases)\n", ""))
+        assert _run(capsys, "verify", "--identity", "mirror", "--range=0..2") == want, route
 
 
 # identity, range, m: the loop must check as many cases as the budget charged
