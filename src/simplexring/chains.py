@@ -588,34 +588,29 @@ def _window_cells(window) -> frozenset:
     return cells
 
 
-def _window_placements(tile: TilePiece, window: frozenset):
-    """(anchor, faces) of every placement inside the window, by row then column.
+def _window_placements(tile: TilePiece, cells: list, index: dict):
+    """(anchor, face indices) of every placement inside the window, by row then column.
 
-    A side-s triangle spans s rows from its anchor row, and s columns from
-    its anchor column (up) or up to it (down), so only anchors whose span
-    fits the window's bounding box are tried.  The tile's faces are built
-    once at (0, 0) and moved to each anchor.
+    A placement's anchor is one of its own faces, an up triangle's
+    bottom-left face or a down triangle's tip, so only the window's faces of
+    the tile's orientation are tried, in the order of the sorted cells.  The
+    tile's faces are built once at (0, 0) and moved to each anchor; index
+    maps each window cell to its position in cells.
     """
-    rs = [cell[1] for cell in window]
-    cs = [cell[2] for cell in window]
-    reach = tile.size - 1
-    lo_c, hi_c = min(cs), max(cs) - reach
-    if tile.orientation == DOWN:
-        lo_c, hi_c = lo_c + reach, hi_c + reach
-    shape = [face[1:] for face in triangle_face_cells(tile.size, tile.orientation, (0, 0))]
+    # Top row first: an anchor whose triangle leaves the window mostly fails there.
+    shape = [face[1:] for face in triangle_face_cells(tile.size, tile.orientation, (0, 0))][::-1]
     spots = []
-    for r in range(min(rs), max(rs) - reach + 1):
-        for c in range(lo_c, hi_c + 1):
-            faces = [("face", r + dr, c + dc, o) for dr, dc, o in shape]
-            if all(f in window for f in faces):
-                spots.append(((r, c), faces))
+    for _, r, c, orientation in cells:
+        if orientation == tile.orientation and all(
+                ("face", r + dr, c + dc, o) in index for dr, dc, o in shape):
+            spots.append(((r, c), [index["face", r + dr, c + dc, o] for dr, dc, o in shape]))
     return spots
 
 
 def _combinations(groups) -> int:
     """Multisets of placements: per group, count pieces over its spots."""
     total = 1
-    for _, count, spots in groups:
+    for _, _, count, spots in groups:
         total *= comb(len(spots) + count - 1, count)
     return total
 
@@ -708,37 +703,35 @@ def tiling_search(
     if target.dim != 2:
         raise ValueError("tiling search works on 2-d chains")
     cap = integer(cap, "cap", 0)
-    window = _window_cells(window)
+    cells = sorted(_window_cells(window))
+    index = {cell: i for i, cell in enumerate(cells)}
     counted = {}
     for tile in pieces:
         if not isinstance(tile, TilePiece):
             raise TypeError(f"piece {_quoted(tile)} is not a TilePiece")
         counted[tile] = counted.get(tile, 0) + 1
-    groups = [(tile, counted[tile], _window_placements(tile, window))
-              for tile in sorted(counted, key=lambda t: (-t.size, t.orientation, -t.sign))]
-    total = _combinations(groups)
-    if total > cap:
-        raise SearchSpaceError(f"{total} placement combinations exceed the cap {cap}")
+    groups = [(rank, tile, counted[tile], _window_placements(tile, cells, index)) for rank, tile
+              in enumerate(sorted(counted, key=lambda t: (-t.size, t.orientation, -t.sign)))]
+    negatives = [g for g in groups if g[1].sign < 0]
+    positives = [g for g in groups if g[1].sign > 0]
+    neg, pos = _combinations(negatives), _combinations(positives)
+    if neg * pos > cap:
+        raise SearchSpaceError(f"{neg * pos} placement combinations exceed the cap {cap}")
 
     target_cells = target.cells()
     area = up = 0
-    for tile, count, _ in groups:
+    for _, tile, count, _ in groups:
         s = tile.size
         area += tile.sign * count * s * s
         up += tile.sign * count * (s * (s + 1 if tile.orientation == UP else s - 1) // 2)
-    if area != chain_face_total(target) or not window.issuperset(target_cells):
+    if not index.keys() >= target_cells.keys() or area != sum(target_cells.values()):
         return None
     if up != sum(m for cell, m in target_cells.items() if cell[3] == UP):
         return None
 
     # Pieces of one sign are listed, those of the other cover the residual:
     # with positives covering it is target + negatives, else positives - target.
-    cells = sorted(window)
-    index = {cell: i for i, cell in enumerate(cells)}
-    ranked = list(enumerate(groups))
-    negatives = [(rank, g) for rank, g in ranked if g[0].sign < 0]
-    positives = [(rank, g) for rank, g in ranked if g[0].sign > 0]
-    if _combinations(g for _, g in negatives) <= _combinations(g for _, g in positives):
+    if neg <= pos:
         listed, covering, listed_sign = negatives, positives, -1
     else:
         listed, covering, listed_sign = positives, negatives, 1
@@ -746,32 +739,30 @@ def tiling_search(
     for cell, m in target_cells.items():
         base[index[cell]] = -listed_sign * m
     placements, keys, by_cell = [], [], [[] for _ in cells]
-    for group, (rank, (_, _, spots)) in enumerate(covering):
+    for group, (rank, _, _, spots) in enumerate(covering):
         for spot, (_, faces) in enumerate(spots):
             for f in faces:
-                by_cell[index[f]].append(len(placements))
-            placements.append((group, [index[f] for f in faces]))
+                by_cell[f].append(len(placements))
+            placements.append((group, faces))
             keys.append((rank, spot))
-    listed_faces = [[[index[f] for f in faces] for _, faces in spots]
-                    for _, (_, _, spots) in listed]
     choices = [itertools.combinations_with_replacement(range(len(spots)), count)
-               for _, (_, count, spots) in listed]
+               for _, _, count, spots in listed]
     for chosen in itertools.product(*choices):
         residual = list(base)
-        for faces, picks in zip(listed_faces, chosen):
+        for (_, _, _, spots), picks in zip(listed, chosen):
             for spot in picks:
-                for f in faces[spot]:
+                for f in spots[spot][1]:
                     residual[f] += 1
         if min(residual) < 0:
             continue
         cover = _exact_cover(residual, placements, by_cell,
-                             [count for _, (_, count, _) in covering])
+                             [count for _, _, count, _ in covering])
         if cover is None:
             continue
-        used = [(rank, spot) for (rank, _), picks in zip(listed, chosen) for spot in picks]
+        used = [(rank, spot) for (rank, _, _, _), picks in zip(listed, chosen) for spot in picks]
         used += [keys[p] for p in cover]
         return PlacementPlan._trusted(2, tuple(
-            _piece("triangle", groups[rank][2][spot][0], *groups[rank][0]._values(), 1)
+            _piece("triangle", groups[rank][3][spot][0], *groups[rank][1]._values(), 1)
             for rank, spot in sorted(used)
         ))
     return None

@@ -60,7 +60,7 @@ class FactorPair(Record):
     __slots__ = ("p", "q", "t", "t1", "t2", "s1", "s2")
 
     def __init__(self, p: int, q: int, t: int, t1: int, t2: int, s1: int, s2: int):
-        self._set(p, q, t, t1, t2, s1, s2)
+        self._set(*[integer(v, name) for v, name in zip((p, q, t, t1, t2, s1, s2), self.__slots__)])
 
 
 def _is_prime(n: int) -> bool:

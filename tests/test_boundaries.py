@@ -83,6 +83,7 @@ from simplexring.ring import (
 from simplexring.render import RenderOptions
 from simplexring.triples import Triple, t_element
 from simplexring.witnesses import (
+    FactorPair,
     Witness,
     composite_witness,
     factors_from_witness,
@@ -200,6 +201,13 @@ BOUNDARIES = {
     "Witness.b": (lambda v: Witness(35, 11, v, 4, 6), "b", None, 34),
     "Witness.c": (lambda v: Witness(35, 11, 34, v, 6), "c", None, 4),
     "Witness.d": (lambda v: Witness(35, 11, 34, 4, v), "d", None, 6),
+    "FactorPair.p": (lambda v: FactorPair(v, 1, 2, 3, 4, 5, 7), "p", None, 6),
+    "FactorPair.q": (lambda v: FactorPair(6, v, 2, 3, 4, 5, 7), "q", None, 1),
+    "FactorPair.t": (lambda v: FactorPair(6, 1, v, 3, 4, 5, 7), "t", None, 2),
+    "FactorPair.t1": (lambda v: FactorPair(6, 1, 2, v, 4, 5, 7), "t1", None, 3),
+    "FactorPair.t2": (lambda v: FactorPair(6, 1, 2, 3, v, 5, 7), "t2", None, 4),
+    "FactorPair.s1": (lambda v: FactorPair(6, 1, 2, 3, 4, v, 7), "s1", None, 5),
+    "FactorPair.s2": (lambda v: FactorPair(6, 1, 2, 3, 4, 5, v), "s2", None, 7),
     "composite_witness": (lambda v: composite_witness(v), "z", 2, 35),
     "witness_from_factors.x": (lambda v: witness_from_factors(v, 1, 1, 1), "x", 1, 3),
     "witness_from_factors.y": (lambda v: witness_from_factors(1, v, 1, 1), "y", 1, 3),

@@ -248,7 +248,7 @@ def test_verify_checks_the_cases_it_charges(capsys, monkeypatch, identity, span,
                         (names, axes, cost, lambda case, m: seen.append(case) or holds(case, m)))
     code, out, _ = _run(capsys, "verify", "--identity", identity, f"--range={span}", "--m", str(m))
     lo, hi = cli._parse_range(span)
-    per_case = (cost(range(lo, hi + 1), m) if callable(cost) else cost) + cli.CASE_COST
+    per_case = cost(range(lo, hi + 1), m) + cli.CASE_COST
     assert code == 0 and out == f"PASS {identity} over {span} ({len(seen)} cases)\n"
     assert cli._verify_units(identity, lo, hi, m) == len(seen) * per_case
     assert len(set(seen)) == len(seen)

@@ -193,6 +193,9 @@ ERRORS = [
      "scale must be an integer, got Fraction(1, 2)"),
     (lambda: QSqrt3(0.5), TypeError, "floating point coefficients are not allowed"),
     (lambda: QSqrt3(1, 0.5), TypeError, "floating point coefficients are not allowed"),
+    # FactorPair, as Witness, runs every field through `_record.integer`.
+    (lambda: FactorPair(1.5, True, "x", None, 2, 3, 4), TypeError, "p must be an integer, got 1.5"),
+    (lambda: FactorPair(6, 1, 2, 3, 4, 5, "7"), TypeError, "s2 must be an integer, got '7'"),
 ]
 
 

@@ -27,6 +27,7 @@ from simplexring.chains import (
     SearchSpaceError,
     TilePiece,
     UP,
+    _window_placements,
     chain_face_total,
     realize,
     tiling_search,
@@ -112,15 +113,17 @@ def _assert_layout(plan, target, pieces, window):
         assert window.issuperset(triangle_face_cells(p.size, p.orientation, p.position))
 
 
-def _random_instance(rng, kind):
-    """A target, pieces and window: target up to <4>, up to 6 pieces.
+def _random_instance(rng, kind, shape=lambda rng, n: triangle_window(n)):
+    """A target, pieces and window: pieces up to side n <= 4, up to 6 of them.
 
-    kind "placed" sums random in-window placements, so a layout exists;
-    "moved" shifts one unit of such a target to another face; "random" is a
-    random face chain with multiplicities in -1..2, or the full triangle.
+    shape(rng, n) draws the window, which holds the side-n triangle at
+    (0, 0) unless told otherwise.  kind "placed" sums random in-window
+    placements, so a layout exists; "moved" shifts one unit of such a target
+    to another face; "random" is a random face chain with multiplicities in
+    -1..2, or the full window.
     """
     n = rng.randint(2 if kind == "moved" else 1, 4)
-    window = triangle_window(n)
+    window = shape(rng, n)
     faces = sorted(window)
 
     def draw():
@@ -133,7 +136,7 @@ def _random_instance(rng, kind):
 
     if kind == "random":
         if rng.random() < 0.5:
-            target = triangle_chain(n)
+            target = Chain(2, dict.fromkeys(faces, 1))
         else:
             target = Chain(2, {f: rng.randint(-1, 2) for f in faces})
         # Mostly pieces of the target's area, so the search has work to do.
@@ -155,6 +158,21 @@ def _random_instance(rng, kind):
     return Chain(2, cells), pieces, window
 
 
+def _compare_verdicts(target, pieces, window, cap, seen):
+    """tiling_search and the oracle agree on one instance; count its verdict in seen."""
+    fast = _verdict(tiling_search, target, pieces, window, cap)
+    slow = _verdict(_oracle_search, target, pieces, window, cap)
+    if fast is SearchSpaceError or slow is SearchSpaceError:
+        assert fast is slow, (target.sorted_items(), pieces)
+        seen["capped"] += 1
+        return
+    assert (fast is None) == (slow is None), (target.sorted_items(), pieces, sorted(window))
+    if fast is not None:
+        _assert_layout(fast, target, pieces, window)
+        _assert_layout(slow, target, pieces, window)
+    seen["none" if fast is None else "found"] += 1
+
+
 def test_search_matches_oracle_on_random_instances():
     rng = random.Random(20121)
     seen = Counter()
@@ -163,21 +181,78 @@ def test_search_matches_oracle_on_random_instances():
         target, pieces, window = _random_instance(rng, kind)
         # Every fifth instance gets a small cap, to compare where both raise.
         cap = rng.randint(0, 60) if i % 5 == 4 else ORACLE_CAP
-        fast = _verdict(tiling_search, target, pieces, window, cap)
-        slow = _verdict(_oracle_search, target, pieces, window, cap)
-        if fast is SearchSpaceError or slow is SearchSpaceError:
-            assert fast is slow, (target.sorted_items(), pieces)
-            seen["capped"] += 1
-            continue
-        assert (fast is None) == (slow is None), (target.sorted_items(), pieces)
-        if fast is None:
-            seen["none"] += 1
-            continue
-        _assert_layout(fast, target, pieces, window)
-        _assert_layout(slow, target, pieces, window)
-        seen["found"] += 1
+        _compare_verdicts(target, pieces, window, cap, seen)
     # The sample must exercise every verdict, not only the easy ones.
     assert seen["found"] >= 400 and seen["none"] >= 300 and seen["capped"] >= 100, seen
+
+
+def _shifted(rng, n):
+    return triangle_window(n, (rng.randint(-9, -1), rng.randint(-9, -1)))
+
+
+def _holed(rng, n):
+    # Side n + 2, so a side-n piece has a spot whichever face is gone.
+    window = triangle_window(n + 2)
+    return window - {rng.choice(sorted(window))}
+
+
+def _two_triangles(rng, n):
+    first = triangle_window(n)
+    while True:  # the second may touch the first, but shares no face with it
+        second = triangle_window(rng.randint(1, 3), (rng.randint(-4, 5), rng.randint(-4, 5)))
+        if not first & second:
+            return first | second
+
+
+# Windows that are not the side-n triangle at (0, 0), drawn by (rng, n).
+WINDOWS = {"shifted": _shifted, "holed": _holed, "two triangles": _two_triangles}
+
+
+@pytest.mark.parametrize("name", WINDOWS)
+def test_search_matches_oracle_in_other_windows(name):
+    rng = random.Random(f"windows:{name}")
+    seen = Counter()
+    for i in range(160):
+        kind = ("placed", "placed", "moved", "random")[i % 4]
+        target, pieces, window = _random_instance(rng, kind, WINDOWS[name])
+        # Anchors come from the window's own faces: the same spots, in the
+        # same order, as the oracle's scan of a box around the window.
+        cells = sorted(window)
+        index = {cell: k for k, cell in enumerate(cells)}
+        for tile in (TilePiece(s, o) for s in range(1, 6) for o in (UP, DOWN)):
+            spots = _window_placements(tile, cells, index)
+            oracle = _oracle_placements(tile, window)
+            assert [a for a, _ in spots] == [a for a, _ in oracle], (tile, cells)
+            assert [{cells[f] for f in faces} for _, faces in spots] == [
+                set(faces) for _, faces in oracle]
+        _compare_verdicts(target, pieces, window, ORACLE_CAP, seen)
+    assert seen["found"] >= 60 and seen["none"] >= 30, seen
+
+
+# (window, pieces, the plan found as (position, size, orientation, sign) per
+# piece) for the window's full chain as target.  Each target has more than
+# one layout, so the plan found depends on the order the spots are tried in.
+PINNED_PLANS = [
+    (triangle_window(3, (-2, -5)),
+     [TilePiece(1, DOWN), TilePiece(1), TilePiece(2), TilePiece(1), TilePiece(1),
+      TilePiece(1, DOWN)],
+     [((-2, -5), 2, UP, 1), ((-2, -4), 1, DOWN, 1), ((-1, -5), 1, DOWN, 1),
+      ((-2, -3), 1, UP, 1), ((-1, -4), 1, UP, 1), ((0, -5), 1, UP, 1)]),
+    # A unit and its negative cancel on any face of their orientation.
+    (triangle_window(2, (-3, 1)) | triangle_window(2, (-1, -2)),
+     [TilePiece(1, DOWN, -1), TilePiece(2), TilePiece(1, DOWN), TilePiece(2),
+      TilePiece(1, UP, -1), TilePiece(1)],
+     [((-3, 1), 2, UP, 1), ((-1, -2), 2, UP, 1), ((-3, 1), 1, DOWN, 1),
+      ((-3, 1), 1, DOWN, -1), ((-3, 1), 1, UP, 1), ((-3, 1), 1, UP, -1)]),
+]
+
+
+@pytest.mark.parametrize("window, pieces, found", PINNED_PLANS, ids=["shifted", "two triangles"])
+def test_found_plans_are_pinned(window, pieces, found):
+    target = Chain(2, dict.fromkeys(window, 1))
+    plan = tiling_search(target, pieces, window)
+    _assert_layout(plan, target, pieces, window)
+    assert [(p.position, p.size, p.orientation, p.sign) for p in plan.pieces] == found
 
 
 def test_pinned_verdicts():
