@@ -6,16 +6,18 @@ green stroke (edges/intervals) or green dot (vertices/points).  Vertices
 are drawn as small dots; multiplicities other than +-1 are annotated.
 The output is a pure function of the input - cells are emitted in draw
 order (`chains._sort_key`) with fixed number formatting, so equal inputs
-give identical bytes.  A cell whose coordinates lie past the float range of
-the canvas raises ValueError naming it.
+give identical bytes.  A process formats each 2-d cell's element once per
+style, in tables every render shares up to `_BUDGET` entries, and a plan's
+box follows from its pieces' corners.  A cell whose coordinates lie past
+the float range of the canvas raises ValueError naming it.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._record import Record, flag
-from .chains import UP, Chain, PlacementPlan, _sort_key, face_vertices, walk
+from ._record import Record, _quoted, flag
+from .chains import UP, Chain, PlacementPlan, _checked_cell, _sort_key, face_vertices, walk
 
 SQRT3 = 3 ** 0.5
 
@@ -96,17 +98,25 @@ class _Axis(dict):
         return text
 
 
+# The options of a render given none; the styles by (type(side), options,
+# multiplicity, open_face), shared by every canvas; and the room left in the
+# budget of the styles and the elements they keep, about 0.9 MiB when spent.
+_DEFAULT = RenderOptions()
+_STYLES = {}
+_BUDGET = _room = 4096
+
+
 class _Style:
-    """The attribute text shared by every cell drawn at one multiplicity.
+    """The text of every cell drawn at one multiplicity, shared by every canvas.
 
     Each element is its coordinates followed by the tail of its kind;
-    `label` is the annotation, or None.  Multiplicity zero marks a cell
-    that pieces covered but cancelled.
+    `label` is the annotation, or None; multiplicity zero marks a covered,
+    cancelled cell.  `cells` keeps each 2-d cell's element (None past the budget).
     """
 
-    __slots__ = ("color", "label", "face", "edge", "interval", "vertex", "point")
+    __slots__ = ("color", "label", "face", "edge", "interval", "vertex", "point", "cells")
 
-    def __init__(self, opt: RenderOptions, mult: int, open_face: bool):
+    def __init__(self, opt: RenderOptions, mult: int, open_face: bool, shared: bool):
         color = opt.positive if mult > 0 else opt.negative if mult < 0 else opt.cancelled
         self.color = color
         self.label = str(abs(mult)) if opt.annotate and abs(mult) > 1 else None
@@ -123,6 +133,7 @@ class _Style:
         self.interval = _line_tail(color, 5.0)
         self.vertex = _circle_tail(color, 3.5)
         self.point = _circle_tail(color, 4.0)
+        self.cells = {} if shared else None
 
 
 def _line_tail(stroke: str, width: float) -> str:
@@ -140,12 +151,15 @@ class _Canvas:
     `xs` holds formatted x by the half-unit column k = 2c + r, where
     (k/2)*side equals (c + r/2)*side exactly (half-integers below 2^52 are
     exact floats), and `ys` holds formatted y by row r, so a face's points
-    text is read straight from (r, c, orientation).  The bounding box is
-    taken in render() from the table entries plus the few drawn points that
-    are not lattice vertices and the labels.
+    text is read straight from (r, c, orientation) by a cell missing from
+    its style's table.  The bounding box is taken in render() from the 2-d
+    extent (k_lo, k_hi, r_lo, r_hi) its caller gives, the 1-d points and the labels.
     """
 
-    def __init__(self, options: RenderOptions):
+    def __init__(self, options, dim: int):
+        options = _DEFAULT if options is None else options
+        if not isinstance(options, RenderOptions):
+            raise TypeError(f"options must be a RenderOptions or None, got {_quoted(options)}")
         side = options.side
         self.options = options
         self.body = []
@@ -155,6 +169,7 @@ class _Canvas:
         self.point_x = lambda i: i * side   # x of point i of a 1-d chain
         self.extra = []         # (x, y, "x", "y") of drawn points off the lattice
         self.styles = {}        # (multiplicity, open_face) -> _Style
+        self.tabled = dim == 2  # whether cells are read from and stored in the styles' tables
 
     def at(self, v):
         r, c = v
@@ -168,21 +183,30 @@ class _Canvas:
         return point
 
     def style(self, mult: int, open_face: bool = False) -> _Style:
+        global _room
         style = self.styles.get((mult, open_face))
         if style is None:
-            style = self.styles[mult, open_face] = _Style(self.options, mult, open_face)
+            key = (type(self.options.side), self.options, mult, open_face)
+            style = _STYLES.get(key)
+            if style is None:
+                style = _Style(self.options, mult, open_face, _room > 0)
+                if style.cells is not None:
+                    _STYLES[key] = style
+                    _room -= 1
+            self.styles[mult, open_face] = style
         return style
 
-    def render(self, cancelled=()) -> str:
-        """The document, once the `cancelled` cells are drawn with the green marker."""
+    def render(self, box, cancelled=()) -> str:
+        """The document, once the `cancelled` cells are drawn green; `box` is the 2-d cells' extent."""
         _draw_cells(self, sorted(cancelled, key=_sort_key), self.style(0))
         if not self.body and not self.labels:
             min_x = min_y = 0.0
             max_x = max_y = 1.0
         else:
             points = [*self.extra, *self.labels]
-            xs = [*map(self.xs.position, self.xs), *[p[0] for p in points]]
-            ys = [*map(self.ys.position, self.ys), *[p[1] for p in points]]
+            if box is not None:  # each of its indices was drawn, so its positions are finite
+                points += zip(map(self.xs.position, box[:2]), map(self.ys.position, box[2:]))
+            xs, ys = [p[0] for p in points], [p[1] for p in points]
             min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
         m = self.options.margin
         w = max_x - min_x + 2 * m
@@ -216,61 +240,105 @@ class _Canvas:
 def _draw_cells(canvas: _Canvas, cells, style: _Style):
     """Draw the cells in one style, in one loop.
 
-    A cell past the float range of the canvas raises ValueError naming it.
+    A 2-d cell is read from its style's table, else formatted and stored
+    while the budget lasts.  One past the float range raises ValueError naming it.
     """
-    append, xs, ys, label = canvas.body.append, canvas.xs, canvas.ys, style.label
+    global _room
+    append, xs, ys = canvas.body.append, canvas.xs, canvas.ys
+    label, table = style.label, style.cells if canvas.tabled else None
     try:
         for cell in cells:
-            kind = cell[0]
-            if kind == "face":
-                _, r, c, orientation = cell
-                k = 2 * c + r
-                if orientation == UP:
-                    y = ys[r]
-                    append(f'<polygon points="{xs[k]},{y} {xs[k + 2]},{y} '
-                           f'{xs[k + 1]},{ys[r + 1]}{style.face}')
+            text = None if table is None else table.get(cell)
+            if text is None:
+                kind = cell[0]
+                if kind == "face":
+                    _, r, c, orientation = cell
+                    k = 2 * c + r
+                    if orientation == UP:
+                        y = ys[r]
+                        text = (f'<polygon points="{xs[k]},{y} {xs[k + 2]},{y} '
+                                f'{xs[k + 1]},{ys[r + 1]}{style.face}')
+                    else:
+                        y = ys[r + 1]
+                        text = (f'<polygon points="{xs[k + 2]},{ys[r]} '
+                                f'{xs[k + 1]},{y} {xs[k + 3]},{y}{style.face}')
+                elif kind == "edge":
+                    _, (r1, c1), (r2, c2) = cell
+                    text = (f'<line x1="{xs[2 * c1 + r1]}" y1="{ys[r1]}" '
+                            f'x2="{xs[2 * c2 + r2]}" y2="{ys[r2]}"{style.edge}')
+                elif kind == "vertex":
+                    _, r, c = cell
+                    text = f'<circle cx="{xs[2 * c + r]}" cy="{ys[r]}"{style.vertex}'
+                elif kind == "interval":  # 1-d cells draw on a canvas with no tables
+                    p1 = canvas.point(cell[1], 3)
+                    p2 = canvas.point(cell[1] + 1, -3)
+                    text = f'<line x1="{p1[2]}" y1="{p1[3]}" x2="{p2[2]}" y2="{p2[3]}"{style.interval}'
                 else:
-                    y = ys[r + 1]
-                    append(f'<polygon points="{xs[k + 2]},{ys[r]} '
-                           f'{xs[k + 1]},{y} {xs[k + 3]},{y}{style.face}')
-                if label is not None:
+                    p = canvas.point(cell[1])
+                    text = f'<circle cx="{p[2]}" cy="{p[3]}"{style.point}'
+                if table is not None:
+                    if _room > 0:
+                        table[cell], _room = text, _room - 1
+                    else:
+                        table = canvas.tabled = None
+            append(text)
+            if label is not None:
+                kind = cell[0]
+                if kind == "face":
                     pts = [canvas.at(v) for v in face_vertices(cell)]
                     canvas.labels.append((sum(p[0] for p in pts) / 3, sum(p[1] for p in pts) / 3,
                                           label, "#ffffff"))
-            elif kind == "edge":
-                _, (r1, c1), (r2, c2) = cell
-                append(f'<line x1="{xs[2 * c1 + r1]}" y1="{ys[r1]}" '
-                       f'x2="{xs[2 * c2 + r2]}" y2="{ys[r2]}"{style.edge}')
-            elif kind == "vertex":
-                _, r, c = cell
-                append(f'<circle cx="{xs[2 * c + r]}" cy="{ys[r]}"{style.vertex}')
-                if label is not None:
-                    x, y = canvas.at((r, c))
+                elif kind == "vertex":
+                    x, y = canvas.at(cell[1:])
                     canvas.labels.append((x + 5, y + 5, label, style.color))
-            elif kind == "interval":
-                p1 = canvas.point(cell[1], 3)
-                p2 = canvas.point(cell[1] + 1, -3)
-                append(f'<line x1="{p1[2]}" y1="{p1[3]}" x2="{p2[2]}" y2="{p2[3]}"{style.interval}')
-            elif kind == "point":
-                p = canvas.point(cell[1])
-                append(f'<circle cx="{p[2]}" cy="{p[3]}"{style.point}')
-                if label is not None:
+                elif kind == "point":
                     canvas.labels.append((p[0] + 5, p[1] + 8, label, style.color))
     except ValueError as exc:
         _sort_key(cell)  # raises first for a coordinate too long for repr() to write
         raise ValueError(f"cell {cell!r}: {exc}") from None
 
 
+def _plan_box(plan: PlacementPlan) -> tuple:
+    """(k_lo, k_hi, r_lo, r_hi), k = 2c + r, over the corners of a 2-d plan's pieces.
+
+    A side-s piece at (r0, c0) spans rows r0..r0+s and the columns
+    k0..k0+2s (up) or k0-s+2..k0+s+2 (down); a vertex piece its own point.
+    """
+    k_lo = r_lo = math.inf
+    k_hi = r_hi = -math.inf
+    for piece in plan.pieces:
+        r, c = piece.position
+        k, s = 2 * c + r, 0 if piece.kind == "vertex" else piece.size
+        if s and piece.orientation != UP:
+            k += 2 - s
+        k_lo = k if k < k_lo else k_lo
+        k_hi = k + 2 * s if k + 2 * s > k_hi else k_hi
+        r_lo = r if r < r_lo else r_lo
+        r_hi = r + s if r + s > r_hi else r_hi
+    return k_lo, k_hi, r_lo, r_hi
+
+
+def _cells_box(cells) -> tuple:
+    """(k_lo, k_hi, r_lo, r_hi), k = 2c + r, over the corners of the 2-d cells."""
+    corners = [v for cell in cells for v in (face_vertices(cell) if cell[0] == "face" else
+                                             cell[1:] if cell[0] == "edge" else (cell[1:],))]
+    ks, rs = [2 * c + r for r, c in corners], [r for r, _ in corners]
+    return min(ks, default=0), max(ks, default=0), min(rs, default=0), max(rs, default=0)
+
+
 def chain_svg(chain: Chain, options: RenderOptions = None, covered=frozenset()) -> str:
     """Render a chain, its cells sorted by the draw-order key.
 
-    Cells in `covered` with zero multiplicity show green.
+    Cells in `covered` with zero multiplicity show green; each is checked
+    as a `Chain` checks its cells.
     """
-    canvas = _Canvas(options or RenderOptions())
+    canvas = _Canvas(options, chain.dim)
     cells = chain.cells()
+    cancelled = [cell for cell in (_checked_cell(cell, chain.dim) for cell in covered)
+                 if cell not in cells]
     for cell in sorted(cells, key=_sort_key):
         _draw_cells(canvas, (cell,), canvas.style(cells[cell]))
-    return canvas.render([cell for cell in covered if cell not in cells])
+    return canvas.render(_cells_box([*cells, *cancelled]) if chain.dim == 2 else None, cancelled)
 
 
 def plan_svg(plan: PlacementPlan, options: RenderOptions = None) -> str:
@@ -283,14 +351,16 @@ def plan_svg(plan: PlacementPlan, options: RenderOptions = None) -> str:
     realize(), and all cells of a piece share one style.  Each piece's
     cells come in draw order (`chains.piece_cells`), a triangle piece's s^2
     faces first, so no piece is sorted here; only the cancelled cells are.
-    A cell past the float range of the canvas raises ValueError naming it.
+    The box comes from the pieces' corners.  A cell past the float range of
+    the canvas raises ValueError naming it.
     """
-    canvas = _Canvas(options or RenderOptions())
+    canvas = _Canvas(options, plan.dim)
 
     def draw(piece, weight, cells):
         style = canvas.style(weight, piece.kind in ("open_triangle", "open_segment"))
         _draw_cells(canvas, cells, style)
-    return canvas.render([cell for cell, mult in walk(plan, draw).items() if not mult])
+    cancelled = [cell for cell, mult in walk(plan, draw).items() if not mult]
+    return canvas.render(_plan_box(plan) if plan.dim == 2 else None, cancelled)
 
 
 def to_svg(obj, options: RenderOptions = None) -> str:

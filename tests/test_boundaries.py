@@ -80,7 +80,7 @@ from simplexring.ring import (
     series_partial_sum,
     zero,
 )
-from simplexring.render import RenderOptions
+from simplexring.render import RenderOptions, chain_svg
 from simplexring.triples import Triple, t_element
 from simplexring.witnesses import (
     FactorPair,
@@ -375,12 +375,15 @@ def test_non_integers_that_used_to_pass_raise(case):
         USED_TO_PASS[case]()
 
 
-# (dim, cell, error): Chain(dim, {cell: 1}) raises error, naming the cell.
+# (dim, cell, error): Chain(dim, {cell: 1}) raises error, naming the cell, and
+# so does chain_svg(Chain(dim), covered=[cell]).
 BAD_CELLS = [
     (2, ("face", 0.5, 0, "up"), TypeError),
     (2, ("face", 0, True, "down"), TypeError),
     (2, ("face", "0", 0, "up"), TypeError),
     (2, ("face", 0, 0, "left"), ValueError),
+    (2, ("face", 0, 0, "sideways"), ValueError),
+    (2, ("face", True, 1, "up"), TypeError),
     (2, ("face", 0, 0), ValueError),
     (2, ("face", 0, 0, "up", 1), ValueError),
     (2, ("edge", (0, 0), (0, 1.5)), TypeError),
@@ -392,6 +395,7 @@ BAD_CELLS = [
     (2, ("vertex", None, 0), TypeError),
     (2, ("vertex", 0), ValueError),
     (2, ("point", 0), ValueError),
+    (2, ("bogus",), ValueError),
     (1, ("point", 1.0), TypeError),
     (1, ("point", 0, 1), ValueError),
     (1, ("interval", False), TypeError),
@@ -417,9 +421,10 @@ def _hashable(cell):
 @pytest.mark.parametrize("dim, cell, error", BAD_CELLS,
                          ids=[f"dim{dim} {cell!r}" for dim, cell, _ in BAD_CELLS])
 def test_bad_cells_raise_naming_the_cell(dim, cell, error):
-    # in a list of pairs, in a dict where the cell can be a key, and as a
-    # 2-d cell in a tiling window: each checks the cell before hashing it
-    makes = [lambda: Chain(dim, [(cell, 1)])]
+    # in a list of pairs, in a dict where the cell can be a key, as a
+    # covered cell of a render and as a 2-d cell in a tiling window: each
+    # checks the cell before hashing it
+    makes = [lambda: Chain(dim, [(cell, 1)]), lambda: chain_svg(Chain(dim), covered=[cell])]
     if _hashable(cell):
         makes.append(lambda: Chain(dim, {cell: 1}))
     if dim == 2:
@@ -455,7 +460,7 @@ BAD_CELLS_PAST_THE_LIMIT = [
 
 @pytest.mark.parametrize("dim, cell, error", BAD_CELLS_PAST_THE_LIMIT)
 def test_bad_cells_past_the_digit_limit_raise_their_own_error(dim, cell, error):
-    makes = [lambda: Chain(dim, [(cell, 1)])]
+    makes = [lambda: Chain(dim, [(cell, 1)]), lambda: chain_svg(Chain(dim), covered=[cell])]
     if _hashable(cell):
         makes.append(lambda: Chain(dim, {cell: 1}))
     if dim == 2:

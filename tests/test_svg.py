@@ -1,5 +1,6 @@
 """Rendering: deterministic bytes, stable structure, no floats beyond 2 decimals."""
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -21,6 +22,7 @@ from simplexring.chains import (
     closed_triangle_chain,
     closed_triangle_plan,
     difference_plan,
+    face_vertices,
     hexagon_plan,
     open_segment_plan_units,
     parallelogram_plan,
@@ -293,20 +295,52 @@ def test_face_walk_is_the_sorted_order():
                     assert list(faces) == sorted(faces, key=render._sort_key)
 
 
+@contextlib.contextmanager
+def fresh_tables():
+    """Empty shared style tables with the whole budget; the process's own come back after."""
+    saved = render._STYLES, render._room
+    render._STYLES, render._room = {}, render._BUDGET
+    try:
+        yield
+    finally:
+        render._STYLES, render._room = saved
+
+
+def _table_entries() -> int:
+    return len(render._STYLES) + sum(len(style.cells) for style in render._STYLES.values())
+
+
+def _corners(cell):
+    """The lattice vertices a 2-d cell draws through."""
+    if cell[0] == "face":
+        return face_vertices(cell)
+    return cell[1:] if cell[0] == "edge" else (cell[1:],)
+
+
 def _plan_svg_reference(plan, options=None):
-    """plan_svg without the face walk: each piece's cells sorted by key."""
-    canvas = render._Canvas(options or RenderOptions())
-    total = {}
-    for piece in plan.pieces:
-        weight = piece.sign * piece.multiplicity
-        style = canvas.style(weight, piece.kind in ("open_triangle", "open_segment"))
-        for cell in sorted(piece_cells(piece), key=render._sort_key):
-            render._draw_cells(canvas, (cell,), style)
-            total[cell] = total.get(cell, 0) + weight
-    cancelled = canvas.style(0)
-    for cell in sorted([cell for cell, mult in total.items() if not mult], key=render._sort_key):
-        render._draw_cells(canvas, (cell,), cancelled)
-    return canvas.render()
+    """plan_svg without the face walk or the pieces' corners.
+
+    Each piece's cells are sorted by key and drawn through fresh tables,
+    and the box is the extent of every drawn cell's own vertices.
+    """
+    with fresh_tables():
+        canvas = render._Canvas(options or RenderOptions(), plan.dim)
+        total = {}
+        for piece in plan.pieces:
+            weight = piece.sign * piece.multiplicity
+            style = canvas.style(weight, piece.kind in ("open_triangle", "open_segment"))
+            for cell in sorted(piece_cells(piece), key=render._sort_key):
+                render._draw_cells(canvas, (cell,), style)
+                total[cell] = total.get(cell, 0) + weight
+        cancelled = canvas.style(0)
+        for cell in sorted([cell for cell, mult in total.items() if not mult], key=render._sort_key):
+            render._draw_cells(canvas, (cell,), cancelled)
+        box = None
+        if plan.dim == 2:
+            vertices = [v for cell in total for v in _corners(cell)]
+            ks, rows = [2 * c + r for r, c in vertices], [r for r, _ in vertices]
+            box = min(ks), max(ks), min(rows), max(rows)
+        return canvas.render(box)
 
 
 def _random_plan(rng):
@@ -342,6 +376,140 @@ def test_closed_triangle_plan_across_a_carry_matches_the_sorting_reference(n):
     # The pinned plans stop at side 24; these anchors cross 99 -> 100.
     plan = closed_triangle_plan(n)
     assert plan_svg(plan) == _plan_svg_reference(plan)
+
+
+def _written_box(svg, margin):
+    """Width, height and translate as written, and as the extent of every coordinate drawn.
+
+    The body's coordinates (`points`, `x1`..`y2`, `cx`/`cy`) are lattice
+    positions; a label's `x`/`y`, outside the flipped group, is read back
+    through the translate it is written with.
+    """
+    number = r'(-?\d+\.\d\d)'
+    width, height = re.search(rf'<svg [^>]* width="{number}" height="{number}"', svg).groups()
+    tx, ty = map(float, re.search(rf'translate\({number},{number}\)', svg).groups())
+    xs, ys = [], []
+    for points in re.findall(r'points="([^"]*)"', svg):
+        for x, y in (pair.split(",") for pair in points.split()):
+            xs.append(float(x))
+            ys.append(float(y))
+    for axis, value in re.findall(rf' (x1|x2|cx|y1|y2|cy)="{number}"', svg):
+        (xs if axis in ("x1", "x2", "cx") else ys).append(float(value))
+    for x, y in re.findall(rf'<text x="{number}" y="{number}"', svg):
+        xs.append(float(x) - tx)
+        ys.append(ty - float(y))
+    written = tuple(map(float, (width, height))) + (tx, ty)
+    extent = (max(xs) - min(xs) + 2 * margin, max(ys) - min(ys) + 2 * margin,
+              margin - min(xs), max(ys) + margin)
+    return written, extent
+
+
+@pytest.mark.parametrize("options", [RenderOptions(), _SCALED], ids=["default", "scaled"])
+def test_the_box_is_the_extent_of_every_coordinate_drawn(options):
+    # down triangles, negative anchors, labels and 1-d plans; each number
+    # is written to 0.01, so the two may differ by a few rounding steps
+    rng = random.Random(7)
+    for _ in range(150):
+        plan = _random_plan(rng)
+        written, extent = _written_box(plan_svg(plan, options), options.margin)
+        assert written == pytest.approx(extent, abs=0.03), plan
+        written, extent = _written_box(chain_svg(realize(plan), options, covered_cells(plan)),
+                                       options.margin)
+        assert written == pytest.approx(extent, abs=0.03), plan
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_pinned_plans_keep_their_digests_in_any_order(order):
+    # the shared tables fill in the order plans come; none may change a byte
+    plans = json.loads(PINNED.read_text())["plans"]
+    if order == "reversed":
+        plans.reverse()
+    else:
+        random.Random(17).shuffle(plans)
+    with fresh_tables():
+        drift = [(entry["builder"], entry["params"]) for entry in plans
+                 if hashlib.sha256(plan_svg(getattr(chains, entry["builder"] + "_plan")(
+                     *entry["params"])).encode()).hexdigest() != entry["sha256"]]
+    assert drift == []
+
+
+def test_goldens_keep_their_bytes_among_other_options():
+    with fresh_tables():
+        for case in [*sorted(GOLDEN), *sorted(GOLDEN, reverse=True)]:
+            plan_svg(closed_triangle_plan(5), _SCALED)
+            chain_svg(realize(_DIFF), _COLOURS, covered=covered_cells(_DIFF))
+            assert hashlib.sha256(GOLDEN[case]().encode()).hexdigest() == GOLDEN_SHA256[case], case
+            plan_svg(hexagon_plan(1, 2, 1, 2), _COLOURS)
+            plan_svg(open_segment_plan_units(2), _SCALED)
+
+
+def test_an_int_side_and_an_equal_float_side_keep_their_own_tables():
+    # equal options, but r * 40 and r * 40.0 round apart past 2^53
+    row = 936629723220259330
+    plan = PlacementPlan(2, [PlacedPiece("closed_triangle", (row, 0), multiplicity=2)])
+    by_int, by_float = RenderOptions(side=40), RenderOptions(side=40.0)
+    assert by_int == by_float
+    with fresh_tables():
+        int_bytes = plan_svg(plan, by_int)
+    with fresh_tables():
+        float_bytes = plan_svg(plan, by_float)
+    assert 'cy="32445805369933287424.00"' in int_bytes
+    assert 'cy="32445805369933279232.00"' in float_bytes
+    for first, second in ((by_int, by_float), (by_float, by_int)):
+        with fresh_tables():
+            for options in (first, second, first):
+                want = int_bytes if type(options.side) is int else float_bytes
+                assert plan_svg(plan, options) == want
+
+
+class _CountedReads(dict):
+    reads = 0
+
+    def get(self, key, default=None):
+        _CountedReads.reads += 1
+        return super().get(key, default)
+
+
+def test_the_tables_stay_within_their_budget():
+    with fresh_tables():
+        first = plan_svg(closed_triangle_plan(100))
+        assert render._room == 0
+        assert _table_entries() == render._BUDGET
+        # one style, of the closed up units, which come first; the second
+        # render reads its table up to the first cell it did not keep, then no more
+        [style] = render._STYLES.values()
+        style.cells, _CountedReads.reads = _CountedReads(style.cells), 0
+        assert plan_svg(closed_triangle_plan(100)) == first
+        assert _table_entries() == render._BUDGET
+        drawn = [cell for piece in closed_triangle_plan(100).pieces for cell in piece_cells(piece)]
+        first_miss = next(i for i, cell in enumerate(drawn) if cell not in style.cells)
+        assert _CountedReads.reads == first_miss + 1 < len(drawn) // 4
+        # past the budget a style is made for one render and not kept
+        assert hashlib.sha256(GOLDEN["custom colours plan"]().encode()).hexdigest() == \
+            GOLDEN_SHA256["custom colours plan"]
+        assert _table_entries() == render._BUDGET
+    assert first == _plan_svg_reference(closed_triangle_plan(100))
+
+
+def test_a_cell_past_the_float_range_raises_every_time_and_stores_nothing():
+    good, bad = ("face", 0, 0, UP), ("face", 0, _HUGE, UP)
+    with fresh_tables():
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^cell \('face', 0, 1000.*past the float range"):
+                chain_svg(Chain(2, {good: 2, bad: 2}))
+            with pytest.raises(ValueError, match="past the float range"):
+                plan_svg(PlacementPlan(2, [PlacedPiece("closed_triangle", (0, _HUGE))]))
+        assert [list(style.cells) for style in render._STYLES.values()] == [[good], []]
+
+
+@pytest.mark.parametrize("bad", [{}, 5, "x", 0, "", [], (), False, RenderOptions], ids=repr)
+def test_renderers_take_only_render_options(bad):
+    chain, plan = triangle_chain(2), closed_triangle_plan(2)
+    for render_it, obj in ((chain_svg, chain), (plan_svg, plan), (to_svg, chain), (to_svg, plan)):
+        with pytest.raises(TypeError) as info:
+            render_it(obj, bad)
+        assert str(info.value) == f"options must be a RenderOptions or None, got {bad!r}"
+    assert chain_svg(chain, None) == chain_svg(chain, RenderOptions()) == to_svg(chain)
 
 
 def _realize_reference(plan):
