@@ -171,10 +171,6 @@ class _Canvas:
         self.styles = {}        # (multiplicity, open_face) -> _Style
         self.tabled = dim == 2  # whether cells are read from and stored in the styles' tables
 
-    def at(self, v):
-        r, c = v
-        return _finite(self.xs.position, 2 * c + r), _finite(self.ys.position, r)
-
     def point(self, i, shift: float = 0.0):
         """The drawn point `shift` pixels right of 1-d point i, kept for the bounding box."""
         x = _finite(self.point_x, i) + shift
@@ -245,6 +241,7 @@ def _draw_cells(canvas: _Canvas, cells, style: _Style):
     """
     global _room
     append, xs, ys = canvas.body.append, canvas.xs, canvas.ys
+    x_at, y_at = xs.position, ys.position
     label, table = style.label, style.cells if canvas.tabled else None
     try:
         for cell in cells:
@@ -282,15 +279,15 @@ def _draw_cells(canvas: _Canvas, cells, style: _Style):
                     else:
                         table = canvas.tabled = None
             append(text)
-            if label is not None:
+            if label is not None:  # a 2-d cell's element is drawn, so its vertices are finite
                 kind = cell[0]
                 if kind == "face":
-                    pts = [canvas.at(v) for v in face_vertices(cell)]
-                    canvas.labels.append((sum(p[0] for p in pts) / 3, sum(p[1] for p in pts) / 3,
-                                          label, "#ffffff"))
+                    vs = face_vertices(cell)
+                    canvas.labels.append((sum([x_at(2 * c + r) for r, c in vs]) / 3,
+                                          sum([y_at(r) for r, _ in vs]) / 3, label, "#ffffff"))
                 elif kind == "vertex":
-                    x, y = canvas.at(cell[1:])
-                    canvas.labels.append((x + 5, y + 5, label, style.color))
+                    _, r, c = cell
+                    canvas.labels.append((x_at(2 * c + r) + 5, y_at(r) + 5, label, style.color))
                 elif kind == "point":
                     canvas.labels.append((p[0] + 5, p[1] + 8, label, style.color))
     except ValueError as exc:

@@ -3,15 +3,41 @@
 The library does not need them: each is a second way to build or check
 something the library builds, kept here as reference code.  Their integer
 arguments follow `_record.integer`, and `tests/test_boundaries.py` holds
-them to it as it holds the library.
+them to it as it holds the library.  `fresh_tables` and `fresh_pieces`
+give a test empty process-wide tables, so it sees them fill as if it ran
+alone in a new process.
 """
 
+import contextlib
 from fractions import Fraction
 
+from simplexring import chains, render
 from simplexring._record import flag, integer
 from simplexring.chains import PlacedPiece, PlacementPlan
 from simplexring.ring import GeomElement, OrthElement, _counts, _powers
 from simplexring.witnesses import _is_prime
+
+
+@contextlib.contextmanager
+def fresh_tables():
+    """Empty shared style tables with the whole budget; the process's own come back after."""
+    saved = render._STYLES, render._room
+    render._STYLES, render._room = {}, render._BUDGET
+    try:
+        yield
+    finally:
+        render._STYLES, render._room = saved
+
+
+@contextlib.contextmanager
+def fresh_pieces():
+    """Empty shared piece and cell tables with the whole budget; the process's own come back after."""
+    saved = chains._PIECES, chains._CELLS, chains._room
+    chains._PIECES, chains._CELLS, chains._room = {}, {}, chains._BUDGET
+    try:
+        yield
+    finally:
+        chains._PIECES, chains._CELLS, chains._room = saved
 
 
 def open_segment_plan_open_units(n: int) -> PlacementPlan:

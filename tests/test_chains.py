@@ -1,10 +1,14 @@
 """Lattice chains, placement plans and the tiling search."""
 
 import itertools
+import json
+import random
 import sys
+from pathlib import Path
 
 import pytest
 
+from simplexring import chains
 from simplexring.chains import (
     Chain,
     DOWN,
@@ -33,9 +37,10 @@ from simplexring.chains import (
     triangle_chain,
     triangle_face_cells,
     triangle_window,
+    walk,
 )
 
-from reference import open_segment_plan_open_units
+from reference import fresh_pieces, open_segment_plan_open_units
 
 
 def face_cell(r: int, c: int, orientation: str) -> tuple:
@@ -528,3 +533,129 @@ def test_error_messages_name_the_kind_past_the_digit_limit():
         with pytest.raises(exc) as info:
             make()
         assert type(info.value) is exc and str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the process-wide table of pieces' cells
+
+PINNED = Path(__file__).resolve().parent.parent / "bench" / "pinned.json"
+_KINDS = ("point", "segment", "open_segment", "vertex", "triangle", "closed_triangle",
+          "open_triangle")
+
+
+def _held() -> int:
+    return sum(map(len, chains._PIECES.values()))
+
+
+def _pinned_pieces() -> list:
+    plans = json.loads(PINNED.read_text())["plans"]
+    assert len(plans) == 922
+    return [piece for entry in plans
+            for piece in getattr(chains, entry["builder"] + "_plan")(*entry["params"]).pieces]
+
+
+def _piece_corpus(seed: int = 11, count: int = 1500) -> list:
+    """Pieces of all seven kinds on few anchors, so kinds, sizes and orientations share them."""
+    rng = random.Random(seed)
+    anchors = (-1000, -101, -100, -99, -10, -9, -1, 0, 9, 10, 99)
+    pieces = []
+    for _ in range(count):
+        kind = rng.choice(_KINDS)
+        position = rng.choice(anchors)
+        if kind not in ("point", "segment", "open_segment"):
+            position = (position, rng.choice(anchors))
+        pieces.append(PlacedPiece(kind, position, size=rng.randint(1, 4),
+                                  orientation=rng.choice((UP, DOWN)), sign=rng.choice((1, -1)),
+                                  multiplicity=rng.randint(1, 3)))
+    return pieces
+
+
+def test_the_table_answers_as_a_fresh_computation():
+    pieces = _pinned_pieces() + _piece_corpus()
+    with fresh_pieces():
+        chains._room = 0  # nothing is kept, so every answer is made afresh
+        fresh = [piece_cells(piece) for piece in pieces]
+        assert chains._PIECES == {}
+    with fresh_pieces():
+        for _ in range(2):  # from an empty table, then from a warm one
+            answers = [piece_cells(piece) for piece in pieces]
+            assert [i for i, cells in enumerate(answers) if cells != fresh[i]] == []
+        assert 0 < _held() == chains._BUDGET - chains._room
+
+
+def test_kinds_and_orientations_keep_their_own_cells():
+    # one (position, size), so only the kind and the orientation tell the pieces apart
+    for size in (1, 2, 3):
+        pieces = [PlacedPiece(kind, (-9, 10), size=size, orientation=orientation)
+                  for kind in ("triangle", "closed_triangle", "open_triangle")
+                  for orientation in (UP, DOWN)]
+        with fresh_pieces():
+            chains._room = 0
+            fresh = [piece_cells(piece) for piece in pieces]
+        assert len(set(fresh)) == (4 if size == 1 else 6)  # a unit open triangle is its face
+        with fresh_pieces():
+            for order in (pieces, pieces[::-1], pieces):
+                assert [piece_cells(piece) for piece in order] == \
+                    [fresh[pieces.index(piece)] for piece in order]
+            assert len(chains._PIECES) == 6
+
+
+def test_the_table_stays_within_its_budget():
+    big = PlacedPiece("closed_triangle", (-10, 9), size=3, orientation=DOWN)
+    with fresh_pieces():
+        chains._room = 0
+        want = piece_cells(big)
+    assert len(want) == 37
+    with fresh_pieces():
+        chains._room = 36  # one reference short of the piece
+        for _ in range(2):
+            assert piece_cells(big) == want
+            assert chains._PIECES == {} and chains._CELLS == {} and chains._room == 36
+        unit = PlacedPiece("closed_triangle", (-10, 9))
+        assert piece_cells(unit) == piece_cells(PlacedPiece("closed_triangle", (-10, 9), sign=-1))
+        assert _held() == 7 and chains._room == 29
+    with fresh_pieces():
+        # the side-130 plan holds 76,633 references, past the whole budget
+        plan = closed_triangle_plan(130)
+        totals = dict(walk(plan))
+        assert chains._room == 0 and _held() == chains._BUDGET
+        stored = len(chains._PIECES)
+        assert stored < len(plan.pieces)
+        assert dict(walk(closed_triangle_plan(130))) == totals
+        assert len(chains._PIECES) == stored
+        # the vertex pieces come last, past the budget, and each comes back right
+        late = plan.pieces[-1]
+        assert (late.kind, late.position) == ("vertex", (129, 1))
+        assert piece_cells(late) == (("vertex", 129, 1),)
+        assert ("vertex", (129, 1), 1, UP) not in chains._PIECES
+        assert len(chains._PIECES) == stored and chains._room == 0
+
+
+def test_a_cell_held_by_two_stored_pieces_is_one_object():
+    with fresh_pieces():
+        # inner vertices are held by up to three closed units and a vertex
+        # piece, and each face also by the side-5 triangle
+        chain = realize(closed_triangle_plan(5))
+        piece_cells(PlacedPiece("triangle", (0, 0), size=5))
+        held, shared = {}, 0
+        for cells in chains._PIECES.values():
+            for cell in cells:
+                shared += cell in held
+                assert held.setdefault(cell, cell) is cell
+        assert shared > 25 and all(chains._CELLS[cell] is cell for cell in held)
+        # the totals that realize reads hold those same objects
+        assert all(held[cell] is cell for cell in chain.cells())
+
+
+def test_a_piece_past_the_digit_limit_raises_every_time_and_stores_nothing():
+    long = 10 ** sys.get_int_max_str_digits()  # one digit past the limit
+    pieces = [PlacedPiece("closed_triangle", (-long, 0)), PlacedPiece("triangle", (long, 0), size=2),
+              PlacedPiece("open_triangle", (0, long), size=3, orientation=DOWN),
+              PlacedPiece("segment", -long), PlacedPiece("open_segment", long, size=2)]
+    with fresh_pieces():
+        for piece in pieces * 2:
+            with pytest.raises(ValueError) as info:
+                piece_cells(piece)
+            assert str(info.value) == \
+                f"{piece.kind}: a coordinate has more than {sys.get_int_max_str_digits()} digits"
+        assert chains._PIECES == {} and chains._CELLS == {} and chains._room == chains._BUDGET

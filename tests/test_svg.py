@@ -1,6 +1,5 @@
 """Rendering: deterministic bytes, stable structure, no floats beyond 2 decimals."""
 
-import contextlib
 import copy
 import hashlib
 import json
@@ -36,7 +35,7 @@ from simplexring.chains import (
 )
 from simplexring.render import RenderOptions, chain_svg, plan_svg, to_svg
 
-from reference import open_segment_plan_open_units
+from reference import fresh_pieces, fresh_tables, open_segment_plan_open_units
 
 
 def test_same_chain_same_bytes():
@@ -295,17 +294,6 @@ def test_face_walk_is_the_sorted_order():
                     assert list(faces) == sorted(faces, key=render._sort_key)
 
 
-@contextlib.contextmanager
-def fresh_tables():
-    """Empty shared style tables with the whole budget; the process's own come back after."""
-    saved = render._STYLES, render._room
-    render._STYLES, render._room = {}, render._BUDGET
-    try:
-        yield
-    finally:
-        render._STYLES, render._room = saved
-
-
 def _table_entries() -> int:
     return len(render._STYLES) + sum(len(style.cells) for style in render._STYLES.values())
 
@@ -320,10 +308,11 @@ def _corners(cell):
 def _plan_svg_reference(plan, options=None):
     """plan_svg without the face walk or the pieces' corners.
 
-    Each piece's cells are sorted by key and drawn through fresh tables,
-    and the box is the extent of every drawn cell's own vertices.
+    Each piece's cells are made afresh, sorted by key and drawn through
+    fresh tables, and the box is the extent of every drawn cell's own vertices.
     """
-    with fresh_tables():
+    with fresh_tables(), fresh_pieces():
+        chains._room = 0  # no piece is kept
         canvas = render._Canvas(options or RenderOptions(), plan.dim)
         total = {}
         for piece in plan.pieces:
@@ -426,7 +415,7 @@ def test_pinned_plans_keep_their_digests_in_any_order(order):
         plans.reverse()
     else:
         random.Random(17).shuffle(plans)
-    with fresh_tables():
+    with fresh_tables(), fresh_pieces():
         drift = [(entry["builder"], entry["params"]) for entry in plans
                  if hashlib.sha256(plan_svg(getattr(chains, entry["builder"] + "_plan")(
                      *entry["params"])).encode()).hexdigest() != entry["sha256"]]
@@ -471,10 +460,18 @@ class _CountedReads(dict):
 
 
 def test_the_tables_stay_within_their_budget():
-    with fresh_tables():
-        first = plan_svg(closed_triangle_plan(100))
-        assert render._room == 0
+    with fresh_tables(), fresh_pieces():
+        # a quarter of the pieces' budget, which the side-100 plan (45,448
+        # references) spends: its later closed units are made afresh
+        chains._room = chains._BUDGET // 4
+        plan = closed_triangle_plan(100)
+        first, chain = plan_svg(plan), realize(plan)
+        assert render._room == 0 == chains._room
         assert _table_entries() == render._BUDGET
+        assert sum(map(len, chains._PIECES.values())) == chains._BUDGET // 4
+        again = closed_triangle_plan(100)
+        assert plan_svg(again).encode() == first.encode()
+        assert realize(again) == chain == realize(closed_triangle_plan(100))
         # one style, of the closed up units, which come first; the second
         # render reads its table up to the first cell it did not keep, then no more
         [style] = render._STYLES.values()
