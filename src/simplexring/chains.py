@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from operator import itemgetter
 from types import MappingProxyType
 
 from ._record import Record, _past_digit_limit, _quoted, integer
@@ -42,7 +41,8 @@ class Chain(Record):
     of supports with multiplicities, which are ints (`integer`).  Each cell
     is a tuple of its kind and its coordinates, each an int (`integer`):
     ("face", r, c, "up" or "down"), ("edge", (r1, c1), (r2, c2)),
-    ("vertex", r, c) in 2-d and ("point", i), ("interval", i) in 1-d.
+    ("vertex", r, c) in 2-d and ("point", i), ("interval", i) in 1-d.  An
+    edge's second vertex is its first plus (0, 1), (1, 0) or (1, -1).
     Any other cell raises TypeError or ValueError naming it.
     """
 
@@ -157,6 +157,10 @@ def _checked_cell(cell, dim: int) -> tuple:
             else:
                 x = integer(x, "a coordinate")
             out.append(x)
+        if shape == "pp":  # the steps face_edges makes
+            (r1, c1), (r2, c2) = out[1:]
+            if (r2 - r1, c2 - c1) not in ((0, 1), (1, 0), (1, -1)):
+                raise ValueError("its second vertex is not its first plus (0, 1), (1, 0) or (1, -1)")
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"cell {_quoted(cell, cell[0])}: {exc}") from None
     return tuple(out)
@@ -291,7 +295,7 @@ def _edges_and_vertices(faces, size: int, orientation: str, position, closed: bo
     Row i = 0..s of its vertices is (r0 + i, c) for c from c0 to c0 + s - i
     (up) or from c0 + 1 - i to c0 + 1 (down); the inner vertices lie off the
     three sides, in rows 1..s-1 and off both ends of their row.  The edges
-    come first, face by face, then the vertices row by row; `piece_cells`
+    come first, face by face, then the vertices row by row; `_made_cells`
     puts them in draw order.
     """
     if size <= 1:  # a unit piece, as every closed_triangle_plan piece is, or a side <= 0
@@ -308,11 +312,6 @@ def _edges_and_vertices(faces, size: int, orientation: str, position, closed: bo
         lo, hi = (c0, c0 + size - i) if orientation == UP else (c0 + 1 - i, c0 + 1)
         cells += [("vertex", r0 + i, c) for c in range(lo + trim, hi + 1 - trim)]
     return tuple(cells)
-
-
-def _unit_segment(p: int) -> tuple:
-    """A closed unit segment's interval, then its two end points."""
-    return (("interval", p), ("point", p), ("point", p + 1))
 
 
 # Each piece's cells by (kind, position, size, orientation), shared by every
@@ -350,10 +349,10 @@ def _made_cells(piece: PlacedPiece) -> tuple:
     """A piece's cells, made from its fields.
 
     A triangle piece lists its `triangle_face_cells` first, in their order,
-    then, closed or open, the edges and vertices it adds to them.  A unit
-    piece's cells are put in order by one of the fixed orders of
-    `_UNIT_ORDERS`; a larger piece's edges and vertices, or a longer
-    segment's cells, are sorted.
+    then, closed or open, the edges and vertices it adds to them; those, or
+    a segment's cells, are sorted by `_sort_key`.  A closed unit piece's
+    cells differ only by +1 steps of its anchor, so away from a decimal
+    carry (`_ascends` in each coordinate) they are built in draw order.
     """
     p, size, kind = piece.position, piece.size, piece.kind
     try:
@@ -363,8 +362,8 @@ def _made_cells(piece: PlacedPiece) -> tuple:
             return (("vertex", *p),)
         if kind in ("segment", "open_segment"):
             closed = kind == "segment"
-            if size == 1 and closed:
-                return _UNIT_ORDERS["segment", _ascends(p)](_unit_segment(p))
+            if size == 1 and closed and _ascends(p):
+                return (("interval", p), ("point", p), ("point", p + 1))
             cells = [("interval", p + i) for i in range(size)]
             cells += [("point", p + i) for i in range(1 - closed, size + closed)]
             return tuple(sorted(cells, key=_sort_key))
@@ -372,10 +371,8 @@ def _made_cells(piece: PlacedPiece) -> tuple:
         if kind == "triangle":
             return faces
         rest = _edges_and_vertices(faces, size, piece.orientation, p, kind == "closed_triangle")
-        if size > 1:
+        if size > 1 or rest and not (_ascends(p[0]) and _ascends(p[1])):
             rest = tuple(sorted(rest, key=_sort_key))
-        elif rest:  # a closed unit triangle
-            rest = _UNIT_ORDERS[piece.orientation, _ascends(p[0]), _ascends(p[1])](rest)
         return faces + rest
     except ValueError:  # the piece is checked, so only its draw-order text can fail
         raise _past_digit_limit(kind) from None
@@ -393,7 +390,7 @@ def _sort_key(cell) -> str:
     run on and the other's are followed by ', ' or ')'; ',' sorts below the
     digits and '-' just as ',' and ')' do, so the keys part the same way.
     This is the one definition of draw order: `triangle_face_cells` walks
-    it and `_UNIT_ORDERS` is derived from it.
+    it, and `_made_cells` sorts by it every piece but a closed unit one off a carry.
     """
     kind = cell[0]
     try:
@@ -412,27 +409,9 @@ def _ascends(x: int) -> bool:
 
     They do not across a carry: "9" > "10", "-2" > "-1".  A non-negative x
     whose last digit is not 9 has no carry, so only the others compare strings.
+    A closed unit piece whose anchor ascends in each coordinate goes unsorted.
     """
     return 0 <= x and x % 10 != 9 or f"{x}," < f"{x + 1},"
-
-
-def _draw_order(cells) -> itemgetter:
-    """An itemgetter that puts these cells, or any listed alike, in draw order."""
-    return itemgetter(*map(cells.index, sorted(cells, key=_sort_key)))
-
-
-# A unit piece's cells differ only by +1 steps of its anchor's coordinates,
-# so whether r -> r+1 and c -> c+1 (or p -> p+1) ascend decides every
-# comparison of their keys.  One anchor of each case (0 ascends, 9 does not)
-# is sorted by the key once: ("segment", p ascends) for a closed unit
-# segment, (orientation, r ascends, c ascends) for the edges and vertices
-# of a closed unit triangle, as _edges_and_vertices lists them.
-_UNIT_ORDERS = {
-    **{("segment", _ascends(p)): _draw_order(_unit_segment(p)) for p in (0, 9)},
-    **{(o, _ascends(r), _ascends(c)):
-       _draw_order(_edges_and_vertices((("face", r, c, o),), 1, o, (r, c), True))
-       for o in (UP, DOWN) for r in (0, 9) for c in (0, 9)},
-}
 
 
 def walk(plan: PlacementPlan, visit=None) -> MappingProxyType:

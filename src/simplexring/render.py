@@ -111,12 +111,12 @@ class _Style:
 
     Each element is its coordinates followed by the tail of its kind;
     `label` is the annotation, or None; multiplicity zero marks a covered,
-    cancelled cell.  `cells` keeps each 2-d cell's element (None past the budget).
+    cancelled cell.  `cells` keeps each 2-d cell's element (stays empty past the budget).
     """
 
     __slots__ = ("color", "label", "face", "edge", "interval", "vertex", "point", "cells")
 
-    def __init__(self, opt: RenderOptions, mult: int, open_face: bool, shared: bool):
+    def __init__(self, opt: RenderOptions, mult: int, open_face: bool):
         color = opt.positive if mult > 0 else opt.negative if mult < 0 else opt.cancelled
         self.color = color
         self.label = str(abs(mult)) if opt.annotate and abs(mult) > 1 else None
@@ -133,7 +133,7 @@ class _Style:
         self.interval = _line_tail(color, 5.0)
         self.vertex = _circle_tail(color, 3.5)
         self.point = _circle_tail(color, 4.0)
-        self.cells = {} if shared else None
+        self.cells = {}
 
 
 def _line_tail(stroke: str, width: float) -> str:
@@ -185,8 +185,8 @@ class _Canvas:
             key = (type(self.options.side), self.options, mult, open_face)
             style = _STYLES.get(key)
             if style is None:
-                style = _Style(self.options, mult, open_face, _room > 0)
-                if style.cells is not None:
+                style = _Style(self.options, mult, open_face)
+                if _room > 0:
                     _STYLES[key] = style
                     _room -= 1
             self.styles[mult, open_face] = style

@@ -34,7 +34,7 @@ class RepresentationError(ValueError):
 
 
 def _frac(value) -> Fraction:
-    if type(value) is Fraction:  # an int (not a bool) or a Fraction; the common case first
+    if type(value) is Fraction:  # a Fraction, the common case, as it is
         return value
     if type(value) is int or isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)

@@ -102,7 +102,9 @@ def composite_witness(z: int) -> Witness | None:
     below `_least_b(z, a)`, so each row starts there (the module docstring
     gives the bound).  A discriminant whose residue mod 64 is not a square
     never reaches `isqrt`, and a root r of s^2 - 4uv has the parity of
-    s = c + d, so c and d come out whole.
+    s = c + d, so c and d come out whole.  They need no range check: u, v >= 1
+    give r^2 = s^2 - 4uv < s^2, so r <= s - 2 by parity, and 1 <= c <= d <= s - 1,
+    where s = a + b - z <= z - 2.
     """
     z = integer(z, "z", 2)
     zsq = z * z
@@ -119,8 +121,6 @@ def composite_witness(z: int) -> Witness | None:
                 continue
             c = (s - r) // 2
             d = (s + r) // 2
-            if c < 1 or d > z - 1:
-                continue
             if a * a + b * b - c * c - d * d == zsq:
                 return Witness(z, a, b, c, d)
     return None

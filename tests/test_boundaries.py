@@ -391,6 +391,10 @@ BAD_CELLS = [
     (2, ("edge", (0, 0), (0, 1, 2)), TypeError),
     (2, ("edge", 0, 1), TypeError),
     (2, ("edge", (0, 0)), ValueError),
+    # not a lattice edge: reversed, far, and across the wrong diagonal
+    (2, ("edge", (1, 0), (0, 0)), ValueError),
+    (2, ("edge", (0, 0), (5, 7)), ValueError),
+    (2, ("edge", (0, 0), (1, 1)), ValueError),
     (2, ("vertex", 0, 2.0), TypeError),
     (2, ("vertex", None, 0), TypeError),
     (2, ("vertex", 0), ValueError),

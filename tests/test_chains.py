@@ -411,20 +411,48 @@ _CARRY_ANCHORS = (-1001, -1000, -999, -101, -100, -99, -11, -10, -9, -2, -1, 0, 
 def test_piece_cells_come_in_draw_order_across_decimal_carries(orientation):
     # plan_svg draws each piece's cells as they come: the faces as
     # triangle_face_cells lists them, the rest as the draw-order key sorts them.
+    # An empty table that keeps nothing, so each piece's cells are made here.
     pairs = list(itertools.product(_CARRY_ANCHORS, repeat=2))
-    for kind in ("point", "segment", "open_segment", "vertex", "triangle", "closed_triangle",
-                 "open_triangle"):
-        positions = _CARRY_ANCHORS if kind in ("point", "segment", "open_segment") else pairs
-        for size in (1, 2, 3):
-            for position in positions:
-                piece = PlacedPiece(kind, position, size=size, orientation=orientation)
-                cells = piece_cells(piece)
-                faces = ()
-                if "triangle" in kind:
-                    faces = triangle_face_cells(size, orientation, position)
-                assert cells[:len(faces)] == faces, piece
-                rest = cells[len(faces):]
-                assert list(rest) == sorted(rest, key=_sort_key), piece
+    with fresh_pieces():
+        chains._room = 0
+        for kind in ("point", "segment", "open_segment", "vertex", "triangle", "closed_triangle",
+                     "open_triangle"):
+            positions = _CARRY_ANCHORS if kind in ("point", "segment", "open_segment") else pairs
+            for size in (1, 2, 3):
+                for position in positions:
+                    piece = PlacedPiece(kind, position, size=size, orientation=orientation)
+                    cells = piece_cells(piece)
+                    faces = ()
+                    if "triangle" in kind:
+                        faces = triangle_face_cells(size, orientation, position)
+                    assert cells[:len(faces)] == faces, piece
+                    rest = cells[len(faces):]
+                    assert list(rest) == sorted(rest, key=_sort_key), piece
+        assert chains._PIECES == {}
+
+
+def test_a_closed_unit_piece_away_from_a_carry_is_not_sorted(monkeypatch):
+    # its cells are built in draw order; at a carry (a coordinate of 9 or
+    # -2, but not -1 or -10: "-1" < "0", "-10" < "-9") they are sorted by
+    # the key, which here refuses to be made
+    plain = [PlacedPiece("closed_triangle", position, orientation=orientation)
+             for orientation in (UP, DOWN) for position in ((0, 0), (3, 41), (-1, -10))]
+    plain += [PlacedPiece("segment", 18), PlacedPiece("segment", -1)]
+    carried = [PlacedPiece("closed_triangle", (9, 0)), PlacedPiece("closed_triangle", (0, -2)),
+               PlacedPiece("closed_triangle", (-2, 5), orientation=DOWN),
+               PlacedPiece("closed_triangle", (4, 9), orientation=DOWN),
+               PlacedPiece("segment", 9), PlacedPiece("segment", -2)]
+
+    def no_key(cell):
+        raise RuntimeError(f"a key for {cell!r}")
+    with fresh_pieces():
+        chains._room = 0
+        want = [piece_cells(piece) for piece in plain]
+        monkeypatch.setattr(chains, "_sort_key", no_key)
+        assert [piece_cells(piece) for piece in plain] == want
+        for piece in carried:
+            with pytest.raises(RuntimeError, match="a key for"):
+                piece_cells(piece)
 
 
 def test_ascends_is_the_order_of_the_keys():

@@ -578,7 +578,7 @@ _HUGE = 10 ** 400
 
 
 @pytest.mark.parametrize("cell", [
-    ("face", 0, _HUGE, UP), ("face", -_HUGE, 3, DOWN), ("edge", (0, 0), (_HUGE, 0)),
+    ("face", 0, _HUGE, UP), ("face", -_HUGE, 3, DOWN), ("edge", (_HUGE, 0), (_HUGE, 1)),
     ("vertex", _HUGE, 0), ("point", _HUGE), ("interval", -_HUGE),
     # ints that convert to floats, but not once scaled to the canvas
     ("face", 10 ** 307, 0, DOWN), ("point", 10 ** 307),

@@ -76,6 +76,7 @@ def test_pruned_scan_matches_full_scan():
     for z in range(2, 501):
         w = composite_witness(z)
         assert (None if w is None else w.as_tuple()) == _full_scan(z), z
+        assert w is None or 1 <= w.c <= w.d <= w.z - 3, z
 
 
 def test_pinned_witnesses():
