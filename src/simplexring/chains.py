@@ -606,8 +606,11 @@ def _window_placements(tile: TilePiece, cells: list, index: dict):
     bottom-left face or a down triangle's tip, so only the window's faces of
     the tile's orientation are tried, in the order of the sorted cells.  The
     tile's faces are built once at (0, 0) and moved to each anchor; index
-    maps each window cell to its position in cells.
+    maps each window cell to its position in cells.  A tile with more faces
+    (size squared) than the window has cells has no spot and is not built.
     """
+    if tile.size * tile.size > len(cells):
+        return []
     # Top row first: an anchor whose triangle leaves the window mostly fails there.
     shape = [face[1:] for face in triangle_face_cells(tile.size, tile.orientation, (0, 0))][::-1]
     spots = []
@@ -616,14 +619,6 @@ def _window_placements(tile: TilePiece, cells: list, index: dict):
                 ("face", r + dr, c + dc, o) in index for dr, dc, o in shape):
             spots.append(((r, c), [index["face", r + dr, c + dc, o] for dr, dc, o in shape]))
     return spots
-
-
-def _combinations(groups) -> int:
-    """Multisets of placements: per group, count pieces over its spots."""
-    total = 1
-    for _, _, count, spots in groups:
-        total *= comb(len(spots) + count - 1, count)
-    return total
 
 
 def _exact_cover(residual: list, placements: list, by_cell: list, left: list):
@@ -697,6 +692,7 @@ def tiling_search(
 ) -> PlacementPlan | None:
     """Search placements of the pieces inside the window realizing the target.
 
+    A piece with no spot in the window ends the search at once with None.
     Two counts do not depend on where the pieces go: the signed number of
     faces, and the signed number of up faces (a side-s up triangle has
     s(s+1)/2, a down one s(s-1)/2).  The target must match both and lie on
@@ -706,8 +702,10 @@ def tiling_search(
     exactly, an exact cover with multiplicities (_exact_cover).  Returns a
     deterministic realizing plan, or None when no in-window placement
     works - the search is complete, so None is a proof of impossibility
-    within the window.  Raises SearchSpaceError if the number of placement
-    combinations of all the pieces exceeds cap; a window that is not a
+    within the window.  Raises SearchSpaceError if the placement
+    combinations of all the pieces (neg * pos, one count per sign) exceed
+    cap; with a spot for every piece, that bounds the listed sign at about
+    sqrt(cap) combinations, 1414 at the default.  A window that is not a
     non-empty set of face cells raises ValueError.  cap follows `integer`
     with least 0, and a piece that is not a TilePiece raises TypeError.
     """
@@ -721,34 +719,31 @@ def tiling_search(
         if not isinstance(tile, TilePiece):
             raise TypeError(f"piece {_quoted(tile)} is not a TilePiece")
         counted[tile] = counted.get(tile, 0) + 1
-    groups = [(rank, tile, counted[tile], _window_placements(tile, cells, index)) for rank, tile
-              in enumerate(sorted(counted, key=lambda t: (-t.size, t.orientation, -t.sign)))]
-    negatives = [g for g in groups if g[1].sign < 0]
-    positives = [g for g in groups if g[1].sign > 0]
-    neg, pos = _combinations(negatives), _combinations(positives)
+    # A group's count pieces over its spots make C(spots + count - 1, count) multisets.
+    groups, combinations, area, up = [], {-1: 1, 1: 1}, 0, 0
+    for rank, tile in enumerate(sorted(counted, key=lambda t: (-t.size, t.orientation, -t.sign))):
+        s, count, spots = tile.size, counted[tile], _window_placements(tile, cells, index)
+        if not spots:
+            return None
+        groups.append((rank, tile, count, spots))
+        combinations[tile.sign] *= comb(len(spots) + count - 1, count)
+        area += tile.sign * count * s * s
+        up += tile.sign * count * (s * (s + 1 if tile.orientation == UP else s - 1) // 2)
+    neg, pos = combinations[-1], combinations[1]
     if neg * pos > cap:
         raise SearchSpaceError(f"{neg * pos} placement combinations exceed the cap {cap}")
 
     target_cells = target.cells()
-    area = up = 0
-    for _, tile, count, _ in groups:
-        s = tile.size
-        area += tile.sign * count * s * s
-        up += tile.sign * count * (s * (s + 1 if tile.orientation == UP else s - 1) // 2)
-    if not index.keys() >= target_cells.keys() or area != sum(target_cells.values()):
-        return None
-    if up != sum(m for cell, m in target_cells.items() if cell[3] == UP):
+    if (not index.keys() >= target_cells.keys() or area != sum(target_cells.values())
+            or up != sum(m for cell, m in target_cells.items() if cell[3] == UP)):
         return None
 
     # Pieces of one sign are listed, those of the other cover the residual:
     # with positives covering it is target + negatives, else positives - target.
-    if neg <= pos:
-        listed, covering, listed_sign = negatives, positives, -1
-    else:
-        listed, covering, listed_sign = positives, negatives, 1
-    base = [0] * len(cells)
-    for cell, m in target_cells.items():
-        base[index[cell]] = -listed_sign * m
+    listed_sign = -1 if neg <= pos else 1
+    listed = [g for g in groups if g[1].sign == listed_sign]
+    covering = [g for g in groups if g[1].sign != listed_sign]
+    base = [-listed_sign * target_cells.get(cell, 0) for cell in cells]
     placements, keys, by_cell = [], [], [[] for _ in cells]
     for group, (rank, _, _, spots) in enumerate(covering):
         for spot, (_, faces) in enumerate(spots):

@@ -104,10 +104,11 @@ def composite_witness(z: int) -> Witness | None:
     never reaches `isqrt`, and a root r of s^2 - 4uv has the parity of
     s = c + d, so c and d come out whole.  They need no range check: u, v >= 1
     give r^2 = s^2 - 4uv < s^2, so r <= s - 2 by parity, and 1 <= c <= d <= s - 1,
-    where s = a + b - z <= z - 2.
+    where s = a + b - z <= z - 2.  Nor does the quadratic constraint need a
+    test: with c + d = s = z - u - v and cd = uv it holds identically,
+    a^2 + b^2 - c^2 - d^2 = 2z^2 - 2z(u+v) + (u+v)^2 - s^2 = z^2.
     """
     z = integer(z, "z", 2)
-    zsq = z * z
     squares = _SQUARE_MOD64
     for a in range(1, z):
         u4 = 4 * (z - a)
@@ -117,12 +118,8 @@ def composite_witness(z: int) -> Witness | None:
             if not squares[disc & 63]:
                 continue
             r = isqrt(disc)
-            if r * r != disc:
-                continue
-            c = (s - r) // 2
-            d = (s + r) // 2
-            if a * a + b * b - c * c - d * d == zsq:
-                return Witness(z, a, b, c, d)
+            if r * r == disc:
+                return Witness(z, a, b, (s - r) // 2, (s + r) // 2)
     return None
 
 
@@ -176,14 +173,12 @@ def factors_from_witness(w: Witness) -> FactorPair:
     a role, divisor splits t = t1*t2 (t1 | c, t2 | d) are scanned in
     ascending t1; the straight pairing (t1+s1)(t2+s2) is preferred and the
     crossed pairing (t1+s2)(t2+s1), which always exists for a genuine
-    witness, is the fallback.
+    witness, is the fallback.  Both t are at least 1 once w validates:
+    b - c - d = z - a and a - c - d = z - b.
     """
     w.validate()
     for hi in (w.b, w.a):
-        t = hi - w.c - w.d
-        if t < 1:
-            continue
-        found = _split(w.z, t, w.c, w.d)
+        found = _split(w.z, hi - w.c - w.d, w.c, w.d)
         if found is not None:
             return found
     raise WitnessError(f"no divisor split factors {w.z}; not a witness")

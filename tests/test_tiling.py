@@ -3,15 +3,20 @@
 `_oracle_search` is the plain enumeration the exact-cover search replaced:
 every multiset of in-window placements, group by group, compared with the
 target at the end.  It shares no search code with `tiling_search`, only the
-lattice geometry, so the two give two routes to every verdict.
+lattice geometry, so the two give two routes to every verdict.  Searches
+that once exhausted memory, and a seeded sweep, run in a child process under
+an address-space limit, so a regression fails a test, not the test run.
 """
 
 import ast
 import builtins
 import importlib
+import inspect
 import itertools
 import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -39,6 +44,7 @@ from simplexring.chains import (
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(simplexring.__file__).resolve().parent  # the code under test, installed or not
 ORACLE_CAP = 20_000
+CHILD_MEMORY = 512 << 20  # bytes of address space for a child search
 
 
 def _oracle_placements(tile, window):
@@ -120,7 +126,9 @@ def _random_instance(rng, kind, shape=lambda rng, n: triangle_window(n)):
     (0, 0) unless told otherwise.  kind "placed" sums random in-window
     placements, so a layout exists; "moved" shifts one unit of such a target
     to another face; "random" is a random face chain with multiplicities in
-    -1..2, or the full window.
+    -1..2, or the full window; "nowhere" is "random" with one piece swapped
+    for one that has no spot in the side-n triangle, an up piece of side
+    n + 1 or a down piece of side over n/2.
     """
     n = rng.randint(2 if kind == "moved" else 1, 4)
     window = shape(rng, n)
@@ -134,7 +142,7 @@ def _random_instance(rng, kind, shape=lambda rng, n: triangle_window(n)):
             pieces.append(TilePiece(rng.randint(1, largest), orientation, rng.choice((1, 1, -1))))
         return pieces
 
-    if kind == "random":
+    if kind in ("random", "nowhere"):
         if rng.random() < 0.5:
             target = Chain(2, dict.fromkeys(faces, 1))
         else:
@@ -142,6 +150,10 @@ def _random_instance(rng, kind, shape=lambda rng, n: triangle_window(n)):
         # Mostly pieces of the target's area, so the search has work to do.
         for _ in range(40):
             pieces = draw()
+            if kind == "nowhere":
+                size, orientation = rng.choice(
+                    [(n + 1, UP)] + [(s, DOWN) for s in range(n // 2 + 1, n + 1)])
+                pieces[rng.randrange(len(pieces))] = TilePiece(size, orientation, rng.choice((1, -1)))
             if sum(t.sign * t.size ** 2 for t in pieces) == chain_face_total(target):
                 break
         return target, pieces, window
@@ -184,6 +196,15 @@ def test_search_matches_oracle_on_random_instances():
         _compare_verdicts(target, pieces, window, cap, seen)
     # The sample must exercise every verdict, not only the easy ones.
     assert seen["found"] >= 400 and seen["none"] >= 300 and seen["capped"] >= 100, seen
+
+
+def test_a_piece_that_fits_nowhere_matches_oracle():
+    rng = random.Random("fits nowhere")
+    seen = Counter()
+    for _ in range(300):
+        target, pieces, window = _random_instance(rng, "nowhere")
+        _compare_verdicts(target, pieces, window, ORACLE_CAP, seen)
+    assert seen == {"none": 300}, seen
 
 
 def _shifted(rng, n):
@@ -282,6 +303,118 @@ def test_search_is_deterministic():
     pieces = [TilePiece(2, UP), TilePiece(2, UP), TilePiece(2, UP), TilePiece(2, DOWN)]
     plans = {tiling_search(target, pieces, triangle_window(4)) for _ in range(3)}
     assert len(plans) == 1 and None not in plans
+
+
+def _in_child(code):
+    """Run code in a child python under CHILD_MEMORY; its last line of output, as JSON.
+
+    The child imports the package under test, installed or not, and gets 60 s.
+    """
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n{code}"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    assert done.returncode == 0, done.stderr[-3000:]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# Searches that once exhausted memory under the default cap, each as
+# (window, pieces) with the full window as target:
+# - a side-3 down piece has no spot in a side-5 window, so one sign's count
+#   was 0 and passed the cap, and the search then built every combination of
+#   15 up units over 15 spots, C(29, 15) of them;
+# - a side-3000 tile was built, 9,000,000 faces, before the window was read.
+BLOW_UPS = {
+    "no spot": ("triangle_window(5)",
+                "[TilePiece(1, DOWN)] * 2 + [TilePiece(1, UP, -1)] + [TilePiece(1)] * 15"
+                " + [TilePiece(2, DOWN), TilePiece(2, UP, -1), TilePiece(3, DOWN)]"),
+    "larger than the window": ("triangle_window(2)", "[TilePiece(3000)]"),
+}
+
+
+@pytest.mark.parametrize("window, pieces", BLOW_UPS.values(), ids=list(BLOW_UPS))
+def test_a_search_with_no_spot_ends_at_once_in_bounded_memory(window, pieces):
+    found = _in_child(
+        "import json, time\n"
+        "from simplexring.chains import Chain, DOWN, UP, TilePiece, tiling_search, triangle_window\n"
+        f"window = {window}\n"
+        "start = time.perf_counter()\n"
+        f"plan = tiling_search(Chain(2, dict.fromkeys(window, 1)), {pieces}, window)\n"
+        "print(json.dumps([repr(plan), time.perf_counter() - start]))")
+    assert found[0] == "None" and found[1] < 1, found
+
+
+def _sweep(seed, count):
+    """Time count seeded tiling searches; runs in a child (see the test below).
+
+    Windows are side-1..6 triangles, shifted, some with a face gone or
+    joined with a second triangle.  Tiles are mostly of side up to n + 1, one
+    in ten up to 10**6, with random orientation, sign and count, and up and
+    down units make the face counts match the target's when few will do.
+    """
+    import json
+    import random
+    import time
+
+    from simplexring.chains import (
+        DOWN, UP, Chain, SearchSpaceError, TilePiece, _window_placements, tiling_search,
+        triangle_window)
+
+    def up_faces(tile):
+        s = tile.size
+        return tile.sign * (s * (s + 1 if tile.orientation == UP else s - 1) // 2)
+
+    rng = random.Random(seed)
+    seen = {"found": 0, "none": 0, "capped": 0, "nowhere": 0}
+    slowest = 0.0
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        window = triangle_window(n, (rng.randint(-3, 3), rng.randint(-3, 3)))
+        if rng.random() < 0.2 and n > 1:
+            window -= {rng.choice(sorted(window))}
+        elif rng.random() < 0.2:
+            second = triangle_window(rng.randint(1, 3), (rng.randint(4, 6), rng.randint(-3, 3)))
+            window |= second
+        cells = sorted(window)
+        if rng.random() < 0.7:
+            target = Chain(2, dict.fromkeys(cells, 1))
+        else:
+            target = Chain(2, {f: rng.randint(-1, 2) for f in cells})
+        pieces = []
+        for _ in range(rng.randint(0, 4)):
+            size = rng.randint(1, n + 1) if rng.random() < 0.9 else int(10 ** rng.uniform(0, 6))
+            tile = TilePiece(size, rng.choice((UP, UP, DOWN)), rng.choice((1, 1, -1)))
+            pieces += [tile] * rng.randint(1, 3)
+        up = sum(m for cell, m in target.cells().items() if cell[3] == UP)
+        up -= sum(up_faces(t) for t in pieces)
+        down = sum(target.cells().values()) - sum(t.sign * t.size ** 2 for t in pieces) - up
+        if abs(up) + abs(down) <= 24:
+            pieces += [TilePiece(1, UP, 1 if up > 0 else -1)] * abs(up)
+            pieces += [TilePiece(1, DOWN, 1 if down > 0 else -1)] * abs(down)
+        rng.shuffle(pieces)
+        cap = rng.randint(0, 10 ** 4) if rng.random() < 0.1 else 2_000_000
+        start = time.perf_counter()
+        try:
+            verdict = "none" if tiling_search(target, pieces, window, cap) is None else "found"
+        except SearchSpaceError:
+            verdict = "capped"
+        slowest = max(slowest, time.perf_counter() - start)
+        seen[verdict] += 1
+        index = {cell: i for i, cell in enumerate(cells)}
+        seen["nowhere"] += any(not _window_placements(t, cells, index) for t in set(pieces))
+    print(json.dumps({"seen": seen, "slowest": slowest}))
+
+
+def test_seeded_searches_end_in_bounded_time_and_memory():
+    # Each call returns or raises SearchSpaceError, or the child fails.
+    result = _in_child(f"{inspect.getsource(_sweep)}\n_sweep(36, 3000)")
+    seen = result["seen"]
+    assert result["slowest"] < 1, result
+    assert seen["found"] >= 300 and seen["capped"] >= 100 and seen["nowhere"] >= 300, result
 
 
 @pytest.mark.parametrize("build, error", [
